@@ -27,7 +27,10 @@ CLUSTER_OUT ?= BENCH_cluster$(SUFFIX).json
 SERVE_OUT ?= BENCH_serve$(SUFFIX).json
 GOVERN_OUT ?= BENCH_govern$(SUFFIX).json
 
-.PHONY: build vet test lint race-stress serve-smoke \
+# Per-target budget of `make fuzz-smoke`.
+FUZZTIME ?= 10s
+
+.PHONY: build vet test lint race-stress serve-smoke bench-check fuzz-smoke \
 	bench bench-par bench-joins bench-compact bench-prune bench-share bench-cluster bench-serve bench-govern \
 	benchdiff clean
 
@@ -62,6 +65,23 @@ race-stress:
 # serial oracle and that a client-abandoned request leaks nothing.
 serve-smoke:
 	./scripts/serve_smoke.sh
+
+# benchmark/ is its own module (BENCHMARK.json's served-path benchmark),
+# so `go build ./...` and `go test ./...` at the root never compile it:
+# an engine signature it imports can change and break it silently. This
+# vets it and runs its own tests against the working tree.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+# Every native fuzz target in the module, FUZZTIME each (a target's seed
+# corpus already runs in `make test`; this lets the fuzzer mutate it).
+fuzz-smoke:
+	@$(GO) test -list '^Fuzz' ./... | \
+		awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+		while read -r pkg target; do \
+			echo "fuzz-smoke: $$pkg $$target ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
+		done
 
 # bench-<fig> emits one figure's JSON; `make bench` keeps its historical
 # meaning (the parallel-scan scaling figure).

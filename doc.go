@@ -285,6 +285,11 @@
 // registration time — the same derive-from-the-type, fail-at-
 // construction move the tabular Schema makes for off-heap layouts —
 // and dates/decimals travel as formatted strings, never JSON numbers.
+// The same walk compiles each response type's append encoder
+// (schema.Compile: fixed offsets, no reflection or allocation per
+// value, bytes identical to compact encoding/json), and the row stream
+// encodes, writes and flushes once per scanned block's typed batch —
+// the result path is compiled like the scan path in front of it.
 //
 // A request's context flows straight into the engine (query.NewCtx via
 // the *ParCtx drivers), so client disconnects and per-request

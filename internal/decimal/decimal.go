@@ -293,7 +293,10 @@ func (d Dec128) bigInt() *big.Int {
 func fromBig(b *big.Int) (Dec128, error) {
 	neg := b.Sign() < 0
 	m := new(big.Int).Abs(b)
-	if m.BitLen() > 127 {
+	// Magnitudes fit in 127 bits, except the minimum's: -2^127 has no
+	// positive counterpart but is representable (and negates to itself
+	// below).
+	if m.BitLen() > 127 && !(neg && m.BitLen() == 128 && m.TrailingZeroBits() == 127) {
 		return Zero, fmt.Errorf("decimal: %v overflows Dec128", b)
 	}
 	lo := new(big.Int).And(m, new(big.Int).SetUint64(^uint64(0))).Uint64()
@@ -339,33 +342,12 @@ func (d Dec128) Float64() float64 {
 	return f
 }
 
-// String formats the decimal with all four fractional digits.
+// String formats the decimal with all four fractional digits: the wire
+// form AppendJSON produces, without its quotes.
 func (d Dec128) String() string {
-	neg := d.Sign() < 0
-	m := d.Abs()
-	q, rem := divBySmall([4]uint64{m.Lo, uint64(m.Hi), 0, 0}, Scale)
-	intPart := formatUint256(q)
-	s := fmt.Sprintf("%s.%04d", intPart, rem)
-	if neg {
-		s = "-" + s
-	}
-	return s
-}
-
-func formatUint256(n [4]uint64) string {
-	if n[1] == 0 && n[2] == 0 && n[3] == 0 {
-		return fmt.Sprintf("%d", n[0])
-	}
-	var digits []byte
-	for n != [4]uint64{} {
-		var rem uint64
-		n, rem = divBySmall(n, 10)
-		digits = append(digits, byte('0'+rem))
-	}
-	for i, j := 0, len(digits)-1; i < j; i, j = i+1, j-1 {
-		digits[i], digits[j] = digits[j], digits[i]
-	}
-	return string(digits)
+	var buf [maxJSONLen]byte
+	b := d.AppendJSON(buf[:0])
+	return string(b[1 : len(b)-1])
 }
 
 // Parse parses a decimal literal: optional sign, digits, optional

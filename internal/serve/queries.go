@@ -2,8 +2,9 @@ package serve
 
 // The endpoint registry: each parameterized query is one Spec — typed
 // params struct in, typed response struct out, wire contracts derived
-// from the Go types by internal/schema at registration time (a type the
-// deriver rejects fails server construction, not the first request).
+// from the Go types by internal/schema at registration time, together
+// with the compiled encoder that writes the response (a type the deriver
+// rejects fails server construction, not the first request).
 // Zero-valued params fall back to the TPC-H validation defaults
 // (tpch.DefaultParams), so `curl -d '{}'` runs every query.
 
@@ -32,13 +33,19 @@ type Spec struct {
 	// contracts published at /queries. For streaming endpoints the
 	// response schema describes one NDJSON row line.
 	ParamsSchema, ResponseSchema *schema.JSONSchema
-	// Run executes a buffered query; Stream executes a chunked-row query
-	// (exactly one of the two is set). Both receive the decoded params
-	// value produced by decode.
-	Run    func(ctx context.Context, q *tpch.SMCQueries, s *core.Session, workers int, params any) (any, error)
-	Stream func(ctx context.Context, q *tpch.SMCQueries, s *core.Session, workers int, params any, sink func(chunk any) error) (int64, error)
+	// Stream marks a chunked-row endpoint (NDJSON lines and a trailer
+	// instead of one buffered object).
+	Stream bool
 
 	decode func(r *http.Request) (any, error)
+	// run executes the query for the decoded params and writes the whole
+	// response, success or failure. It is built by newSpec/newStreamSpec,
+	// where the params, the result and its compiled encoder are still
+	// typed: nothing on the result path goes through an interface.
+	run func(ctx context.Context, s *Server, w http.ResponseWriter, sess *core.Session, workers int, params any)
+	// appendResult appends a driver result's wire bytes through the
+	// endpoint's compiled encoder (Server.AppendResult).
+	appendResult func(dst []byte, result any) ([]byte, error)
 }
 
 // decodeInto strictly decodes the request body into *P; an empty body
@@ -54,35 +61,77 @@ func decodeInto[P any](r *http.Request) (any, error) {
 }
 
 // newSpec builds a buffered-response endpoint over typed params P and
-// response R, deriving both wire schemas.
+// response R, deriving both wire schemas and compiling R's encoder: the
+// response is one compact JSON object and a newline.
 func newSpec[P, R any](name, summary string,
 	run func(ctx context.Context, q *tpch.SMCQueries, s *core.Session, workers int, p *P) (*R, error)) *Spec {
+	respSchema, enc := schema.MustCompile[R]()
+	appendResp := func(dst []byte, resp *R) []byte { return append(enc(dst, resp), '\n') }
 	return &Spec{
 		Name:           name,
 		Path:           "/query/" + name,
 		Summary:        summary,
 		ParamsSchema:   schema.MustJSONOf(reflect.TypeFor[P]()),
-		ResponseSchema: schema.MustJSONOf(reflect.TypeFor[R]()),
+		ResponseSchema: respSchema,
 		decode:         decodeInto[P],
-		Run: func(ctx context.Context, q *tpch.SMCQueries, s *core.Session, workers int, params any) (any, error) {
-			return run(ctx, q, s, workers, params.(*P))
+		run: func(ctx context.Context, s *Server, w http.ResponseWriter, sess *core.Session, workers int, params any) {
+			resp, err := run(ctx, s.q, sess, workers, params.(*P))
+			if err != nil {
+				s.countCanceled(err)
+				s.writeQueryError(w, err)
+				return
+			}
+			bp := bufPool.Get().(*[]byte)
+			defer bufPool.Put(bp)
+			*bp = appendResp((*bp)[:0], resp)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			// A failed write means the client is gone; there is no one
+			// left to tell and nothing left to release.
+			_, _ = w.Write(*bp)
+		},
+		appendResult: func(dst []byte, result any) ([]byte, error) {
+			resp, ok := result.(*R)
+			if !ok {
+				return dst, fmt.Errorf("serve: %s result is %T, want %T", name, result, resp)
+			}
+			return appendResp(dst, resp), nil
 		},
 	}
 }
 
 // newStreamSpec builds a chunked-row endpoint: R is the per-line row
-// type, and stream pushes rows through sink as the scan produces them.
+// type, and stream hands sink the typed row batches the scan produces,
+// one per block. Each batch becomes NDJSON lines through R's compiled
+// encoder (see streamRows).
 func newStreamSpec[P, R any](name, summary string,
-	stream func(ctx context.Context, q *tpch.SMCQueries, s *core.Session, workers int, p *P, sink func(R) error) (int64, error)) *Spec {
+	stream func(ctx context.Context, q *tpch.SMCQueries, s *core.Session, workers int, p *P, sink func(rows []R) error) error) *Spec {
+	rowSchema, enc := schema.MustCompile[R]()
+	appendRows := func(dst []byte, rows []R) []byte {
+		for i := range rows {
+			dst = append(enc(dst, &rows[i]), '\n')
+		}
+		return dst
+	}
 	return &Spec{
 		Name:           name,
 		Path:           "/query/" + name,
 		Summary:        summary,
 		ParamsSchema:   schema.MustJSONOf(reflect.TypeFor[P]()),
-		ResponseSchema: schema.MustJSONOf(reflect.TypeFor[R]()),
+		ResponseSchema: rowSchema,
+		Stream:         true,
 		decode:         decodeInto[P],
-		Stream: func(ctx context.Context, q *tpch.SMCQueries, s *core.Session, workers int, params any, sink func(any) error) (int64, error) {
-			return stream(ctx, q, s, workers, params.(*P), func(row R) error { return sink(row) })
+		run: func(ctx context.Context, s *Server, w http.ResponseWriter, sess *core.Session, workers int, params any) {
+			streamRows(s, w, appendRows, func(sink func(rows []R) error) error {
+				return stream(ctx, s.q, sess, workers, params.(*P), sink)
+			})
+		},
+		appendResult: func(dst []byte, result any) ([]byte, error) {
+			rows, ok := result.([]R)
+			if !ok {
+				return dst, fmt.Errorf("serve: %s result is %T, want %T", name, result, rows)
+			}
+			return appendRows(dst, rows), nil
 		},
 	}
 }
@@ -213,19 +262,9 @@ func registerBuiltin(s *Server) {
 			return &SumResponse{Sum: sum}, nil
 		}))
 	s.register(newStreamSpec("q6window/rows", "Windowed revenue scan, qualifying rows streamed as NDJSON chunks",
-		func(ctx context.Context, q *tpch.SMCQueries, sess *core.Session, workers int, p *Q6WindowParams, sink func(tpch.Q6WindowHit) error) (int64, error) {
+		func(ctx context.Context, q *tpch.SMCQueries, sess *core.Session, workers int, p *Q6WindowParams, sink func(rows []tpch.Q6WindowHit) error) error {
 			lo, hi := windowBounds(p.Lo, p.Hi)
-			var n int64
-			err := q.Q6WindowRowsCtx(ctx, sess, lo, hi, workers, !p.NoPushdown, func(rows []tpch.Q6WindowHit) error {
-				for _, row := range rows {
-					if err := sink(row); err != nil {
-						return err
-					}
-					n++
-				}
-				return nil
-			})
-			return n, err
+			return q.Q6WindowRowsCtx(ctx, sess, lo, hi, workers, !p.NoPushdown, sink)
 		}))
 	s.register(newSpec("q10", "TPC-H Q10 returned-item reporting (top 20)",
 		func(ctx context.Context, q *tpch.SMCQueries, sess *core.Session, workers int, p *Q10Params) (*RowsResponse[tpch.Q10Row], error) {

@@ -11,6 +11,21 @@
 // straight to query.NewCtx via the *ParCtx drivers, and map the
 // engine's typed errors onto HTTP statuses.
 //
+// Result encoding: query results get what the scan path has — typed,
+// reflection-free, allocation-free code over fixed offsets. Each
+// endpoint's response type is compiled once, at registration, into an
+// append encoder (schema.Compile, the same type walk that derives its
+// schema) whose output is byte-identical to compact encoding/json. A
+// buffered endpoint (/query/{q1,q3,q6,q6window,q10}) appends its typed
+// response to a pooled buffer and writes it once: one compact object
+// and a newline. The row stream (/query/q6window/rows) works at the
+// engine's block batch: the typed []R a scanned block produced is
+// encoded into one buffer, written once and flushed once, then a
+// trailer line closes the stream (streamRows). Server.AppendResult is
+// that encode step on its own. Error envelopes, stream trailers and the
+// admin endpoints (/stats, /queries, /healthz) are small and rare and
+// stay on encoding/json (indented, where a person reads them).
+//
 // Admission: the server bounds concurrent query execution with its own
 // gate (Config.MaxConcurrent slots). A request that cannot take a slot
 // within Config.AdmitWait is turned away with HTTP 429, a Retry-After
@@ -38,6 +53,7 @@
 //	mem.ErrBudgetExceeded     → 503 code "budget_exceeded" (memory budget rejected the query)
 //	context.DeadlineExceeded  → 504 code "timeout"      (per-request deadline hit mid-query)
 //	context.Canceled          → 499 code "canceled"     (client went away; logged, rarely seen)
+//	stream Write/Flush fails  → no status, no trailer   (client went away mid-stream; counted in Serve.Canceled)
 //	decode/validation failure → 400 code "bad_request"
 //	unknown query             → 404 code "not_found"
 //	anything else (incl. mem.ErrWorkerPanic) → 500 code "internal"
@@ -56,6 +72,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -279,14 +296,18 @@ func (s *Server) acquire(ctx context.Context, sem chan struct{}) error {
 // string, outside the typed params body: ?workers=N&timeout_ms=M.
 func (s *Server) knobs(r *http.Request) (workers int, timeout time.Duration, err error) {
 	workers, timeout = s.cfg.DefaultWorkers, s.cfg.DefaultTimeout
-	if v := r.URL.Query().Get("workers"); v != "" {
+	if r.URL.RawQuery == "" {
+		return workers, timeout, nil
+	}
+	query := r.URL.Query()
+	if v := query.Get("workers"); v != "" {
 		n, perr := strconv.Atoi(v)
 		if perr != nil || n < 1 {
 			return 0, 0, fmt.Errorf("bad workers %q", v)
 		}
 		workers = min(n, s.cfg.MaxWorkers)
 	}
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
+	if v := query.Get("timeout_ms"); v != "" {
 		n, perr := strconv.Atoi(v)
 		if perr != nil || n < 1 {
 			return 0, 0, fmt.Errorf("bad timeout_ms %q", v)
@@ -333,51 +354,88 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, sp *Spec) {
 	}
 	defer s.rt.ReturnSession(sess)
 
-	if sp.Stream != nil {
-		s.streamQuery(ctx, w, sp, sess, workers, params)
-		return
-	}
-	resp, err := sp.Run(ctx, s.q, sess, workers, params)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.canceled.Add(1)
-		}
-		s.writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	sp.run(ctx, s, w, sess, workers, params)
 }
 
-// streamQuery emits a chunked NDJSON response: one JSON row object per
-// line, flushed as the engine's unordered per-block batches arrive, then
-// a final {"done":true,...} trailer. Errors after the first chunk
-// arrive as an {"error":...} line — the 200 status is already on the
-// wire, so the trailer's absence/error form is the integrity signal.
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, sp *Spec, sess *core.Session, workers int, params any) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	n, err := sp.Stream(ctx, s.q, sess, workers, params, func(chunk any) error {
-		if err := enc.Encode(chunk); err != nil {
-			return err
+// countCanceled counts a query that ended because its context did: the
+// client went away or the deadline hit.
+func (s *Server) countCanceled(err error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		s.canceled.Add(1)
+	}
+}
+
+// AppendResult appends to dst what the endpoint registered at path puts
+// on the wire for a driver result — a buffered endpoint's *R response as
+// one compact JSON object and a newline, a streaming endpoint's []R row
+// batch as NDJSON lines — through the same compiled encoder the handlers
+// use. It is the server's encode step in isolation, for callers that
+// measure it.
+func (s *Server) AppendResult(dst []byte, path string, result any) ([]byte, error) {
+	for _, sp := range s.specs {
+		if sp.Path == path {
+			return sp.appendResult(dst, result)
 		}
-		if flusher != nil {
-			flusher.Flush()
+	}
+	return dst, fmt.Errorf("serve: no query endpoint at %q", path)
+}
+
+// bufPool holds response scratch buffers between requests. Pooled, not
+// owned: the collector empties a sync.Pool, so an idle server keeps no
+// buffer alive.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// errClientGone marks a stream whose response writer refused bytes: the
+// peer closed the connection mid-body.
+var errClientGone = errors.New("serve: client went away mid-stream")
+
+// streamRows emits a chunked NDJSON response: one JSON row object per
+// line, then a final {"done":true,...} trailer. The unit of work is the
+// engine's block batch: scan hands sink the typed rows one block
+// produced, appendRows encodes the whole batch into one pooled buffer
+// through the row type's compiled encoder, and the batch costs one Write
+// and one Flush — so a response flushes at most once per scanned block,
+// plus once for the trailer. (sink runs under the scan's sink mutex, so
+// the one buffer is never shared.)
+//
+// Errors after the first chunk arrive as an {"error":...} line — the
+// 200 status is already on the wire, so the trailer's absence/error
+// form is the integrity signal. A failed Write or Flush is the client
+// going away, not a server fault: the sink error stops the scan within
+// one block per worker, the request is counted in Serve.Canceled, and
+// no trailer is written to the dead connection.
+func streamRows[R any](s *Server, w http.ResponseWriter, appendRows func(dst []byte, rows []R) []byte, scan func(sink func(rows []R) error) error) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	rc := http.NewResponseController(w)
+	send := func(b []byte) error {
+		if _, err := w.Write(b); err != nil {
+			return fmt.Errorf("%w: %v", errClientGone, err)
+		}
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return fmt.Errorf("%w: %v", errClientGone, err)
 		}
 		return nil
+	}
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	var n int64
+	err := scan(func(rows []R) error {
+		*bp = appendRows((*bp)[:0], rows)
+		n += int64(len(rows))
+		return send(*bp)
 	})
+	trailer := StreamTrailer{Done: true, Rows: n}
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if errors.Is(err, errClientGone) {
 			s.canceled.Add(1)
+			return
 		}
+		s.countCanceled(err)
 		status, code := statusOf(err)
-		_ = enc.Encode(StreamTrailer{Error: &APIError{Code: code, Message: err.Error(), Status: status}})
-		return
+		trailer = StreamTrailer{Error: &APIError{Code: code, Message: err.Error(), Status: status}}
 	}
-	_ = enc.Encode(StreamTrailer{Done: true, Rows: n})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	line, _ := json.Marshal(trailer) // a struct of bools, ints and strings cannot fail
+	_ = send(append(line, '\n'))     // a client gone at the trailer has every row; nothing is left to stop
 }
 
 // StreamTrailer is the last NDJSON line of a streamed response: either
@@ -434,7 +492,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
 			Name:     sp.Name,
 			Path:     sp.Path,
 			Summary:  sp.Summary,
-			Stream:   sp.Stream != nil,
+			Stream:   sp.Stream,
 			Params:   sp.ParamsSchema,
 			Response: sp.ResponseSchema,
 		})

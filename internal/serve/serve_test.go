@@ -1,8 +1,6 @@
 package serve_test
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,14 +22,15 @@ import (
 // testEnv is one served database: a runtime, its compiled queries, a
 // running maintainer, and an httptest front door.
 type testEnv struct {
-	rt *core.Runtime
-	q  *tpch.SMCQueries
-	s  *core.Session
-	mt *mem.Maintainer
-	ts *httptest.Server
+	rt  *core.Runtime
+	q   *tpch.SMCQueries
+	s   *core.Session
+	mt  *mem.Maintainer
+	srv *serve.Server
+	ts  *httptest.Server
 }
 
-func newEnv(t *testing.T, sf float64, cfg serve.Config) *testEnv {
+func newEnv(t testing.TB, sf float64, cfg serve.Config) *testEnv {
 	t.Helper()
 	rt, err := core.NewRuntime(core.Options{})
 	if err != nil {
@@ -51,7 +50,7 @@ func newEnv(t *testing.T, sf float64, cfg serve.Config) *testEnv {
 	srv := serve.New(rt, q, mt, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &testEnv{rt: rt, q: q, s: s, mt: mt, ts: ts}
+	return &testEnv{rt: rt, q: q, s: s, mt: mt, srv: srv, ts: ts}
 }
 
 // post sends a JSON body and decodes the response into out, returning
@@ -158,35 +157,12 @@ func TestServeQ6WindowAndStream(t *testing.T) {
 		t.Errorf("stream Content-Type = %q", ct)
 	}
 	var streamed decimal.Dec128
-	var rows int64
-	var trailer *serve.StreamTrailer
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if trailer != nil {
-			t.Fatalf("line after trailer: %s", line)
-		}
-		if bytes.Contains(line, []byte(`"done"`)) || bytes.Contains(line, []byte(`"error"`)) {
-			trailer = new(serve.StreamTrailer)
-			if err := json.Unmarshal(line, trailer); err != nil {
-				t.Fatalf("trailer: %v", err)
-			}
-			continue
-		}
-		var hit tpch.Q6WindowHit
-		if err := json.Unmarshal(line, &hit); err != nil {
-			t.Fatalf("row line: %v (%s)", err, line)
-		}
+	rows, trailer := readStream(t, resp.Body, func(hit tpch.Q6WindowHit) {
 		if hit.ShipDate < lo || hit.ShipDate > hi {
 			t.Fatalf("streamed row outside window: %v", hit)
 		}
 		streamed = streamed.Add(hit.Revenue)
-		rows++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if trailer == nil || !trailer.Done || trailer.Error != nil {
 		t.Fatalf("bad trailer: %+v", trailer)
 	}

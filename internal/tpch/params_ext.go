@@ -105,17 +105,32 @@ type Q10Row struct {
 	Comment string
 }
 
+// q10Limit is the returned-item report's row cap.
+const q10Limit = 20
+
+// q10Entry is one customer group of the report: what its order needs.
+type q10Entry struct {
+	key int64
+	rev decimal.Dec128
+}
+
+// before is the report's order: revenue descending, custkey ascending
+// on ties.
+func (a q10Entry) before(b q10Entry) bool {
+	if c := a.rev.Cmp(b.rev); c != 0 {
+		return c > 0
+	}
+	return a.key < b.key
+}
+
 // SortQ10 orders by revenue descending (custkey ascending on ties) and
 // caps at 20 rows.
 func SortQ10(rows []Q10Row) []Q10Row {
 	sort.Slice(rows, func(i, j int) bool {
-		if c := rows[i].Revenue.Cmp(rows[j].Revenue); c != 0 {
-			return c > 0
-		}
-		return rows[i].CustKey < rows[j].CustKey
+		return q10Entry{rows[i].CustKey, rows[i].Revenue}.before(q10Entry{rows[j].CustKey, rows[j].Revenue})
 	})
-	if len(rows) > 20 {
-		rows = rows[:20]
+	if len(rows) > q10Limit {
+		rows = rows[:q10Limit]
 	}
 	return rows
 }

@@ -397,6 +397,7 @@ func (q *SMCQueries) q10Block(s *core.Session, blk *mem.Block, lo, hi types.Date
 func (q *SMCQueries) q10Finish(s *core.Session, rev *region.PartitionedTable[decimal.Dec128]) []Q10Row {
 	rows := make([]Q10Row, 0)
 	if rev != nil && rev.Len() > 0 {
+		cut := q10Cutoff(rev)
 		s.Enter()
 		en := q.db.Customers.Enumerate(s)
 		for {
@@ -404,7 +405,7 @@ func (q *SMCQueries) q10Finish(s *core.Session, rev *region.PartitionedTable[dec
 			if !ok {
 				break
 			}
-			q.q10FinishBlock(s, blk, rev, &rows)
+			q.q10FinishBlock(s, blk, rev, cut, &rows)
 		}
 		en.Close()
 		s.Exit()
@@ -412,19 +413,48 @@ func (q *SMCQueries) q10Finish(s *core.Session, rev *region.PartitionedTable[dec
 	return SortQ10(rows)
 }
 
+// q10Cutoff selects the report's last row before any row exists: the
+// q10Limit-th group of the merged revenue table in report order (the
+// last group when there are fewer). The finishing pass materializes only
+// customers at or before it — late materialization: a qualifying
+// customer costs five Go strings and a nation dereference, thousands
+// qualify and SortQ10 keeps twenty.
+func q10Cutoff(rev *region.PartitionedTable[decimal.Dec128]) q10Entry {
+	var top [q10Limit]q10Entry // best first
+	n := 0
+	rev.Range(func(k int64, v *decimal.Dec128) bool {
+		e := q10Entry{key: k, rev: *v}
+		i := n
+		if n == q10Limit {
+			if !e.before(top[n-1]) {
+				return true
+			}
+			i = n - 1
+		} else {
+			n++
+		}
+		for ; i > 0 && e.before(top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = e
+		return true
+	})
+	return top[n-1]
+}
+
 // q10FinishBlock joins one customer block back to the merged revenue
-// table and materializes its output rows: the per-block finishing
-// kernel, shared by the serial pass and the block-sharded parallel one.
-// s must be the session whose critical section covers blk (the nation
-// dereference needs it).
-func (q *SMCQueries) q10FinishBlock(s *core.Session, blk *mem.Block, rev *region.PartitionedTable[decimal.Dec128], out *[]Q10Row) {
+// table and materializes the output rows at or before cut (q10Cutoff):
+// the per-block finishing kernel, shared by the serial pass and the
+// block-sharded parallel one. s must be the session whose critical
+// section covers blk (the nation dereference needs it).
+func (q *SMCQueries) q10FinishBlock(s *core.Session, blk *mem.Block, rev *region.PartitionedTable[decimal.Dec128], cut q10Entry, out *[]Q10Row) {
 	for i := 0; i < blk.Capacity(); i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
 		ck := i64At(blk, i, q.cKey)
 		v := rev.Get(ck)
-		if v == nil {
+		if v == nil || cut.before(q10Entry{key: ck, rev: *v}) {
 			continue
 		}
 		c := mem.Obj{Blk: blk, Slot: i}
@@ -684,8 +714,9 @@ func (q *SMCQueries) Q10ParCtx(ctx context.Context, s *core.Session, p Params, w
 	}
 	rows := make([]Q10Row, 0)
 	if merged != nil && merged.Len() > 0 {
+		cut := q10Cutoff(merged)
 		rows, err = query.Rows(pl, q.db.Customers, func(ws *core.Session, blk *mem.Block, out *[]Q10Row) {
-			q.q10FinishBlock(ws, blk, merged, out)
+			q.q10FinishBlock(ws, blk, merged, cut, out)
 		})
 		if err != nil {
 			return nil, err

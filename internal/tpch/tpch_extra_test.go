@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/decimal"
+	"repro/internal/region"
 	"repro/internal/types"
 )
 
@@ -74,6 +75,30 @@ func TestSortQ10CapsAtTwenty(t *testing.T) {
 		} else if c == 0 && a.CustKey > b.CustKey {
 			t.Fatal("Q10 tie-break by custkey violated")
 		}
+	}
+}
+
+// TestQ10CutoffIsSortQ10sLastRow pins the late-materialization cut to
+// the oracle it replaces: for revenue tables below, at and above the row
+// cap, with ties, q10Cutoff names exactly the last row SortQ10 keeps —
+// so filtering customers by it before materializing changes no row.
+func TestQ10CutoffIsSortQ10sLastRow(t *testing.T) {
+	for _, n := range []int{1, 19, 20, 21, 500} {
+		a := region.NewArena(nil, 0)
+		rev := region.NewPartitionedTable[decimal.Dec128](a, 4, 16)
+		rows := make([]Q10Row, 0, n)
+		for i := 0; i < n; i++ {
+			k := int64(i*7919%n) + 1 // a permutation of 1..n: insertion order is not report order
+			r := decimal.FromInt64(k % 9)
+			*rev.At(k) = r
+			rows = append(rows, Q10Row{CustKey: k, Revenue: r})
+		}
+		want := SortQ10(rows)
+		last := want[len(want)-1]
+		if cut := q10Cutoff(rev); cut.key != last.CustKey || cut.rev != last.Revenue {
+			t.Errorf("n=%d: cutoff = (%d, %v), want SortQ10's last row (%d, %v)", n, cut.key, cut.rev, last.CustKey, last.Revenue)
+		}
+		a.Release()
 	}
 }
 

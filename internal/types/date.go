@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Date is a calendar date stored as days since the Unix epoch
 // (1970-01-01). TPC-H date columns span 1992-01-01 .. 1998-12-31, far
@@ -107,17 +110,41 @@ func daysInMonth(y, m int) int {
 
 func isLeap(y int) bool { return y%4 == 0 && (y%100 != 0 || y%400 == 0) }
 
-// String formats the date as YYYY-MM-DD.
-func (d Date) String() string {
+// maxDateJSONLen bounds AppendJSON's output: two quotes, the eight
+// characters of an int32 day count's widest year (-5877641), and -MM-DD.
+const maxDateJSONLen = 2 + 8 + 6
+
+// AppendJSON appends the date's wire form — the quoted YYYY-MM-DD string
+// the serve layer's schemas declare ({"type":"string","format":"date"})
+// — to dst without allocating. It is the one formatting path: String and
+// MarshalJSON are built on it. The year is zero-padded to four
+// characters, sign included, as fmt's %04d does.
+func (d Date) AppendJSON(dst []byte) []byte {
 	y, m, dd := d.Civil()
-	return fmt.Sprintf("%04d-%02d-%02d", y, m, dd)
+	dst = append(dst, '"')
+	pad := 1000
+	if y < 0 {
+		dst = append(dst, '-')
+		y, pad = -y, 100
+	}
+	for ; pad > 1 && y < pad; pad /= 10 {
+		dst = append(dst, '0')
+	}
+	dst = strconv.AppendInt(dst, int64(y), 10)
+	dst = append(dst, '-', byte('0'+m/10), byte('0'+m%10), '-', byte('0'+dd/10), byte('0'+dd%10), '"')
+	return dst
 }
 
-// MarshalJSON encodes the date as a quoted YYYY-MM-DD string, the wire
-// representation the serve layer's request/response schemas declare
-// ({"type":"string","format":"date"}).
+// String formats the date as YYYY-MM-DD.
+func (d Date) String() string {
+	var buf [maxDateJSONLen]byte
+	b := d.AppendJSON(buf[:0])
+	return string(b[1 : len(b)-1])
+}
+
+// MarshalJSON encodes the date as a quoted YYYY-MM-DD string.
 func (d Date) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + d.String() + `"`), nil
+	return d.AppendJSON(make([]byte, 0, maxDateJSONLen)), nil
 }
 
 // UnmarshalJSON decodes a quoted YYYY-MM-DD string.
