@@ -50,7 +50,7 @@ import (
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "comma-separated figures: 6,7,8,9,10,11,12,13,linq,ext,ablation,par,joins,compact,prune,share,cluster,serve,govern or 'all'")
+		fig         = flag.String("fig", "all", "comma-separated figures: 6,7,8,9,10,11,12,13,linq,ext,ablation,par,joins,compact,prune,cluster,serve,govern or 'all'")
 		sf          = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		seed        = flag.Uint64("seed", 42, "generator seed")
 		reps        = flag.Int("reps", 3, "repetitions per measurement (median)")
@@ -59,7 +59,6 @@ func main() {
 		joinsPath   = flag.String("json-joins", "", "write the 'joins' figure's result as JSON to this path")
 		compactPath = flag.String("json-compact", "", "write the 'compact' figure's result as JSON to this path")
 		prunePath   = flag.String("json-prune", "", "write the 'prune' figure's result as JSON to this path")
-		sharePath   = flag.String("json-share", "", "write the 'share' figure's result as JSON to this path")
 		clusterPath = flag.String("json-cluster", "", "write the 'cluster' figure's result as JSON to this path")
 		servePath   = flag.String("json-serve", "", "write the 'serve' figure's result as JSON to this path")
 		governPath  = flag.String("json-govern", "", "write the 'govern' figure's result as JSON to this path")
@@ -115,7 +114,7 @@ func main() {
 			parWorkers = append(parWorkers, n)
 		}
 	}
-	allFigs := []string{"6", "7", "8", "9", "10", "11", "12", "13", "linq", "ext", "ablation", "par", "joins", "compact", "prune", "share", "cluster", "serve", "govern"}
+	allFigs := []string{"6", "7", "8", "9", "10", "11", "12", "13", "linq", "ext", "ablation", "par", "joins", "compact", "prune", "cluster", "serve", "govern"}
 	want := map[string]bool{}
 	if *fig == "all" {
 		for _, f := range allFigs {
@@ -281,16 +280,6 @@ func main() {
 		r.Render().Render(os.Stdout)
 		if *prunePath != "" {
 			writeJSONFile("prune", *prunePath, r.WriteJSON)
-		}
-	}
-	if want["share"] {
-		r, err := bench.FigureShare(opts)
-		if err != nil {
-			fail("share", err)
-		}
-		r.Render().Render(os.Stdout)
-		if *sharePath != "" {
-			writeJSONFile("share", *sharePath, r.WriteJSON)
 		}
 	}
 	if want["cluster"] {

@@ -175,53 +175,6 @@
 // churned / churned-then-compacted), recording the blocks-pruned
 // fraction; the JSON joins the benchdiff gate.
 //
-// # Cooperative scan sharing
-//
-// Under query-dominated load most concurrent scans re-read the same hot
-// blocks, so N independent scans pay N decision passes, N snapshots and
-// N trips through memory for one collection's worth of data.
-// mem.ShareGroup (one per context, via Context.Share) batches compatible
-// concurrent scans onto a single shared pass:
-//
-//   - One §5.2 decision pass and one epoch-pinned snapshot, leased from
-//     the manager's session pool and held until the pass closes, exactly
-//     the parallel-scan protocol amortized over every attached query.
-//   - One trip through memory per block: pass workers claim block
-//     indices from the shared cursor and run every attached query's
-//     kernel on the claimed block before moving on.
-//   - Late attach with catch-up: a query arriving inside the pass's
-//     attach window (the first half of the shared list) joins mid-pass,
-//     records the cursor position, receives every later block from the
-//     shared walk, and covers its missed prefix with a private catch-up
-//     scan under the pass's still-held epoch pin. Workers claim and
-//     attachers publish under one claim lock, so every (rider, block)
-//     pair runs exactly once. Pass workers yield once more while riders
-//     are still boarding, so a burst of queries arriving together shares
-//     one pass even on a single-P runtime.
-//   - Per-query pruning composes: each rider keeps its own synopsis
-//     admit bitmap and its kernel's residual predicate; blocks the
-//     leader's predicate pruned out of the shared walk are covered by
-//     the rider's catch-up. Compatibility is therefore structural (same
-//     collection, any predicates), not predicate-equality.
-//   - The PR 6 error model holds per rider: cancelling one query's
-//     context detaches that rider alone (as does its kernel erroring or
-//     returning ErrStopScan), a kernel panic poisons the whole pass with
-//     mem.ErrWorkerPanic for every attached query, and
-//     fault.PointShareAttach lets the robustness suites fail attachment
-//     itself. Queries past the attach window fall back to private scans.
-//
-// core.Collection.SharedBlocksPredCtx and the query.Shared source
-// wrapper route pipeline Accum drivers through the share group
-// (tpch.Q6WindowSharedCtx is the reference user); a single attached
-// query is result- and counter-identical to its private scan.
-// StatsSnapshot surfaces SharedPasses / AttachedQueries / CatchUpBlocks
-// / Detaches. The `share` figure of cmd/smcbench (and `make
-// bench-share`, which writes BENCH_share.json) measures shared vs
-// independent batches of 1/8/64/512 concurrent Q6-style window queries
-// — sums asserted identical, physical block visits recorded (the shared
-// batch stays ~1× one query's visits) — and the JSON joins the
-// benchdiff gate.
-//
 // # Clustering & cross-edge pruning
 //
 // Synopsis pruning decays under churn: upsert-style workloads re-add
@@ -293,8 +246,7 @@
 //
 // A request's context flows straight into the engine (query.NewCtx via
 // the *ParCtx drivers), so client disconnects and per-request
-// deadlines cancel at block-claim granularity; concurrent q6window
-// requests ride the cooperative scan-share group. Admission is a
+// deadlines cancel at block-claim granularity. Admission is a
 // bounded-wait slot gate in front of the session pool: a full server
 // answers 429 (Retry-After) after Config.AdmitWait instead of piling
 // goroutines onto LeaseSession, and mem.Budget.Admit fails typed

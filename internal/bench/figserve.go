@@ -28,11 +28,9 @@ import (
 // parameterized Q6-style windowed revenue requests drawn from a fixed
 // window set. Every response's sum is asserted byte-identical to the
 // serial (un-served) oracle for its window, so the figure can only
-// measure a semantics-preserving stack: HTTP + JSON + admission +
-// shared scans may add latency, never wrong answers. The sweep reports
-// p50/p99 latency and aggregate qps per concurrency level; the
-// share-layer counters show concurrent requests riding one physical
-// pass.
+// measure a semantics-preserving stack: HTTP + JSON + admission may add
+// latency, never wrong answers. The sweep reports p50/p99 latency and
+// aggregate qps per concurrency level.
 
 // ServePoint is one concurrency level's measurement.
 type ServePoint struct {
@@ -47,10 +45,6 @@ type ServePoint struct {
 	// Front-door admission activity during the level (deltas).
 	Admitted  int64 `json:"admitted"`
 	Saturated int64 `json:"saturated"`
-	// Scan-share activity during the level: concurrent q6window requests
-	// attach to in-flight passes instead of paying their own.
-	SharedPasses    int64 `json:"shared_passes"`
-	AttachedQueries int64 `json:"attached_queries"`
 }
 
 // ServeResult is the front-door load figure. Points carries one flat
@@ -78,8 +72,7 @@ func FigureServe(o Options) (*ServeResult, error) {
 	o = o.WithDefaults()
 	data := tpch.Generate(o.SF, o.Seed)
 
-	// Date-sorted load, same shape as the share figure: tight synopses
-	// make the pushdown and the share layer's catch-up both real.
+	// Date-sorted load: tight synopses make the window pushdown real.
 	sorted := *data
 	sorted.Lineitems = append([]tpch.LineitemRow(nil), data.Lineitems...)
 	sort.SliceStable(sorted.Lineitems, func(i, j int) bool {
@@ -171,8 +164,7 @@ func FigureServe(o Options) (*ServeResult, error) {
 		return d, nil
 	}
 
-	// Warm the path (codegen, connections, first shared pass) before any
-	// timed level.
+	// Warm the path (codegen, connections) before any timed level.
 	for _, w := range windows {
 		if _, err := doOne(w); err != nil {
 			return nil, fmt.Errorf("warmup: %w", err)
@@ -219,15 +211,13 @@ func FigureServe(o Options) (*ServeResult, error) {
 
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		pt := ServePoint{
-			Clients:         nc,
-			Requests:        total,
-			P50Ms:           msF(lats[total/2]),
-			P99Ms:           msF(lats[(total*99+99)/100-1]), // ceil(0.99·total)-th sample
-			WallMs:          msF(wall),
-			Admitted:        after.Serve.Admitted - before.Serve.Admitted,
-			Saturated:       after.Serve.Saturated - before.Serve.Saturated,
-			SharedPasses:    after.SharedPasses - before.SharedPasses,
-			AttachedQueries: after.AttachedQueries - before.AttachedQueries,
+			Clients:   nc,
+			Requests:  total,
+			P50Ms:     msF(lats[total/2]),
+			P99Ms:     msF(lats[(total*99+99)/100-1]), // ceil(0.99·total)-th sample
+			WallMs:    msF(wall),
+			Admitted:  after.Serve.Admitted - before.Serve.Admitted,
+			Saturated: after.Serve.Saturated - before.Serve.Saturated,
 		}
 		if wall > 0 {
 			pt.QPS = float64(total) / wall.Seconds()
@@ -250,10 +240,9 @@ func FigureServe(o Options) (*ServeResult, error) {
 func (r *ServeResult) Render() *Table {
 	t := &Table{
 		Title:   fmt.Sprintf("Query service front door — SF=%v, %d CPUs (served q6window, workers=1 per request)", r.SF, r.CPUs),
-		Columns: []string{"clients", "requests", "p50 ms", "p99 ms", "qps", "wall ms", "attached", "shared passes"},
+		Columns: []string{"clients", "requests", "p50 ms", "p99 ms", "qps", "wall ms"},
 		Notes: []string{
 			"every served sum asserted identical to the serial oracle for its window",
-			"attached = requests that rode an in-flight shared pass instead of paying their own",
 		},
 	}
 	for _, pt := range r.Detail {
@@ -264,8 +253,6 @@ func (r *ServeResult) Render() *Table {
 			fmtMs(pt.P99Ms),
 			fmt.Sprintf("%.0f", pt.QPS),
 			fmtMs(pt.WallMs),
-			fmt.Sprintf("%d", pt.AttachedQueries),
-			fmt.Sprintf("%d", pt.SharedPasses),
 		})
 	}
 	return t

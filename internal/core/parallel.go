@@ -61,44 +61,6 @@ func (c *Collection[T]) ParallelBlocksPredCtx(cctx context.Context, s *Session, 
 	})
 }
 
-// SharedBlocksPredCtx routes a block scan through the collection's
-// cooperative scan-share group (mem.ShareGroup): when a compatible
-// shared pass over this collection is inside its attach window the
-// query rides it — one decision pass, one epoch-pinned snapshot and one
-// trip through memory per block, amortized across every attached query —
-// and otherwise it leads a new pass (or falls back to a private scan).
-// attach is called exactly once, before any block is delivered, with the
-// number of worker slots fn must be prepared to see; fn must index
-// per-query state by the worker argument, exactly like ParallelBlocks
-// workers. Pruning, cancellation and panic semantics are the share
-// layer's: the rider's predicate prunes via its private admit bitmap,
-// cancelling ctx detaches only this query, and a kernel panic anywhere
-// in the pass surfaces as mem.ErrWorkerPanic.
-func (c *Collection[T]) SharedBlocksPredCtx(cctx context.Context, s *Session, workers int, pred *mem.ScanPredicate,
-	attach func(slots int) func(worker int, ws *Session, b *mem.Block) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	return c.ctx.Share().Scan(cctx, s.ms, workers, pred, func(slots int) func(int, *mem.Session, *mem.Block) error {
-		fn := attach(slots)
-		// One wrapper per slot; each slot is driven by exactly one
-		// goroutine at a time, so the lazy fills never race.
-		wrappers := make([]*Session, slots)
-		return func(w int, ws *mem.Session, b *mem.Block) error {
-			cs := wrappers[w]
-			if cs == nil {
-				if ws == s.ms {
-					cs = s
-				} else {
-					cs = &Session{ms: ws}
-				}
-				wrappers[w] = cs
-			}
-			return fn(w, cs, b)
-		}
-	})
-}
-
 // padded wraps per-worker state so adjacent workers' values never share
 // a cache line in the hot fold loop (the compiled tpch kernels pad their
 // accumulators the same way).

@@ -114,16 +114,12 @@ type RuntimeStats struct {
 	// synopsis bounds (a subset of BlocksPruned), and blocks admitted
 	// with at least one overlapping key-set constraint.
 	KeySetPruned, SynopsisOverlap int64
-	// Cooperative scan sharing: shared passes launched, queries that
-	// attached to an already-running pass (leaders not counted), blocks
-	// visited by riders' private catch-up passes, and riders detached
-	// early. BlocksScanned counts physical visits — a shared block is
-	// counted once per pass, not once per attached query.
+	// SharedPasses, AttachedQueries and CatchUpBlocks are never written
+	// (always 0): cooperative scan sharing was deleted, and the fields
+	// exist only because benchmark/layers.go still reads them. They go
+	// when a benchmark-archetype PR retires the mem.share_* metrics.
 	SharedPasses, AttachedQueries int64
-	CatchUpBlocks, Detaches       int64
-	// WideAttaches counts shared-pass boardings admitted only because
-	// the arrival-rate heuristic widened the attach window under storm.
-	WideAttaches int64
+	CatchUpBlocks                 int64
 	// Governor is the adaptive memory-governance section: per-consumer
 	// byte accounting against the one budget, the pressure level, and
 	// the degradation-ladder counters (mem.Governor).
@@ -216,12 +212,6 @@ func (rt *Runtime) StatsSnapshot() RuntimeStats {
 		SynopsisRebuilds: ms.SynopsisRebuilds.Load(),
 		KeySetPruned:     ms.KeySetPruned.Load(),
 		SynopsisOverlap:  ms.SynopsisOverlap.Load(),
-
-		SharedPasses:    ms.SharedPasses.Load(),
-		AttachedQueries: ms.AttachedQueries.Load(),
-		CatchUpBlocks:   ms.CatchUpBlocks.Load(),
-		Detaches:        ms.Detaches.Load(),
-		WideAttaches:    ms.WideAttaches.Load(),
 
 		Governor: rt.mgr.Governor().Snapshot(),
 	}

@@ -1,13 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/mem"
 	"repro/internal/region"
 )
 
@@ -110,75 +105,7 @@ func TestRuntimeStatsCountersMove(t *testing.T) {
 		t.Fatalf("skip-scan counters did not move: BlocksPruned=%d BlocksScanned=%d", st.BlocksPruned, st.BlocksScanned)
 	}
 
-	// Scan-share counters: a leader parked inside block 0 keeps its pass
-	// in the attach window, one rider attaches mid-pass (its catch-up
-	// must cover the missed block 0), one rider is cancelled after
-	// attaching. All four share counters must move.
-	share0 := st
-	parked := make(chan struct{})
-	releaseLeader := make(chan struct{})
-	var once sync.Once
-	leaderErr := make(chan error, 1)
-	noop := func(slots int) func(int, *Session, *mem.Block) error {
-		return func(int, *Session, *mem.Block) error { return nil }
-	}
-	go func() {
-		leaderErr <- coll.SharedBlocksPredCtx(nil, s, 1, nil, func(slots int) func(int, *Session, *mem.Block) error {
-			return func(int, *Session, *mem.Block) error {
-				once.Do(func() {
-					close(parked)
-					<-releaseLeader
-				})
-				return nil
-			}
-		})
-	}()
-	<-parked
-	waitAttach := func(want int64) {
-		deadline := time.Now().Add(5 * time.Second)
-		for rt.StatsSnapshot().AttachedQueries < share0.AttachedQueries+want {
-			if time.Now().After(deadline) {
-				t.Fatalf("AttachedQueries never reached +%d", want)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	rs := rt.MustSession()
-	defer rs.Close()
-	riderErr := make(chan error, 1)
-	go func() { riderErr <- coll.SharedBlocksPredCtx(nil, rs, 1, nil, noop) }()
-	waitAttach(1)
-	cs := rt.MustSession()
-	defer cs.Close()
-	cctx, cancel := context.WithCancel(context.Background())
-	cancErr := make(chan error, 1)
-	go func() { cancErr <- coll.SharedBlocksPredCtx(cctx, cs, 1, nil, noop) }()
-	waitAttach(2)
-	cancel()
-	if err := <-cancErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled rider returned %v, want context.Canceled", err)
-	}
-	close(releaseLeader)
-	if err := <-leaderErr; err != nil {
-		t.Fatalf("share leader: %v", err)
-	}
-	if err := <-riderErr; err != nil {
-		t.Fatalf("share rider: %v", err)
-	}
-	st = rt.StatsSnapshot()
-	if st.SharedPasses != share0.SharedPasses+1 {
-		t.Fatalf("SharedPasses moved by %d, want 1", st.SharedPasses-share0.SharedPasses)
-	}
-	if st.AttachedQueries != share0.AttachedQueries+2 {
-		t.Fatalf("AttachedQueries moved by %d, want 2", st.AttachedQueries-share0.AttachedQueries)
-	}
-	if st.CatchUpBlocks == share0.CatchUpBlocks {
-		t.Fatal("CatchUpBlocks did not move for a rider attached past block 0")
-	}
-	if st.Detaches != share0.Detaches+1 {
-		t.Fatalf("Detaches moved by %d, want 1", st.Detaches-share0.Detaches)
-	}
 	if st.EpochPins != 0 {
-		t.Fatalf("%d epoch pins leaked after the shared pass", st.EpochPins)
+		t.Fatalf("%d epoch pins leaked after the scans", st.EpochPins)
 	}
 }

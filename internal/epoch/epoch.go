@@ -26,9 +26,11 @@ import (
 // MaxSessions is the number of concurrently registered sessions supported
 // by one Manager. Sessions are cheap slots in a fixed array so that the
 // advance scan touches a predictable, bounded amount of memory (one
-// cache line per slot, 64KiB total). Sized for query-storm concurrency:
-// a scan-share batch of 512 rider sessions plus the coordinator, worker
-// pool and maintenance sessions must fit with headroom.
+// cache line per slot, 64KiB total). The bound it must cover is the
+// front door's: serve.Config.MaxConcurrent admitted queries, each
+// holding its request session plus one pooled session per scan worker
+// (MaxConcurrent × (1 + MaxWorkers)), plus the manager's idle session
+// pool and the maintenance (compactor, governor) sessions.
 const MaxSessions = 1024
 
 // cacheLine padding avoids false sharing between session slots on the

@@ -156,10 +156,6 @@ const (
 	PointCompactGroup = "mem.compact.group"
 	// PointMaintainerPass hits at the top of every maintainer pass.
 	PointMaintainerPass = "mem.maintainer.pass"
-	// PointShareAttach hits at every shared-scan attach attempt (leading
-	// a pass, riding one, or falling back to a private scan); an Err rule
-	// fails the query before it joins anything.
-	PointShareAttach = "mem.share.attach"
 	// PointGovernRebalance hits at the top of every governor rebalance
 	// pass; an Err rule aborts the pass (counted, retried on the next
 	// pressure signal) without touching any consumer.

@@ -39,10 +39,6 @@ type Context struct {
 	// the mover relocates group rows in that column's key order.
 	clusterSlot atomic.Int32
 
-	// shareGrp is the context's cooperative scan-sharing coordinator
-	// (share.go), created lazily on first Share call.
-	shareGrp atomic.Pointer[ShareGroup]
-
 	// refEdges lists contexts that hold reference fields INTO this
 	// context, together with the source field indexes and their encoding.
 	// Registered by the collection layer; consumed by the compactor's

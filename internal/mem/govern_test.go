@@ -585,19 +585,20 @@ func TestGovernorStormLeakFree(t *testing.T) {
 	if snap.RebalanceFails == 0 {
 		t.Error("injected rebalance failures never fired")
 	}
-	if snap.ArenaBytesFreed == 0 {
-		t.Error("storm never trimmed arena retention")
-	}
-	if snap.SessionsTrimmed == 0 {
-		t.Error("storm never trimmed the session pool")
-	}
-	if snap.Restores == 0 {
-		t.Error("storm never restored base bounds after pressure cleared")
-	}
 	if snap.Transitions == 0 {
 		t.Error("storm never transitioned pressure levels")
 	}
+	// Whether the racy storm itself trimmed or restored is timing (the
+	// ladder steps are asserted exactly by TestGovernorLadderShrinkRestore);
+	// what must hold however it ended: with the limit lifted, one driven
+	// rebalance unwinds whatever degradation is left.
 	b.SetLimit(0)
+	if err := g.Rebalance(); err != nil {
+		t.Fatalf("post-storm rebalance: %v", err)
+	}
+	if got := fp.RetainBound(); got != base {
+		t.Errorf("post-storm retain bound = %d, want base %d", got, base)
+	}
 	if lvl := g.Level(); lvl != Healthy {
 		t.Errorf("post-storm level = %v, want healthy", lvl)
 	}

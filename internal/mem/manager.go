@@ -326,22 +326,6 @@ type Stats struct {
 	// cross-edge pruning rate of a key-set-constrained scan.
 	KeySetPruned    atomic.Int64
 	SynopsisOverlap atomic.Int64
-
-	// Cooperative scan sharing (share.go): shared passes launched,
-	// queries that attached to an already-running pass (leaders are not
-	// counted), blocks visited by private catch-up passes, and riders
-	// detached early (cancellation, kernel error, ErrStopScan).
-	// BlocksScanned keeps counting physical visits: each shared block is
-	// counted once by the pass, not once per attached query.
-	SharedPasses    atomic.Int64
-	AttachedQueries atomic.Int64
-	CatchUpBlocks   atomic.Int64
-	Detaches        atomic.Int64
-
-	// WideAttaches counts shared-pass attaches admitted only because the
-	// arrival-rate heuristic had widened the attach window past the fixed
-	// first-half default (share.go).
-	WideAttaches atomic.Int64
 }
 
 // NewManager builds a Manager from the configuration.

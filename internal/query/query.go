@@ -92,39 +92,6 @@ func (w *whereSource) ParallelBlocksCtx(ctx context.Context, s *core.Session, wo
 // what AdaptiveSparseHint's discount is for).
 func (w *whereSource) Len() int { return w.src.Len() }
 
-// ShareSource is a PredSource that can additionally route a stage's
-// scan through its collection's cooperative scan-share group
-// (mem.ShareGroup); *core.Collection[T] implements it. Wrap one with
-// Shared to let a stage ride a concurrent compatible scan.
-type ShareSource interface {
-	PredSource
-	SharedBlocksPredCtx(ctx context.Context, s *core.Session, workers int, pred *mem.ScanPredicate,
-		attach func(slots int) func(worker int, ws *core.Session, b *mem.Block) error) error
-}
-
-// Shared wraps a source so share-aware stages (Accum) batch their block
-// scan onto the collection's shared pass: concurrent compatible queries
-// pay one decision pass, one epoch-pinned snapshot and one trip through
-// memory per block, with each query's kernel fanned to the pass's
-// workers. pred prunes exactly as Where would — per attached query, via
-// a private admit bitmap, sound and never exact — so the stage kernel
-// must keep evaluating its full residual predicate per row. Stages
-// without a shared fan-out path fall back to a private predicated scan,
-// byte-identical to Where(src, pred). Sharing is an optimization, never
-// a semantics change: a pass with a single attached query produces
-// exactly the unshared stage's result.
-func Shared(src ShareSource, pred *mem.ScanPredicate) Source {
-	return &sharedSource{whereSource{src: src, pred: pred}, src}
-}
-
-// sharedSource falls back to whereSource's private predicated scan for
-// every stage that does not special-case it; share-aware stages reach
-// the share group through shr.
-type sharedSource struct {
-	whereSource
-	shr ShareSource
-}
-
 // AdaptiveHint and AdaptiveSparseHint, passed as Table's capHint, size
 // each worker's table from the source's live element count instead of a
 // static guess — growth is the expensive case for region tables, which
@@ -345,38 +312,15 @@ func Accum[A any](p *Pipeline, src Source,
 		acc  A
 		used bool
 	}
-	var accs []padded[wacc]
-	var err error
-	if ss, ok := src.(*sharedSource); ok {
-		// Shared fan-out: the pass dictates the slot count (its workers
-		// plus the catch-up slot), known only at attach time — the
-		// accumulators are sized inside the attach callback, which the
-		// share layer invokes exactly once before any kernel call.
-		err = ss.shr.SharedBlocksPredCtx(p.ctx, p.s, p.workers, ss.pred,
-			func(slots int) func(w int, ws *core.Session, blk *mem.Block) error {
-				accs = make([]padded[wacc], slots)
-				return func(w int, ws *core.Session, blk *mem.Block) error {
-					a := &accs[w].v
-					a.used = true
-					kernel(w, ws, blk, &a.acc)
-					return nil
-				}
-			})
-	} else {
-		accs = make([]padded[wacc], p.workers)
-		err = src.ParallelBlocksCtx(p.ctx, p.s, p.workers, func(w int, ws *core.Session, blk *mem.Block) error {
-			a := &accs[w].v
-			a.used = true
-			kernel(w, ws, blk, &a.acc)
-			return nil
-		})
-	}
+	accs := make([]padded[wacc], p.workers)
+	err := src.ParallelBlocksCtx(p.ctx, p.s, p.workers, func(w int, ws *core.Session, blk *mem.Block) error {
+		a := &accs[w].v
+		a.used = true
+		kernel(w, ws, blk, &a.acc)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if accs == nil {
-		// Shared scan with nothing to deliver: attach was never called.
-		accs = make([]padded[wacc], 1)
 	}
 	var out *A
 	for w := range accs {

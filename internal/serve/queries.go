@@ -171,8 +171,7 @@ type SumResponse struct {
 
 // Q6WindowParams parameterizes the windowed revenue scan. Lo/Hi bound
 // the ship-date window inclusively; a zero Hi means "no upper bound".
-// Concurrent q6window requests ride the collection's cooperative
-// scan-share group — a burst shares one physical pass.
+// Every request runs its own epoch-pinned parallel scan.
 type Q6WindowParams struct {
 	Lo types.Date `json:"lo,omitempty"`
 	Hi types.Date `json:"hi,omitempty"`
@@ -242,7 +241,7 @@ func registerBuiltin(s *Server) {
 			}
 			return &SumResponse{Sum: sum}, nil
 		}))
-	s.register(newSpec("q6window", "Windowed revenue scan (rides the cooperative scan-share group)",
+	s.register(newSpec("q6window", "Windowed revenue scan over ship dates, window pushed down onto block synopses",
 		func(ctx context.Context, q *tpch.SMCQueries, sess *core.Session, workers int, p *Q6WindowParams) (*SumResponse, error) {
 			lo, hi := windowBounds(p.Lo, p.Hi)
 			reps := p.Reps
@@ -254,7 +253,7 @@ func registerBuiltin(s *Server) {
 			var sum decimal.Dec128
 			for i := 0; i < reps; i++ {
 				var err error
-				sum, err = q.Q6WindowSharedCtx(ctx, sess, lo, hi, workers, !p.NoPushdown)
+				sum, err = q.Q6WindowParCtx(ctx, sess, lo, hi, workers, !p.NoPushdown)
 				if err != nil {
 					return nil, err
 				}

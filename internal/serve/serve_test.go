@@ -125,7 +125,7 @@ func TestServeQueriesMatchOracles(t *testing.T) {
 	}
 }
 
-// TestServeQ6WindowAndStream pins the shared-pass window endpoint and
+// TestServeQ6WindowAndStream pins the window endpoint and
 // the chunked NDJSON row stream to the same oracle: the streamed
 // revenues must sum (exactly — decimal addition) to the buffered sum.
 func TestServeQ6WindowAndStream(t *testing.T) {
@@ -134,6 +134,10 @@ func TestServeQ6WindowAndStream(t *testing.T) {
 	oracle, err := e.q.Q6WindowParCtx(context.Background(), e.s, lo, hi, 1, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// benchmark/ still calls the old name; the forward must not rot.
+	if fwd, err := e.q.Q6WindowSharedCtx(context.Background(), e.s, lo, hi, 1, true); err != nil || fwd != oracle {
+		t.Fatalf("Q6WindowSharedCtx = (%v, %v), want Q6WindowParCtx's (%v, nil)", fwd, err, oracle)
 	}
 
 	var sum serve.SumResponse

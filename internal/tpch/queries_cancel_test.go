@@ -3,10 +3,12 @@ package tpch
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/decimal"
 	"repro/internal/types"
 )
 
@@ -95,5 +97,92 @@ func TestQ6WindowCancelMidScan(t *testing.T) {
 		if ap.Leases != ap.Returns {
 			t.Fatalf("arena pool %q unbalanced: %d leases, %d returns", ap.Name, ap.Leases, ap.Returns)
 		}
+	}
+}
+
+// TestParallelQ6WindowCancelOracle: staggered concurrent Q6-window
+// queries — different windows, pushdown on and off, some with a racing
+// cancel — must each return the byte-identical sum of their serial
+// oracle, across many cycles. A sibling's cancellation must never leak
+// into a query that was not canceled, and the session pool and epoch
+// pins balance afterwards. Run with -race in CI.
+func TestParallelQ6WindowCancelOracle(t *testing.T) {
+	d := testDataset(t)
+	rt := core.MustRuntime(core.Options{HeapBackend: true})
+	defer rt.Close()
+	s := rt.MustSession()
+	defer s.Close()
+	sdb, err := LoadSMC(rt, s, d, core.RowIndirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewSMCQueries(sdb)
+
+	dates := make([]types.Date, len(d.Lineitems))
+	for i := range d.Lineitems {
+		dates[i] = d.Lineitems[i].ShipDate
+	}
+	sort.Slice(dates, func(i, j int) bool { return dates[i] < dates[j] })
+	quantile := func(pct int) types.Date { return dates[(len(dates)-1)*pct/100] }
+	windows := [][2]types.Date{
+		{dates[0], quantile(10)},
+		{dates[0], quantile(60)},
+		{dates[0], quantile(100)},
+	}
+	oracles := make([]decimal.Dec128, len(windows))
+	for i, w := range windows {
+		oracles[i] = q.Q6WindowPar(s, w[0], w[1], 1, false)
+	}
+	if oracles[2] == (decimal.Dec128{}) {
+		t.Fatal("full-window oracle sum is zero — degenerate dataset")
+	}
+
+	cycles := 60
+	if testing.Short() {
+		cycles = 12
+	}
+	const queriesPerCycle = 5
+	type result struct {
+		i   int
+		sum decimal.Dec128
+		err error
+	}
+	for c := 0; c < cycles; c++ {
+		results := make(chan result, queriesPerCycle)
+		for i := 0; i < queriesPerCycle; i++ {
+			go func(i int) {
+				qs := rt.MustSession()
+				win := (c + i) % len(windows)
+				cctx, cancel := context.WithCancel(context.Background())
+				if (c+i)%7 == 0 {
+					go cancel() // racing cancel: cancellation or completion, both legal
+				}
+				sum, err := q.Q6WindowParCtx(cctx, qs, windows[win][0], windows[win][1], 2, i%2 == 0)
+				cancel()
+				qs.Close() // before the send: the ledger check below must see it
+				results <- result{i, sum, err}
+			}(i)
+		}
+		for i := 0; i < queriesPerCycle; i++ {
+			r := <-results
+			if r.err != nil {
+				if errors.Is(r.err, context.Canceled) && (c+r.i)%7 == 0 {
+					continue // discarded; only leak-freedom matters
+				}
+				t.Fatalf("cycle %d query %d: %v", c, r.i, r.err)
+			}
+			if win := (c + r.i) % len(windows); r.sum != oracles[win] {
+				t.Fatalf("cycle %d query %d window %d: sum %v diverges from serial oracle %v",
+					c, r.i, win, r.sum, oracles[win])
+			}
+		}
+	}
+	st := rt.StatsSnapshot()
+	if st.SessionsLeased != st.SessionsReturned {
+		t.Fatalf("session pool unbalanced after the stress: %d leased, %d returned",
+			st.SessionsLeased, st.SessionsReturned)
+	}
+	if st.EpochPins != 0 {
+		t.Fatalf("%d epoch pins leaked after the stress", st.EpochPins)
 	}
 }

@@ -333,34 +333,12 @@ func (q *SMCQueries) Q6WindowParCtx(ctx context.Context, s *core.Session, lo, hi
 	return out.sum, nil
 }
 
-// Q6WindowSharedCtx is Q6WindowParCtx routed through the lineitem
-// collection's cooperative scan-share group: concurrent windowed scans
-// batch onto one shared pass — one decision pass, one epoch-pinned
-// snapshot, one trip through memory per block — with this query's kernel
-// attached as one rider. The window predicate prunes per rider (each
-// keeps its private admit bitmap and this kernel's full residual window
-// check), so the sum is exactly Q6WindowParCtx's whether the query led
-// the pass, rode one, or fell back to a private scan.
+// Q6WindowSharedCtx forwards to Q6WindowParCtx. Cooperative scan sharing
+// was deleted; the name survives only because benchmark/ (workloads.go,
+// trace.go) still calls it, and goes when a benchmark-archetype PR
+// retires the mem.share_* metrics.
 func (q *SMCQueries) Q6WindowSharedCtx(ctx context.Context, s *core.Session, lo, hi types.Date, workers int, pushdown bool) (decimal.Dec128, error) {
-	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
-	if err != nil {
-		return decimal.Dec128{}, err
-	}
-	defer pl.Close()
-	columnar := q.db.Layout == core.Columnar
-	var pred *mem.ScanPredicate
-	if pushdown {
-		pred = q.db.Lineitems.Predicate().DateRange("ShipDate", lo, hi)
-	}
-	out, err := query.Accum(pl, query.Shared(q.db.Lineitems, pred),
-		func(_ int, _ *core.Session, blk *mem.Block, acc *q6Sum) {
-			q.q6WindowBlock(blk, lo, hi, columnar, acc)
-		},
-		func(dst, src *q6Sum) { decimal.AddAssign(&dst.sum, &src.sum) })
-	if err != nil {
-		return decimal.Dec128{}, err
-	}
-	return out.sum, nil
+	return q.Q6WindowParCtx(ctx, s, lo, hi, workers, pushdown)
 }
 
 // Q1Par is Q1 fanned out over `workers` block-sharded scan workers.
