@@ -29,7 +29,7 @@ GOVERN_OUT ?= BENCH_govern$(SUFFIX).json
 # Per-target budget of `make fuzz-smoke`.
 FUZZTIME ?= 10s
 
-.PHONY: build vet test lint race-stress serve-smoke bench-check fuzz-smoke \
+.PHONY: build vet fmt test lint race-stress serve-smoke bench-check fuzz-smoke \
 	bench bench-par bench-joins bench-compact bench-prune bench-cluster bench-serve bench-govern \
 	benchdiff clean
 
@@ -39,14 +39,18 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Fails when any file needs gofmt. It needs no network, so `make test`
+# enforces it offline as well as `make lint`.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
+
 # -count=1: a cached `ok` must not hide a package that fails one run in N.
-test: build vet
+test: fmt build vet
 	$(GO) test -count=1 ./...
 
-# Pinned static analysis + vulnerability scan (plus gofmt, which needs
-# no install). CI calls this instead of re-typing tool invocations.
-lint:
-	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+# Pinned static analysis + vulnerability scan. CI calls this instead of
+# re-typing tool invocations.
+lint: fmt
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 	"$$($(GO) env GOPATH)/bin/staticcheck" ./...

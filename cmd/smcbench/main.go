@@ -31,8 +31,9 @@
 // JSON output is stamped with GOMAXPROCS, NumCPU and the Go version so
 // curves are self-describing.
 //
-// -cpuprofile/-memprofile write pprof profiles covering the selected
-// figures (the heap profile is taken at exit, after a final GC).
+// To profile SMC queries use cmd/profq, which runs one engine in
+// isolation: a whole-process profile of a figure is dominated by the
+// managed baselines' GC.
 package main
 
 import (
@@ -40,8 +41,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -62,43 +61,9 @@ func main() {
 		clusterPath = flag.String("json-cluster", "", "write the 'cluster' figure's result as JSON to this path")
 		servePath   = flag.String("json-serve", "", "write the 'serve' figure's result as JSON to this path")
 		governPath  = flag.String("json-govern", "", "write the 'govern' figure's result as JSON to this path")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile covering the selected figures to this path")
-		memProfile  = flag.String("memprofile", "", "write a heap profile (taken at exit) to this path")
 		workers     = flag.String("workers", "", "comma-separated worker counts for the 'par'/'joins'/'compact' figures (default 1,2,4..NumCPU)")
 	)
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smcbench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "smcbench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		path := *memProfile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "smcbench: -memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "smcbench: -memprofile: %v\n", err)
-				os.Exit(1)
-			}
-		}()
-	}
 
 	opts := bench.Options{SF: *sf, Seed: *seed, Reps: *reps, HeapBackend: *heap}
 	// -workers applies to the 'par' and 'joins' figures; Figures 7/8 keep

@@ -14,9 +14,14 @@
 // # Parallel scan engine
 //
 // Beyond the paper, queries can fan a full-collection scan out over all
-// cores (internal/mem.ParallelScan, internal/core.ParallelForEach and
-// ParallelAggregate, and the Q1Par/Q6Par compiled kernels in
-// internal/tpch). The block/slot-directory design makes blocks
+// cores. Each layer has one scan entry point carrying the full contract
+// (predicate pushdown, cancellation, panic isolation):
+// mem.Context.ScanParallelPredCtx (over NewParallelScanPredCtx),
+// core.Collection.ParallelBlocksPredCtx, and query.Source for pipeline
+// stages; core.ParallelForEachPred, ParallelAggregatePred and
+// ParallelGroupBy are typed conveniences over it. The serial
+// mem.Context.NewEnumerator / core.Collection.Enumerate walk is the
+// unpruned oracle. The block/slot-directory design makes blocks
 // independent scan units, so the engine needs exactly one piece of
 // shared coordination:
 //
@@ -56,9 +61,9 @@
 //     splits the open-addressing region table into hash partitions with
 //     a deterministic partition-by-partition MergeInto, so per-worker
 //     group/join state merges once, in worker order, after the scan.
-//   - Parallel joins: the tpch Q3Par/Q5Par/Q10Par drivers share their
-//     per-block join kernels with the serial Q3/Q5/Q10 (exactly as
-//     Q1Par/Q6Par do) and ride the parallel scan engine; worker
+//   - Parallel joins: the tpch Q3ParCtx/Q5ParCtx/Q10ParCtx drivers share
+//     their per-block join kernels with the serial Q3/Q5/Q10 (exactly as
+//     Q1ParCtx/Q6ParCtx do) and ride the parallel scan engine; worker
 //     sessions come from a pool keyed by the memory manager
 //     (mem.Manager.LeaseSession), so small scans do not pay per-scan
 //     session registration. internal/core.ParallelGroupBy exposes the
@@ -91,7 +96,10 @@
 // pipeline-native Q7/Q8/Q9 (Table + parallel finish) — are kernel +
 // finish closures over this layer, sharing per-block kernels with the
 // serial queries, which remain the oracle: results are byte-identical
-// at every worker count. Q7–Q9's group state moved from Go-heap maps
+// at every worker count. Each query has exactly two paths, the serial
+// oracle Qn and the pipeline driver QnParCtx; a driver's error
+// (cancellation, budget rejection, a worker panic as mem.ErrWorkerPanic)
+// reaches its caller and is never retried on the serial path. Q7–Q9's group state moved from Go-heap maps
 // into region tables keyed by packed integers to get there.
 // core.Runtime.StatsSnapshot surfaces the arena-pool lease/retained
 // metrics and the mem session-pool hit/miss counters for production
@@ -158,13 +166,14 @@
 // column, built via Collection.Predicate) is evaluated once per block in
 // the parallel scan's coordinator decision pass — pruned blocks never
 // enter the resolved block list, so workers and the work-stealing cursor
-// never see them — and in the serial Enumerator beside the empty-block
-// fast path. Pushdown threads through core.ParallelForEachPred /
-// ParallelAggregatePred / ParallelBlocksPred and the query.Where source
-// wrapper for pipeline stages; kernels keep evaluating their residual
-// predicates per row, so pruning is an optimization, never a semantics
-// change, and the pruned drivers (Q1/Q3/Q6/Q10 plus the pipeline-native
-// Q4Par) stay byte-identical to the unpruned serial oracles. The
+// never see them; the check sits beside the pass's empty-block fast
+// path. Pushdown threads through core.ParallelBlocksPredCtx (and
+// the typed ParallelForEachPred / ParallelAggregatePred over it) and the
+// query.Where source wrapper for pipeline stages; kernels keep
+// evaluating their residual predicates per row, so pruning is an
+// optimization, never a semantics change, and the pruned drivers
+// (Q1/Q3/Q4/Q6/Q10 ParCtx) stay byte-identical to the unpruned serial
+// oracles. The
 // allocation path also signals the Maintainer when a context crosses the
 // candidate threshold (abandonAllocBlock wake-up), so compaction — and
 // with it bounds re-tightening — starts without waiting out a poll tick.
@@ -198,16 +207,16 @@
 //     share of the occupied domain) are rewritten even though their
 //     occupancy never crosses the threshold — without this, a single
 //     churn cycle after the first pass would erase the guarantee while
-//     the planner saw no work. PackSize and PackOrder survive as the
-//     packing oracles (Options.CompactionPacking).
+//     the planner saw no work. PackSize (first-fit decreasing) stays the
+//     default packing (Options.CompactionPacking).
 //   - Cross-edge semi-join pruning: a pipeline's first Table stage
 //     already computes which dimension keys qualify (e.g. Q3's
 //     qualifying orders); a query.Keys stage distills them into
 //     a mem.KeySetPredicate (sorted coalesced key ranges), and the
 //     probe-side scan evaluates it per block against the foreign-key
 //     column's bounds — blocks whose key range misses every qualifying
-//     run are pruned before any worker touches them. Q3Par/Q4Par/
-//     Q10Par ride it; kernels keep their residual probes, so rows stay
+//     run are pruned before any worker touches them. Q3ParCtx/Q4ParCtx/
+//     Q10ParCtx ride it; kernels keep their residual probes, so rows stay
 //     byte-identical to the serial oracles. Effectiveness tracks
 //     key-date correlation (auto-increment OLTP feeds prune, dbgen's
 //     random orderkey mapping does not), which the cluster figure

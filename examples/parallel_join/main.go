@@ -8,12 +8,14 @@
 // The demo loads TPC-H with direct-pointer references (§6, the layout
 // where reference joins are a single pointer chase), then runs the
 // three reference-join queries Q3, Q5 and Q10 serially and fanned out
-// over NumCPU workers, verifying the parallel rows match the serial
-// ones exactly. It also shows the typed core.ParallelGroupBy API and
-// the pool's retained-footprint bound.
+// over NumCPU workers through their pipeline drivers (Q3ParCtx,
+// Q5ParCtx, Q10ParCtx), verifying the parallel rows match the serial
+// ones exactly; a driver error is fatal, never retried serially. It also
+// shows the typed core.ParallelGroupBy API.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"reflect"
@@ -54,32 +56,40 @@ func main() {
 	p := tpch.DefaultParams()
 	workers := runtime.NumCPU()
 
+	ctx := context.Background()
 	type jq struct {
 		name string
 		ser  func() any
-		par  func(w int) any
+		par  func(w int) (any, error)
 	}
 	for _, query := range []jq{
 		{"Q3 (shipping priority, 3-way join)",
 			func() any { return q.Q3(s, p) },
-			func(w int) any { return q.Q3Par(s, p, w) }},
+			func(w int) (any, error) { return q.Q3ParCtx(ctx, s, p, w) }},
 		{"Q5 (local supplier volume, 5-way join)",
 			func() any { return q.Q5(s, p) },
-			func(w int) any { return q.Q5Par(s, p, w) }},
+			func(w int) (any, error) { return q.Q5ParCtx(ctx, s, p, w) }},
 		{"Q10 (returned items, join + wide output)",
 			func() any { return q.Q10(s, p) },
-			func(w int) any { return q.Q10Par(s, p, w) }},
+			func(w int) (any, error) { return q.Q10ParCtx(ctx, s, p, w) }},
 	} {
 		fmt.Println(query.name + ":")
+		par := func(w int) any {
+			rows, err := query.par(w)
+			if err != nil {
+				log.Fatalf("%s at %d worker(s): %v", query.name, w, err)
+			}
+			return rows
+		}
 		t0 := time.Now()
 		serial := query.ser()
 		serialD := time.Since(t0)
 		fmt.Printf("  serial:              %v\n", serialD.Round(time.Microsecond))
 		t0 = time.Now()
-		one := query.par(1)
+		one := par(1)
 		fmt.Printf("  parallel, 1 worker:  %v (same kernels, leased arena)\n", time.Since(t0).Round(time.Microsecond))
 		t0 = time.Now()
-		many := query.par(workers)
+		many := par(workers)
 		manyD := time.Since(t0)
 		fmt.Printf("  parallel, %d workers: %v (%.2fx)\n", workers, manyD.Round(time.Microsecond),
 			float64(serialD)/float64(manyD))

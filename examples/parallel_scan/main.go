@@ -5,12 +5,14 @@
 // into per-worker partial accumulators that merge at the end.
 //
 // The demo loads TPC-H lineitems, then runs the same full-collection
-// aggregations at 1 worker and at NumCPU workers: the typed
-// ParallelAggregate convenience API, the compiled Q1/Q6 kernels, and a
-// filtered ParallelForEach count.
+// aggregations at 1 worker and at NumCPU workers: the compiled Q1/Q6
+// pipeline drivers (Q1ParCtx/Q6ParCtx), the typed ParallelAggregatePred
+// convenience API, and a filtered ParallelForEachPred count. A driver
+// error is fatal: no driver falls back to the serial path.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -18,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decimal"
+	"repro/internal/mem"
 	"repro/internal/tpch"
 )
 
@@ -30,11 +33,12 @@ func main() {
 	s := rt.MustSession()
 	defer s.Close()
 
-	// A background compactor may run freely: a compaction planned while
-	// a parallel scan is open aborts at its epoch wait (the coordinator
-	// pins the snapshot epoch), and one planned between scans proceeds.
-	stopCompactor := rt.StartCompactor(50 * time.Millisecond)
-	defer stopCompactor()
+	// A background maintainer may compact freely: a compaction planned
+	// while a parallel scan is open aborts at its epoch wait (the
+	// coordinator pins the snapshot epoch), and one planned between scans
+	// proceeds.
+	mt := rt.StartMaintainer(mem.MaintainerConfig{Interval: 50 * time.Millisecond})
+	defer mt.Stop()
 
 	fmt.Println("generating TPC-H data and loading collections (columnar layout)...")
 	data := tpch.Generate(0.05, 42)
@@ -49,31 +53,36 @@ func main() {
 	p := tpch.DefaultParams()
 	workers := runtime.NumCPU()
 
-	run := func(name string, w int, fn func(w int)) time.Duration {
+	ctx := context.Background()
+	run := func(name string, w int, fn func(w int) error) time.Duration {
 		t0 := time.Now()
-		fn(w)
+		if err := fn(w); err != nil {
+			log.Fatalf("%s at %d worker(s): %v", name, w, err)
+		}
 		d := time.Since(t0)
 		fmt.Printf("  %-28s %d worker(s): %v\n", name, w, d.Round(time.Microsecond))
 		return d
 	}
 
 	fmt.Println("compiled Q1 (pricing summary):")
-	base := run("Q1Par", 1, func(w int) { q.Q1Par(s, p, w) })
-	par := run("Q1Par", workers, func(w int) { q.Q1Par(s, p, w) })
+	q1 := func(w int) error { _, err := q.Q1ParCtx(ctx, s, p, w); return err }
+	base := run("Q1ParCtx", 1, q1)
+	par := run("Q1ParCtx", workers, q1)
 	fmt.Printf("  speedup: %.2fx\n\n", float64(base)/float64(par))
 
 	fmt.Println("compiled Q6 (revenue forecast):")
-	base = run("Q6Par", 1, func(w int) { q.Q6Par(s, p, w) })
-	par = run("Q6Par", workers, func(w int) { q.Q6Par(s, p, w) })
+	q6 := func(w int) error { _, err := q.Q6ParCtx(ctx, s, p, w); return err }
+	base = run("Q6ParCtx", 1, q6)
+	par = run("Q6ParCtx", workers, q6)
 	fmt.Printf("  speedup: %.2fx\n\n", float64(base)/float64(par))
 
 	// Typed API: revenue sum via per-worker partial accumulators.
-	fmt.Println("typed ParallelAggregate (sum of extendedprice*(1-discount)):")
+	fmt.Println("typed ParallelAggregatePred (sum of extendedprice*(1-discount)):")
 	one := decimal.FromInt64(1)
 	var revenue decimal.Dec128
 	for _, w := range []int{1, workers} {
 		t0 := time.Now()
-		revenue, err = core.ParallelAggregate(db.Lineitems, s, w,
+		revenue, err = core.ParallelAggregatePred(db.Lineitems, s, w, nil,
 			func(int) decimal.Dec128 { return decimal.Dec128{} },
 			func(acc decimal.Dec128, _ core.Ref[tpch.SLineitem], v *tpch.SLineitem) decimal.Dec128 {
 				return acc.Add(v.ExtendedPrice.Mul(one.Sub(v.Discount)))
@@ -88,10 +97,10 @@ func main() {
 	fmt.Printf("  total revenue: %s\n\n", revenue)
 
 	// Typed API: filtered visitation with early-stop support.
-	fmt.Println("typed ParallelForEach (count lineitems shipped by rail):")
+	fmt.Println("typed ParallelForEachPred (count lineitems shipped by rail):")
 	var counts = make([]int64, workers)
 	t0 := time.Now()
-	if err := db.Lineitems.ParallelForEach(s, workers, func(w int, _ core.Ref[tpch.SLineitem], v *tpch.SLineitem) bool {
+	if err := db.Lineitems.ParallelForEachPred(s, workers, nil, func(w int, _ core.Ref[tpch.SLineitem], v *tpch.SLineitem) bool {
 		if v.ShipMode == "RAIL" {
 			counts[w]++
 		}

@@ -28,8 +28,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer rt.Close()
-	stopCompactor := rt.StartCompactor(5 * time.Millisecond)
-	defer stopCompactor()
+	mt := rt.StartMaintainer(mem.MaintainerConfig{Interval: 5 * time.Millisecond})
+	defer mt.Stop()
 
 	loader := rt.MustSession()
 	coll := core.MustCollection[tpch.SLineitem](rt, "lineitem", core.RowIndirect)

@@ -82,6 +82,18 @@ func median(reps int, fn func()) time.Duration {
 	return times[len(times)/2]
 }
 
+// medianErr is median over a call that can fail: the first error skips
+// the remaining calls and is returned.
+func medianErr(reps int, fn func() error) (time.Duration, error) {
+	var err error
+	d := median(reps, func() {
+		if err == nil {
+			err = fn()
+		}
+	})
+	return d, err
+}
+
 // Table is a printable result grid.
 type Table struct {
 	Title   string

@@ -51,14 +51,10 @@ func clusterFrac(t *testing.T, env *pruneEnv, label string) float64 {
 		t.Fatalf("%s: no surviving rows", label)
 	}
 	lo, hi := dates[0], dates[len(dates)/100]
-	before := env.rt.StatsSnapshot()
-	pruned := env.q.Q6WindowPar(env.s, lo, hi, 1, true)
-	after := env.rt.StatsSnapshot()
-	if unpruned := env.q.Q6WindowPar(env.s, lo, hi, 1, false); pruned != unpruned {
-		t.Fatalf("%s: pruned sum %v != unpruned %v", label, pruned, unpruned)
+	p, s, err := env.checkWindow(lo, hi)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	p := after.BlocksPruned - before.BlocksPruned
-	s := after.BlocksScanned - before.BlocksScanned
 	if p+s == 0 {
 		t.Fatalf("%s: window scan made no block decisions", label)
 	}

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -278,23 +280,21 @@ func FigureCluster(o Options) (*ClusterResult, error) {
 					Workers: 1, Packing: pk.name, Cycle: cycle,
 					SelectivityPct: float64(sel), Rows: len(dates),
 				}
-				before := env.rt.StatsSnapshot()
-				pruned := env.q.Q6WindowPar(env.s, lo, hi, 1, true)
-				after := env.rt.StatsSnapshot()
-				unpruned := env.q.Q6WindowPar(env.s, lo, hi, 1, false)
-				if pruned != unpruned {
+				pt.BlocksPruned, pt.BlocksScanned, err = env.checkWindow(lo, hi)
+				if err == nil {
+					pt.PrunedMs, err = env.timeWindow(o.Reps, lo, hi, true)
+				}
+				if err == nil {
+					pt.UnprunedMs, err = env.timeWindow(o.Reps, lo, hi, false)
+				}
+				if err != nil {
 					env.Close()
-					return nil, fmt.Errorf("%s packing, cycle %d, sel %d%%: pruned sum %v != unpruned %v",
-						pk.name, cycle, sel, pruned, unpruned)
+					return nil, fmt.Errorf("%s packing, cycle %d, sel %d%%: %w", pk.name, cycle, sel, err)
 				}
 				pt.BlocksTotal = env.db.Lineitems.Context().Blocks()
-				pt.BlocksPruned = after.BlocksPruned - before.BlocksPruned
-				pt.BlocksScanned = after.BlocksScanned - before.BlocksScanned
 				if d := pt.BlocksPruned + pt.BlocksScanned; d > 0 {
 					pt.PrunedFrac = float64(pt.BlocksPruned) / float64(d)
 				}
-				pt.PrunedMs = msF(median(o.Reps, func() { sinkDec = env.q.Q6WindowPar(env.s, lo, hi, 1, true) }))
-				pt.UnprunedMs = msF(median(o.Reps, func() { sinkDec = env.q.Q6WindowPar(env.s, lo, hi, 1, false) }))
 				if pt.PrunedMs > 0 {
 					pt.Speedup = pt.UnprunedMs / pt.PrunedMs
 				}
@@ -372,39 +372,53 @@ func clusterJoins(o Options, data *tpch.Dataset, gate map[string]float64) ([]Clu
 	// The pruned pipeline paths must produce exactly the serial oracle's
 	// rows — key-set pruning is a block-admission optimization, never a
 	// result change.
-	if a, b := q.Q3Par(s, p, 1), q.Q3(s, p); !slices.Equal(a, b) {
+	ctx := context.Background()
+	q3, err3 := q.Q3ParCtx(ctx, s, p, 1)
+	q4, err4 := q.Q4ParCtx(ctx, s, p, 1)
+	q10, err10 := q.Q10ParCtx(ctx, s, p, 1)
+	if err := errors.Join(err3, err4, err10); err != nil {
+		return nil, fmt.Errorf("cluster joins: %w", err)
+	}
+	switch {
+	case !slices.Equal(q3, q.Q3(s, p)):
 		return nil, fmt.Errorf("cluster joins: Q3 pruned rows differ from serial oracle")
-	}
-	if a, b := q.Q4Par(s, p, 1), q.Q4(s, p); !slices.Equal(a, b) {
+	case !slices.Equal(q4, q.Q4(s, p)):
 		return nil, fmt.Errorf("cluster joins: Q4 pruned rows differ from serial oracle")
-	}
-	if a, b := q.Q10Par(s, p, 1), q.Q10(s, p); !slices.Equal(a, b) {
+	case !slices.Equal(q10, q.Q10(s, p)):
 		return nil, fmt.Errorf("cluster joins: Q10 pruned rows differ from serial oracle")
 	}
 
 	var out []ClusterJoinPoint
 	runs := []struct {
-		name           string
-		pruned, serial func()
+		name   string
+		pruned func() error
+		serial func()
 	}{
 		{"q3",
-			func() { sinkRows = len(q.Q3Par(s, p, 1)) },
+			func() error { rows, err := q.Q3ParCtx(ctx, s, p, 1); sinkRows = len(rows); return err },
 			func() { sinkRows = len(q.Q3(s, p)) }},
 		{"q4",
-			func() { sinkRows = len(q.Q4Par(s, p, 1)) },
+			func() error { rows, err := q.Q4ParCtx(ctx, s, p, 1); sinkRows = len(rows); return err },
 			func() { sinkRows = len(q.Q4(s, p)) }},
 		{"q10",
-			func() { sinkRows = len(q.Q10Par(s, p, 1)) },
+			func() error { rows, err := q.Q10ParCtx(ctx, s, p, 1); sinkRows = len(rows); return err },
 			func() { sinkRows = len(q.Q10(s, p)) }},
 	}
 	for _, r := range runs {
 		pt := ClusterJoinPoint{Workers: 1, Query: r.name}
 		before := rt.StatsSnapshot()
-		r.pruned()
+		err := r.pruned()
 		after := rt.StatsSnapshot()
+		if err != nil {
+			return nil, fmt.Errorf("cluster joins: %s: %w", r.name, err)
+		}
 		pt.KeySetPruned = after.KeySetPruned - before.KeySetPruned
 		pt.SynopsisOverlap = after.SynopsisOverlap - before.SynopsisOverlap
-		pt.PrunedMs = msF(median(o.Reps, r.pruned))
+		d, err := medianErr(o.Reps, r.pruned)
+		if err != nil {
+			return nil, fmt.Errorf("cluster joins: %s: %w", r.name, err)
+		}
+		pt.PrunedMs = msF(d)
 		pt.SerialMs = msF(median(o.Reps, r.serial))
 		if pt.PrunedMs > 0 {
 			pt.Speedup = pt.SerialMs / pt.PrunedMs

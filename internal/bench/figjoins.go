@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,8 +41,8 @@ type JoinsResult struct {
 	Points []JoinsPoint `json:"points"`
 }
 
-// FigureJoins measures the parallel join drivers Q3Par/Q5Par/Q10Par and
-// the pipeline-native Q7Par/Q8Par/Q9Par (row-indirect and row-direct
+// FigureJoins measures the parallel join drivers Q3ParCtx, Q5ParCtx,
+// Q7ParCtx, Q8ParCtx, Q9ParCtx and Q10ParCtx (row-indirect and row-direct
 // layouts — the join-heavy queries are where §6 direct pointers matter)
 // swept over worker counts. The 1-worker point runs the scan inline on
 // the coordinator session with the same shared per-block kernels as the
@@ -80,22 +81,35 @@ func FigureJoins(o Options) (*JoinsResult, error) {
 
 	sweep := workerSweep(o.Threads, explicit)
 
+	ctx := context.Background()
 	res := &JoinsResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps, Meta: CurrentMeta()}
 	for _, workers := range sweep {
 		w := workers
 		pt := JoinsPoint{Workers: w}
-		pt.Q3IndMs = msF(median(o.Reps, func() { sinkAny = qInd.Q3Par(sInd, p, w) }))
-		pt.Q3DirMs = msF(median(o.Reps, func() { sinkAny = qDir.Q3Par(sDir, p, w) }))
-		pt.Q5IndMs = msF(median(o.Reps, func() { sinkAny = qInd.Q5Par(sInd, p, w) }))
-		pt.Q5DirMs = msF(median(o.Reps, func() { sinkAny = qDir.Q5Par(sDir, p, w) }))
-		pt.Q7IndMs = msF(median(o.Reps, func() { sinkAny = qInd.Q7Par(sInd, p, w) }))
-		pt.Q7DirMs = msF(median(o.Reps, func() { sinkAny = qDir.Q7Par(sDir, p, w) }))
-		pt.Q8IndMs = msF(median(o.Reps, func() { sinkAny = qInd.Q8Par(sInd, p, w) }))
-		pt.Q8DirMs = msF(median(o.Reps, func() { sinkAny = qDir.Q8Par(sDir, p, w) }))
-		pt.Q9IndMs = msF(median(o.Reps, func() { sinkAny = qInd.Q9Par(sInd, p, w) }))
-		pt.Q9DirMs = msF(median(o.Reps, func() { sinkAny = qDir.Q9Par(sDir, p, w) }))
-		pt.Q10IndMs = msF(median(o.Reps, func() { sinkAny = qInd.Q10Par(sInd, p, w) }))
-		pt.Q10DirMs = msF(median(o.Reps, func() { sinkAny = qDir.Q10Par(sDir, p, w) }))
+		for _, m := range []struct {
+			name string
+			dst  *float64
+			run  func() (err error)
+		}{
+			{"Q3 ind", &pt.Q3IndMs, func() (err error) { sinkAny, err = qInd.Q3ParCtx(ctx, sInd, p, w); return }},
+			{"Q3 dir", &pt.Q3DirMs, func() (err error) { sinkAny, err = qDir.Q3ParCtx(ctx, sDir, p, w); return }},
+			{"Q5 ind", &pt.Q5IndMs, func() (err error) { sinkAny, err = qInd.Q5ParCtx(ctx, sInd, p, w); return }},
+			{"Q5 dir", &pt.Q5DirMs, func() (err error) { sinkAny, err = qDir.Q5ParCtx(ctx, sDir, p, w); return }},
+			{"Q7 ind", &pt.Q7IndMs, func() (err error) { sinkAny, err = qInd.Q7ParCtx(ctx, sInd, p, w); return }},
+			{"Q7 dir", &pt.Q7DirMs, func() (err error) { sinkAny, err = qDir.Q7ParCtx(ctx, sDir, p, w); return }},
+			{"Q8 ind", &pt.Q8IndMs, func() (err error) { sinkAny, err = qInd.Q8ParCtx(ctx, sInd, p, w); return }},
+			{"Q8 dir", &pt.Q8DirMs, func() (err error) { sinkAny, err = qDir.Q8ParCtx(ctx, sDir, p, w); return }},
+			{"Q9 ind", &pt.Q9IndMs, func() (err error) { sinkAny, err = qInd.Q9ParCtx(ctx, sInd, p, w); return }},
+			{"Q9 dir", &pt.Q9DirMs, func() (err error) { sinkAny, err = qDir.Q9ParCtx(ctx, sDir, p, w); return }},
+			{"Q10 ind", &pt.Q10IndMs, func() (err error) { sinkAny, err = qInd.Q10ParCtx(ctx, sInd, p, w); return }},
+			{"Q10 dir", &pt.Q10DirMs, func() (err error) { sinkAny, err = qDir.Q10ParCtx(ctx, sDir, p, w); return }},
+		} {
+			d, err := medianErr(o.Reps, m.run)
+			if err != nil {
+				return nil, fmt.Errorf("%s at %d workers: %w", m.name, w, err)
+			}
+			*m.dst = msF(d)
+		}
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil

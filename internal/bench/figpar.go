@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -59,7 +60,7 @@ type ParallelResult struct {
 
 // FigureParallel measures the parallel scan engine: TPC-H Q1 and Q6
 // compiled kernels (row-indirect and columnar layouts) plus a typed
-// ParallelAggregate revenue sum, each swept over o.Threads worker
+// ParallelAggregatePred revenue sum, each swept over o.Threads worker
 // counts. The 1-worker point runs the scan inline on the coordinator
 // session, so it is an honest serial baseline (same kernel, no pool).
 func FigureParallel(o Options) (*ParallelResult, error) {
@@ -97,31 +98,36 @@ func FigureParallel(o Options) (*ParallelResult, error) {
 
 	sweep := workerSweep(o.Threads, explicit)
 
+	ctx := context.Background()
 	res := &ParallelResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps, Meta: CurrentMeta()}
 	for _, workers := range sweep {
 		w := workers
 		pt := ParallelPoint{Workers: w}
-		pt.Q1RowMs = msF(median(o.Reps, func() { sinkAny = qRow.Q1Par(sRow, p, w) }))
-		pt.Q1ColMs = msF(median(o.Reps, func() { sinkAny = qCol.Q1Par(sCol, p, w) }))
-		pt.Q6RowMs = msF(median(o.Reps, func() { sinkDec = qRow.Q6Par(sRow, p, w) }))
-		pt.Q6ColMs = msF(median(o.Reps, func() { sinkDec = qCol.Q6Par(sCol, p, w) }))
-		var aggErr error
-		pt.AggMs = msF(median(o.Reps, func() {
-			sum, err := core.ParallelAggregate(dbRow.Lineitems, sRow, w,
-				func(int) decimal.Dec128 { return decimal.Dec128{} },
-				func(acc decimal.Dec128, _ core.Ref[tpch.SLineitem], v *tpch.SLineitem) decimal.Dec128 {
-					return acc.Add(v.ExtendedPrice)
-				},
-				func(a, b decimal.Dec128) decimal.Dec128 { return a.Add(b) },
-			)
-			if err != nil {
-				aggErr = err
+		for _, m := range []struct {
+			name string
+			dst  *float64
+			run  func() (err error)
+		}{
+			{"Q1 row", &pt.Q1RowMs, func() (err error) { sinkAny, err = qRow.Q1ParCtx(ctx, sRow, p, w); return }},
+			{"Q1 col", &pt.Q1ColMs, func() (err error) { sinkAny, err = qCol.Q1ParCtx(ctx, sCol, p, w); return }},
+			{"Q6 row", &pt.Q6RowMs, func() (err error) { sinkDec, err = qRow.Q6ParCtx(ctx, sRow, p, w); return }},
+			{"Q6 col", &pt.Q6ColMs, func() (err error) { sinkDec, err = qCol.Q6ParCtx(ctx, sCol, p, w); return }},
+			{"parallel aggregate", &pt.AggMs, func() (err error) {
+				sinkDec, err = core.ParallelAggregatePred(dbRow.Lineitems, sRow, w, nil,
+					func(int) decimal.Dec128 { return decimal.Dec128{} },
+					func(acc decimal.Dec128, _ core.Ref[tpch.SLineitem], v *tpch.SLineitem) decimal.Dec128 {
+						return acc.Add(v.ExtendedPrice)
+					},
+					func(a, b decimal.Dec128) decimal.Dec128 { return a.Add(b) },
+				)
 				return
+			}},
+		} {
+			d, err := medianErr(o.Reps, m.run)
+			if err != nil {
+				return nil, fmt.Errorf("%s at %d workers: %w", m.name, w, err)
 			}
-			sinkDec = sum
-		}))
-		if aggErr != nil {
-			return nil, fmt.Errorf("parallel aggregate at %d workers: %w", w, aggErr)
+			*m.dst = msF(d)
 		}
 		res.Points = append(res.Points, pt)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/decimal"
 	"repro/internal/tpch"
 	"repro/internal/types"
 )
@@ -80,6 +82,40 @@ type pruneEnv struct {
 func (e *pruneEnv) Close() {
 	e.s.Close()
 	e.rt.Close()
+}
+
+// window runs the one-worker windowed revenue scan over [lo, hi], with or
+// without synopsis pushdown.
+func (e *pruneEnv) window(lo, hi types.Date, pushdown bool) (decimal.Dec128, error) {
+	return e.q.Q6WindowParCtx(context.Background(), e.s, lo, hi, 1, pushdown)
+}
+
+// checkWindow runs the window once pruned and once unpruned, requires
+// equal sums, and returns the pruned run's synopsis decisions.
+func (e *pruneEnv) checkWindow(lo, hi types.Date) (pruned, scanned int64, err error) {
+	before := e.rt.StatsSnapshot()
+	p, err := e.window(lo, hi, true)
+	after := e.rt.StatsSnapshot()
+	if err != nil {
+		return 0, 0, err
+	}
+	u, err := e.window(lo, hi, false)
+	if err != nil {
+		return 0, 0, err
+	}
+	if p != u {
+		return 0, 0, fmt.Errorf("pruned sum %v != unpruned %v", p, u)
+	}
+	return after.BlocksPruned - before.BlocksPruned, after.BlocksScanned - before.BlocksScanned, nil
+}
+
+// timeWindow is the window's median time in milliseconds over reps runs.
+func (e *pruneEnv) timeWindow(reps int, lo, hi types.Date, pushdown bool) (float64, error) {
+	d, err := medianErr(reps, func() (err error) {
+		sinkDec, err = e.window(lo, hi, pushdown)
+		return err
+	})
+	return msF(d), err
 }
 
 // newPruneEnv loads the date-sorted dataset row-indirect and optionally
@@ -219,22 +255,21 @@ func FigurePrune(o Options) (*PruneResult, error) {
 			pt := PrunePoint{Workers: 1, Heap: h.name, SelectivityPct: float64(sel)}
 			// One instrumented run pins the pruning decision counts and
 			// checks pruned == unpruned.
-			before := env.rt.StatsSnapshot()
-			pruned := env.q.Q6WindowPar(env.s, minDate, hi, 1, true)
-			after := env.rt.StatsSnapshot()
-			unpruned := env.q.Q6WindowPar(env.s, minDate, hi, 1, false)
-			if pruned != unpruned {
+			pt.BlocksPruned, pt.BlocksScanned, err = env.checkWindow(minDate, hi)
+			if err == nil {
+				pt.PrunedMs, err = env.timeWindow(o.Reps, minDate, hi, true)
+			}
+			if err == nil {
+				pt.UnprunedMs, err = env.timeWindow(o.Reps, minDate, hi, false)
+			}
+			if err != nil {
 				env.Close()
-				return nil, fmt.Errorf("%s heap, sel %d%%: pruned sum %v != unpruned %v", h.name, sel, pruned, unpruned)
+				return nil, fmt.Errorf("%s heap, sel %d%%: %w", h.name, sel, err)
 			}
 			pt.BlocksTotal = env.db.Lineitems.Context().Blocks()
-			pt.BlocksPruned = after.BlocksPruned - before.BlocksPruned
-			pt.BlocksScanned = after.BlocksScanned - before.BlocksScanned
 			if d := pt.BlocksPruned + pt.BlocksScanned; d > 0 {
 				pt.PrunedFrac = float64(pt.BlocksPruned) / float64(d)
 			}
-			pt.PrunedMs = msF(median(o.Reps, func() { sinkDec = env.q.Q6WindowPar(env.s, minDate, hi, 1, true) }))
-			pt.UnprunedMs = msF(median(o.Reps, func() { sinkDec = env.q.Q6WindowPar(env.s, minDate, hi, 1, false) }))
 			if pt.PrunedMs > 0 {
 				pt.Speedup = pt.UnprunedMs / pt.PrunedMs
 			}

@@ -115,7 +115,11 @@ func FigureServe(o Options) (*ServeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		windows[i] = window{body: body, oracle: q.Q6WindowPar(s, b[0], b[1], 1, true)}
+		oracle, err := q.Q6WindowParCtx(context.Background(), s, b[0], b[1], 1, true)
+		if err != nil {
+			return nil, err
+		}
+		windows[i] = window{body: body, oracle: oracle}
 	}
 
 	mt := rt.StartMaintainer(mem.MaintainerConfig{Interval: 50 * time.Millisecond})

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/decimal"
+	"repro/internal/mem"
 	"repro/internal/types"
 )
 
@@ -193,7 +194,7 @@ func TestRuntimeOverflowAPI(t *testing.T) {
 // exact object afterwards.
 func TestConcurrentChurnWithBackgroundThreads(t *testing.T) {
 	rt := testRuntime(t)
-	stopC := rt.StartCompactor(2 * time.Millisecond)
+	stopC := rt.StartMaintainer(mem.MaintainerConfig{Interval: 2 * time.Millisecond}).Stop
 	defer stopC()
 	stopS := rt.StartOverflowScanner(5 * time.Millisecond)
 	defer stopS()

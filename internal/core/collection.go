@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sync/atomic"
@@ -251,30 +250,12 @@ func (c *Collection[T]) Deref(s *Session, r Ref[T]) (mem.Obj, error) {
 	return c.ctx.Deref(s.ms, r.R)
 }
 
-// Enumerate returns a block enumerator for compiled queries. The session
-// must be inside a critical section for the enumeration's lifetime.
+// Enumerate returns the serial, unpruned block enumerator compiled
+// queries use as their oracle. The session must be inside a critical
+// section for the enumeration's lifetime. Pruned and cancellable scans go
+// through ParallelBlocksPredCtx.
 func (c *Collection[T]) Enumerate(s *Session) *mem.Enumerator {
 	return c.ctx.NewEnumerator(s.ms)
-}
-
-// EnumeratePred is Enumerate with a scan predicate: blocks whose synopsis
-// bounds cannot intersect pred are skipped beside the empty-block fast
-// path. Callers keep evaluating their full per-row predicate — pruning is
-// sound, not exact.
-func (c *Collection[T]) EnumeratePred(s *Session, pred *mem.ScanPredicate) *mem.Enumerator {
-	return c.ctx.NewEnumeratorPred(s.ms, pred)
-}
-
-// EnumerateCtx is Enumerate bound to a context: NextBlock observes
-// cancellation at block granularity and the enumerator's Err reports the
-// cancellation cause. A Background context adds no per-block overhead.
-func (c *Collection[T]) EnumerateCtx(cctx context.Context, s *Session) *mem.Enumerator {
-	return c.ctx.NewEnumeratorCtx(cctx, s.ms)
-}
-
-// EnumeratePredCtx is EnumeratePred bound to a context (see EnumerateCtx).
-func (c *Collection[T]) EnumeratePredCtx(cctx context.Context, s *Session, pred *mem.ScanPredicate) *mem.Enumerator {
-	return c.ctx.NewEnumeratorPredCtx(cctx, s.ms, pred)
 }
 
 // RegisterSynopses declares per-block min/max synopses for the named

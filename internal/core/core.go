@@ -77,9 +77,9 @@ type Options struct {
 	// compaction passes (default GOMAXPROCS; 1 = serial oracle path).
 	CompactionWorkers int
 	// CompactionPacking selects how compaction candidates are binned
-	// into groups: PackSize (default, first-fit decreasing), PackOrder
-	// (historical block-order oracle) or PackCluster (synopsis-clustered
-	// compaction; pair with Collection.RegisterClusterKey).
+	// into groups: PackSize (default, first-fit decreasing) or PackCluster
+	// (synopsis-clustered compaction; pair with
+	// Collection.RegisterClusterKey).
 	CompactionPacking mem.PackingMode
 	// MemoryBudget caps the off-heap bytes the runtime's block heap may
 	// hold (0 = unlimited). Allocations over the cap first wake the
@@ -173,12 +173,6 @@ func (rt *Runtime) CompactNow() (moved int, err error) { return rt.mgr.CompactNo
 // oracle path).
 func (rt *Runtime) CompactNowWorkers(workers int) (moved int, err error) {
 	return rt.mgr.CompactNowWorkers(workers)
-}
-
-// StartCompactor runs the background compaction thread of §5; the
-// returned function stops it.
-func (rt *Runtime) StartCompactor(interval time.Duration) func() {
-	return rt.mgr.StartCompactor(interval)
 }
 
 // StartMaintainer launches the background maintenance scheduler: it
@@ -275,7 +269,6 @@ type PackingMode = mem.PackingMode
 // Compaction packing-mode re-exports (Options.CompactionPacking).
 const (
 	PackSize    = mem.PackSize
-	PackOrder   = mem.PackOrder
 	PackCluster = mem.PackCluster
 )
 

@@ -7,41 +7,26 @@ import (
 )
 
 // Parallel typed scans over a collection: the compiled-query-style
-// fan-out of mem.ScanParallel lifted to the collection API. One §5.2
+// fan-out of mem.ScanParallelPredCtx lifted to the collection API. One §5.2
 // decision pass resolves the block list, then per-worker sessions scan
 // disjoint blocks claimed from an atomic cursor; typed aggregates fold
 // into per-worker partial accumulators that are merged at the end.
 
-// ParallelBlocks shards the collection's resolved block list across
-// `workers` goroutines for compiled-query-style callers that scan slot
-// directories themselves. fn runs once per block with the worker's index
-// and session; returning mem.ErrStopScan ends the scan early and
+// ParallelBlocksPredCtx shards the collection's resolved block list
+// across `workers` goroutines for compiled-query-style callers that scan
+// slot directories themselves. fn runs once per block with the worker's
+// index and session; returning mem.ErrStopScan ends the scan early and
 // cleanly. fn must not share mutable state across workers without its
 // own synchronization — index per-worker state by the worker argument.
-func (c *Collection[T]) ParallelBlocks(s *Session, workers int, fn func(worker int, ws *Session, b *mem.Block) error) error {
-	return c.ParallelBlocksPred(s, workers, nil, fn)
-}
-
-// ParallelBlocksCtx is ParallelBlocks bound to a context: every worker
-// observes cancellation at block-claim granularity (one channel poll per
-// claimed block), the coordinator aborts resolved-list fan-out, and the
-// scan returns the cancellation cause once every worker has unwound. A
-// Background context adds no overhead.
-func (c *Collection[T]) ParallelBlocksCtx(cctx context.Context, s *Session, workers int, fn func(worker int, ws *Session, b *mem.Block) error) error {
-	return c.ParallelBlocksPredCtx(cctx, s, workers, nil, fn)
-}
-
-// ParallelBlocksPred is ParallelBlocks with a scan predicate pushed into
-// the coordinator's one-shot decision pass: pruned blocks never enter
-// the resolved block list, so no worker, cursor claim or session ever
-// touches them. fn still sees every block that might hold a matching row
-// and must keep evaluating the residual predicate per row.
-func (c *Collection[T]) ParallelBlocksPred(s *Session, workers int, pred *mem.ScanPredicate, fn func(worker int, ws *Session, b *mem.Block) error) error {
-	return c.ParallelBlocksPredCtx(context.Background(), s, workers, pred, fn)
-}
-
-// ParallelBlocksPredCtx is ParallelBlocksPred bound to a context (see
-// ParallelBlocksCtx).
+//
+// pred (nil scans everything) is pushed into the coordinator's one-shot
+// decision pass: pruned blocks never enter the resolved block list, so
+// no worker, cursor claim or session ever touches them. fn still sees
+// every block that might hold a matching row and must keep evaluating
+// the residual predicate per row. cctx is observed at block-claim
+// granularity (one channel poll per claimed block; a Background context
+// adds nothing), and a canceled scan returns the cancellation cause once
+// every worker has unwound.
 func (c *Collection[T]) ParallelBlocksPredCtx(cctx context.Context, s *Session, workers int, pred *mem.ScanPredicate, fn func(worker int, ws *Session, b *mem.Block) error) error {
 	if workers < 1 {
 		workers = 1
@@ -69,28 +54,24 @@ type padded[T any] struct {
 	_ [64]byte
 }
 
-// ParallelForEach invokes fn for every object in the collection from
-// `workers` goroutines, each inside its own session and critical
+// ParallelForEachPred invokes fn for every object in the collection
+// from `workers` goroutines, each inside its own session and critical
 // section. Visitation has the enumerator's exactly-once bag semantics:
 // the compaction-group decisions are made once for the whole scan, so an
 // object is seen either in its pre-relocation block or its target, never
 // both. fn returning false stops the scan across all workers. fn must be
 // safe for concurrent invocation; v is a per-worker scratch value that is
 // only valid for the duration of the call.
-func (c *Collection[T]) ParallelForEach(s *Session, workers int, fn func(worker int, ref Ref[T], v *T) bool) error {
-	return c.ParallelForEachPred(s, workers, nil, fn)
-}
-
-// ParallelForEachPred is ParallelForEach with a scan predicate: blocks
-// provably holding no matching row are skipped, and fn still sees every
-// object of the remaining blocks (including non-matching ones — apply
-// the residual predicate inside fn).
+//
+// pred (nil scans everything) skips blocks provably holding no matching
+// row; fn still sees every object of the remaining blocks (including
+// non-matching ones — apply the residual predicate inside fn).
 func (c *Collection[T]) ParallelForEachPred(s *Session, workers int, pred *mem.ScanPredicate, fn func(worker int, ref Ref[T], v *T) bool) error {
 	if workers < 1 {
 		workers = 1
 	}
 	tmps := make([]padded[T], workers)
-	return c.ParallelBlocksPred(s, workers, pred, func(w int, ws *Session, b *mem.Block) error {
+	return c.ParallelBlocksPredCtx(context.Background(), s, workers, pred, func(w int, ws *Session, b *mem.Block) error {
 		tmp := &tmps[w].v
 		n := b.Capacity()
 		for slot := 0; slot < n; slot++ {
@@ -110,25 +91,16 @@ func (c *Collection[T]) ParallelForEachPred(s *Session, workers int, pred *mem.S
 	})
 }
 
-// ParallelAggregate scans c with `workers` goroutines, folding every
+// ParallelAggregatePred scans c with `workers` goroutines, folding every
 // object into a per-worker partial accumulator and merging the partials
 // once the scan completes. init builds a worker's accumulator lazily (it
 // is only called for workers that receive blocks), fold absorbs one
 // object, and merge combines two partials; merge is called in worker
 // order, so order-sensitive accumulators see a deterministic merge
 // sequence for a quiesced collection. An empty collection returns
-// init(0).
-func ParallelAggregate[T, A any](c *Collection[T], s *Session, workers int,
-	init func(worker int) A,
-	fold func(acc A, ref Ref[T], v *T) A,
-	merge func(into, from A) A,
-) (A, error) {
-	return ParallelAggregatePred(c, s, workers, nil, init, fold, merge)
-}
-
-// ParallelAggregatePred is ParallelAggregate with a scan predicate:
-// synopsis-pruned blocks never reach fold, every remaining object does —
-// fold must keep applying the residual predicate itself.
+// init(0). pred (nil scans everything) keeps synopsis-pruned blocks from
+// fold; every remaining object reaches it, so fold must keep applying
+// the residual predicate itself.
 func ParallelAggregatePred[T, A any](c *Collection[T], s *Session, workers int, pred *mem.ScanPredicate,
 	init func(worker int) A,
 	fold func(acc A, ref Ref[T], v *T) A,
@@ -174,7 +146,7 @@ func ParallelAggregatePred[T, A any](c *Collection[T], s *Session, workers int, 
 	return out, nil
 }
 
-// ParallelGroupBy generalizes ParallelAggregate to keyed partial states:
+// ParallelGroupBy generalizes ParallelAggregatePred to keyed partial states:
 // each worker folds the objects it scans into a private map of per-group
 // accumulators (zero shared mutable state in the hot loop), and the
 // partial maps merge after the scan. key selects an object's group and
@@ -192,7 +164,7 @@ func ParallelGroupBy[T any, K comparable, A any](c *Collection[T], s *Session, w
 		workers = 1
 	}
 	groups := make([]padded[map[K]A], workers)
-	err := c.ParallelForEach(s, workers, func(w int, ref Ref[T], v *T) bool {
+	err := c.ParallelForEachPred(s, workers, nil, func(w int, ref Ref[T], v *T) bool {
 		k, ok := key(ref, v)
 		if !ok {
 			return true

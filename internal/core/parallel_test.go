@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/mem"
 )
 
 type scanRow struct {
@@ -36,7 +38,7 @@ func TestParallelForEachMatchesForEach(t *testing.T) {
 				var mu sync.Mutex
 				par := make(map[int64]int64, n)
 				dups := 0
-				err := coll.ParallelForEach(s, workers, func(_ int, _ Ref[scanRow], v *scanRow) bool {
+				err := coll.ParallelForEachPred(s, workers, nil, func(_ int, _ Ref[scanRow], v *scanRow) bool {
 					mu.Lock()
 					if _, ok := par[v.ID]; ok {
 						dups++
@@ -73,7 +75,7 @@ func TestParallelForEachEarlyStop(t *testing.T) {
 		coll.MustAdd(s, &scanRow{ID: int64(i)})
 	}
 	var visited atomic.Int64
-	err := coll.ParallelForEach(s, 4, func(_ int, _ Ref[scanRow], _ *scanRow) bool {
+	err := coll.ParallelForEachPred(s, 4, nil, func(_ int, _ Ref[scanRow], _ *scanRow) bool {
 		return visited.Add(1) < 10
 	})
 	if err != nil {
@@ -100,7 +102,7 @@ func TestParallelAggregate(t *testing.T) {
 				want += int64(i)
 			}
 			for _, workers := range []int{1, 3, 4} {
-				got, err := ParallelAggregate(coll, s, workers,
+				got, err := ParallelAggregatePred(coll, s, workers, nil,
 					func(int) int64 { return 0 },
 					func(acc int64, _ Ref[scanRow], v *scanRow) int64 { return acc + v.Val },
 					func(a, b int64) int64 { return a + b },
@@ -121,7 +123,7 @@ func TestParallelAggregateEmpty(t *testing.T) {
 	s := rt.MustSession()
 	defer s.Close()
 	coll := MustCollection[scanRow](rt, "rows", RowIndirect)
-	got, err := ParallelAggregate(coll, s, 4,
+	got, err := ParallelAggregatePred(coll, s, 4, nil,
 		func(int) int64 { return 7 },
 		func(acc int64, _ Ref[scanRow], v *scanRow) int64 { return acc + v.Val },
 		func(a, b int64) int64 { return a + b },
@@ -135,7 +137,7 @@ func TestParallelAggregateEmpty(t *testing.T) {
 }
 
 // TestParallelForEachStress is the §5.2 satellite stress test:
-// ParallelForEach runs concurrently with Add/Remove churn and an active
+// ParallelForEachPred runs concurrently with Add/Remove churn and an active
 // background compactor, asserting exactly-once visitation — no
 // duplicates ever, and no lost pre-move objects (the stable population
 // must be seen exactly once per scan) — across pinned and post-state
@@ -158,7 +160,7 @@ func TestParallelForEachStress(t *testing.T) {
 				coll.MustAdd(s, &scanRow{ID: int64(i), Val: int64(i), Name: "stable"})
 			}
 
-			stopCompactor := rt.StartCompactor(time.Millisecond)
+			stopCompactor := rt.StartMaintainer(mem.MaintainerConfig{Interval: time.Millisecond}).Stop
 			defer stopCompactor()
 
 			stop := make(chan struct{})
@@ -210,7 +212,7 @@ func TestParallelForEachStress(t *testing.T) {
 				}(w)
 			}
 
-			// Scanner: repeated 4-worker ParallelForEach passes.
+			// Scanner: repeated 4-worker ParallelForEachPred passes.
 			coord := rt.MustSession()
 			defer coord.Close()
 			deadline := time.Now().Add(500 * time.Millisecond)
@@ -218,7 +220,7 @@ func TestParallelForEachStress(t *testing.T) {
 			for time.Now().Before(deadline) && fail.Load() == nil {
 				var mu sync.Mutex
 				counts := make(map[int64]int)
-				err := coll.ParallelForEach(coord, 4, func(_ int, _ Ref[scanRow], v *scanRow) bool {
+				err := coll.ParallelForEachPred(coord, 4, nil, func(_ int, _ Ref[scanRow], v *scanRow) bool {
 					mu.Lock()
 					counts[v.ID]++
 					mu.Unlock()

@@ -50,7 +50,7 @@ func TestRuntimeStatsCountersMove(t *testing.T) {
 		coll.MustAdd(s, &scanRow{ID: int64(i), Val: int64(i)})
 	}
 	for pass := 0; pass < 2; pass++ {
-		if err := coll.ParallelForEach(s, 4, func(int, Ref[scanRow], *scanRow) bool { return true }); err != nil {
+		if err := coll.ParallelForEachPred(s, 4, nil, func(int, Ref[scanRow], *scanRow) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -78,7 +79,7 @@ func countPruned(t *testing.T, h *harness, lo, hi int64) (pruned, scanned int64)
 	pred := h.ctx.Predicate().Int64Range("ID", lo, hi)
 	p0 := h.m.stats.BlocksPruned.Load()
 	s0 := h.m.stats.BlocksScanned.Load()
-	if err := h.ctx.ScanParallelPred(h.s, 2, pred, func(_ int, _ *Session, _ *Block) error {
+	if err := h.ctx.ScanParallelPredCtx(context.Background(), h.s, 2, pred, func(_ int, _ *Session, _ *Block) error {
 		return nil
 	}); err != nil {
 		t.Fatal(err)

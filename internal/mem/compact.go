@@ -446,10 +446,8 @@ func (m *Manager) clusterStale(b *Block, slot int, domain float64, totalValid in
 // default packing is size-sorted (first-fit decreasing on valid-byte
 // count): candidates sort fullest-first and each lands in the first
 // group bin with room, so targets pack fuller, fewer groups form for the
-// same reclaimable bytes, and the parallel moving phase gets more evenly
-// sized group work than the old block-order greedy flush (which also
-// orphaned large candidates into singleton groups it then had to
-// release; kept as the PackOrder oracle). PackCluster sorts candidates
+// same reclaimable bytes, and the parallel moving phase gets evenly
+// sized group work. PackCluster sorts candidates
 // by their cluster-key bound ranges instead and packs key-adjacent —
 // targets then cover one narrow key range each, which is what turns
 // churn-staled synopsis pruning back into a steady-state guarantee.
@@ -469,10 +467,9 @@ func (m *Manager) planGroups() []*CompactionGroup {
 		}
 		var bins []*bin
 		// greedyAdjacent packs cands in their current order: one open bin,
-		// closed (never revisited) on overflow. PackOrder runs it over the
-		// block order with one target's capacity; PackCluster over the
-		// key-sorted order with a multi-target span, where neighbors hold
-		// adjacent key ranges and belong in one sort scope.
+		// closed (never revisited) on overflow. PackCluster runs it over
+		// the key-sorted order with a multi-target span, where neighbors
+		// hold adjacent key ranges and belong in one sort scope.
 		greedyAdjacent := func(capacity int) {
 			var cur *bin
 			for _, b := range cands {
@@ -496,8 +493,6 @@ func (m *Manager) planGroups() []*CompactionGroup {
 			mode = PackSize // no cluster key registered: nothing to sort on
 		}
 		switch mode {
-		case PackOrder:
-			greedyAdjacent(ctx.geo.capacity)
 		case PackCluster:
 			// Sort candidates by their cluster-column bounds (stale-but-
 			// sound: a block's range covers every live key it holds), then

@@ -616,7 +616,7 @@ func TestBackgroundCompactor(t *testing.T) {
 		HeapBackend:      true,
 	})
 	survivors := churnToLowOccupancy(t, h, 4)
-	stopc := h.m.StartCompactor(2 * time.Millisecond)
+	stopc := h.m.StartMaintainer(MaintainerConfig{Interval: 2 * time.Millisecond}).Stop
 	defer stopc()
 	deadline := time.Now().Add(2 * time.Second)
 	for h.m.Stats().Compactions.Load() == 0 {
@@ -629,18 +629,18 @@ func TestBackgroundCompactor(t *testing.T) {
 	verifySurvivors(t, h, survivors)
 }
 
-// buildPackingHeap constructs a deterministic five-block heap with
-// occupancies 60/50/40/30/20% of capacity — the shape where block-order
-// greedy packing orphans the fullest block into a released singleton
-// while size-sorted (first-fit decreasing) packing reclaims every block.
-func buildPackingHeap(t *testing.T, packing PackingMode) *harness {
-	t.Helper()
+// TestPlanGroupsSizeSortedPacking: on a deterministic five-block heap
+// with occupancies 60/50/40/30/20% of capacity, first-fit decreasing
+// packs {60,40} and {50,30,20}: two groups that empty all five source
+// blocks. (Block-order greedy packing would orphan the 60% block into a
+// released singleton on this shape.)
+func TestPlanGroupsSizeSortedPacking(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{
 		BlockSize: 1 << 13,
 		// Every block below 95% occupancy is a candidate, so the packing
 		// policy — not candidate selection — decides the outcome.
 		CompactionThreshold: 0.95,
-		CompactionPacking:   packing,
+		CompactionPacking:   PackSize,
 		HeapBackend:         true,
 	})
 	cap := h.ctx.BlockCapacity()
@@ -661,31 +661,13 @@ func buildPackingHeap(t *testing.T, packing PackingMode) *harness {
 			}
 		}
 	}
-	return h
-}
-
-// TestPlanGroupsSizeSortedPacking: on the same heap, size-sorted packing
-// must reclaim at least as many bytes in at most as many groups as the
-// historical block-order greedy packing — and on this shape strictly
-// more bytes (the 60% block orphans under block order).
-func TestPlanGroupsSizeSortedPacking(t *testing.T) {
-	sorted := buildPackingHeap(t, PackSize)
-	if _, err := sorted.m.CompactNow(); err != nil {
+	if _, err := h.m.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	legacy := buildPackingHeap(t, PackOrder)
-	if _, err := legacy.m.CompactNow(); err != nil {
-		t.Fatal(err)
+	if g := h.m.stats.GroupsMoved.Load(); g != 2 {
+		t.Fatalf("size-sorted packing moved %d groups, want 2 ({60,40} and {50,30,20})", g)
 	}
-	sb, lb := sorted.m.stats.BytesReclaimed.Load(), legacy.m.stats.BytesReclaimed.Load()
-	sg, lg := sorted.m.stats.GroupsMoved.Load(), legacy.m.stats.GroupsMoved.Load()
-	if lg == 0 || sg == 0 {
-		t.Fatalf("no groups moved (sorted %d, legacy %d); test vacuous", sg, lg)
-	}
-	if sg > lg {
-		t.Fatalf("size-sorted packing used %d groups, block-order %d", sg, lg)
-	}
-	if sb <= lb {
-		t.Fatalf("expected strictly more reclaimed bytes on this shape: sorted %d vs legacy %d", sb, lb)
+	if got, want := h.m.stats.BytesReclaimed.Load(), int64(5*h.m.cfg.BlockSize); got != want {
+		t.Fatalf("reclaimed %d bytes, want %d (all five source blocks)", got, want)
 	}
 }

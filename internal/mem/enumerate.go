@@ -61,30 +61,19 @@ type Enumerator struct {
 	err   error
 }
 
-// NewEnumerator snapshots the context's block order for enumeration.
+// NewEnumerator snapshots the context's block order for the serial,
+// unpruned, uncancellable walk: the oracle every parallel and pruned scan
+// is checked against. Predicate pushdown and cancellation belong to the
+// parallel scan (NewParallelScanPredCtx), whose resolution pass drives
+// an Enumerator with both.
 func (c *Context) NewEnumerator(s *Session) *Enumerator {
-	return c.NewEnumeratorPred(s, nil)
+	return c.newEnumerator(context.Background(), s, nil)
 }
 
-// NewEnumeratorPred is NewEnumerator with a scan predicate: blocks whose
-// synopsis bounds cannot intersect pred are skipped beside the existing
-// validCount==0 fast path. The caller keeps evaluating its full residual
-// predicate per row — pruning is sound, not exact.
-func (c *Context) NewEnumeratorPred(s *Session, pred *ScanPredicate) *Enumerator {
-	return c.NewEnumeratorPredCtx(context.Background(), s, pred)
-}
-
-// NewEnumeratorCtx is NewEnumerator with a cancellation context; see
-// NewEnumeratorPredCtx.
-func (c *Context) NewEnumeratorCtx(cctx context.Context, s *Session) *Enumerator {
-	return c.NewEnumeratorPredCtx(cctx, s, nil)
-}
-
-// NewEnumeratorPredCtx is NewEnumeratorPred with a cancellation context:
-// the walk checks cctx once per block and ends early when it is done,
-// with Err reporting the cause. A Background (or nil) context compiles to
-// the exact uncancellable walk — no per-block poll.
-func (c *Context) NewEnumeratorPredCtx(cctx context.Context, s *Session, pred *ScanPredicate) *Enumerator {
+// newEnumerator builds an enumerator that skips blocks pred prunes (nil
+// scans everything) and checks cctx once per block, ending early with Err
+// reporting the cause. A Background context costs no per-block poll.
+func (c *Context) newEnumerator(cctx context.Context, s *Session, pred *ScanPredicate) *Enumerator {
 	if !s.InCritical() {
 		panic("mem: NewEnumerator outside critical section")
 	}

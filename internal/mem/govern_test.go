@@ -405,7 +405,7 @@ func TestGovernorSnapshotAccounting(t *testing.T) {
 // storm can run scans concurrently (sessions are single-owner).
 func sumIDsWith(h *harness, cctx context.Context, s *Session, workers int) (int64, error) {
 	var total atomic.Int64
-	err := h.ctx.ScanParallelCtx(cctx, s, workers, func(_ int, _ *Session, b *Block) error {
+	err := h.ctx.ScanParallelPredCtx(cctx, s, workers, nil, func(_ int, _ *Session, b *Block) error {
 		var local int64
 		for slot := 0; slot < b.capacity; slot++ {
 			if b.SlotIsValid(slot) {

@@ -290,11 +290,3 @@ func (mt *Maintainer) Wakeups() int64 { return mt.wakeups.Load() }
 // Panics reports how many maintenance passes were recovered from a
 // panic (the maintainer survives them).
 func (mt *Maintainer) Panics() int64 { return mt.panics.Load() }
-
-// StartCompactor launches a background goroutine that compacts whenever
-// any context can form a group, polling at the given interval. It is the
-// pre-Maintainer API, now a thin wrapper: the returned stop function is
-// Maintainer.Stop (blocks until exit, safe to call more than once).
-func (m *Manager) StartCompactor(interval time.Duration) (stop func()) {
-	return m.StartMaintainer(MaintainerConfig{Interval: interval}).Stop
-}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -184,7 +185,7 @@ func TestMaintainerCleanShutdown(t *testing.T) {
 		t.Fatal("Stop did not return")
 	}
 	// The stop functions returned by the compat wrapper behave the same.
-	stop := h.m.StartCompactor(time.Hour)
+	stop := h.m.StartMaintainer(MaintainerConfig{Interval: time.Hour}).Stop
 	stop()
 	stop()
 }
@@ -278,7 +279,7 @@ func TestMaintainerParallelScanChurnStress(t *testing.T) {
 			for time.Now().Before(deadline) && fail.Load() == nil {
 				var mu sync.Mutex
 				counts := make(map[int64]int)
-				err := h.ctx.ScanParallel(coord, 4, func(_ int, _ *Session, b *Block) error {
+				err := h.ctx.ScanParallelPredCtx(context.Background(), coord, 4, nil, func(_ int, _ *Session, b *Block) error {
 					local := make([]int64, 0, b.capacity)
 					for slot := 0; slot < b.capacity; slot++ {
 						if !b.SlotIsValid(slot) {

@@ -26,7 +26,7 @@
 // The package distinguishes three failure classes, each with a typed
 // sentinel callers can test with errors.Is:
 //
-//   - Cancellation. Scans (ScanParallelCtx, NewEnumeratorCtx), compaction
+//   - Cancellation. Scans (ScanParallelPredCtx), compaction
 //     (CompactNowWorkersCtx) and the Maintainer (StartMaintainerCtx)
 //     accept a context.Context observed at block-claim / group-claim
 //     granularity: one atomic load per claim, zero overhead for
@@ -34,7 +34,8 @@
 //     returns every pooled session and exits every epoch critical
 //     section before reporting context.Cause(ctx). Partial compaction
 //     work is kept (moved groups stay moved, unmoved groups are aborted
-//     back into circulation); partial scan results are discarded.
+//     back into circulation); partial scan results are discarded. The
+//     serial Enumerator is the uncancellable oracle walk.
 //
 //   - Backpressure. ErrBudgetExceeded reports that the process-level
 //     memory Budget could not admit a query (Budget.Admit) or reserve a
@@ -48,10 +49,11 @@
 //     worker goroutine (scan kernel, compaction move, maintenance
 //     pass). Panics never cross goroutine boundaries unhandled: workers
 //     recover, convert the panic to a query-scoped error carrying the
-//     panic value, and unwind their session/epoch state; the Maintainer
-//     recovers pass panics, counts them (Maintainer.Panics) and keeps
-//     running. internal/fault provides the injection points the -race
-//     robustness suites drive.
+//     panic value, and unwind their session/epoch state. No query driver
+//     retries on a serial path: the error reaches the caller. The
+//     Maintainer recovers pass panics, counts them (Maintainer.Panics)
+//     and keeps running. internal/fault provides the injection points
+//     the -race robustness suites drive.
 //
 // Leak freedom after any of the three is observable: Stats
 // SessionsLeased == SessionsReturned and epoch.Manager
@@ -109,10 +111,6 @@ const (
 	// reclaimable bytes, but each target mixes whatever key ranges its
 	// sources happened to hold.
 	PackSize PackingMode = iota
-	// PackOrder is the historical block-order greedy packing: one open
-	// bin in enumeration order, closed on overflow. Kept as the
-	// comparison oracle for the packing tests.
-	PackOrder
 	// PackCluster bins candidates by their cluster-key synopsis range
 	// (Context.RegisterClusterKey): candidates sort by key bounds and
 	// pack key-adjacent into multi-target groups, and the moving phase
@@ -134,8 +132,6 @@ func (p PackingMode) String() string {
 	switch p {
 	case PackSize:
 		return "size"
-	case PackOrder:
-		return "order"
 	case PackCluster:
 		return "cluster"
 	}
@@ -165,8 +161,8 @@ type Config struct {
 	// 1 selects the serial moving phase, kept as the oracle.
 	CompactionWorkers int
 	// CompactionPacking selects how compaction candidates are binned
-	// into groups: PackSize (default), PackOrder (historical oracle) or
-	// PackCluster (synopsis-clustered; see PackingMode).
+	// into groups: PackSize (default) or PackCluster (synopsis-clustered;
+	// see PackingMode).
 	CompactionPacking PackingMode
 	// HeapBackend forces the portable heap-slab off-heap backend.
 	HeapBackend bool

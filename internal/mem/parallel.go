@@ -66,9 +66,9 @@ func recoverToError(r any) error {
 }
 
 // ParallelScan is a resolved, shardable enumeration of one context. It is
-// created by NewParallelScan, drained from any number of goroutines via
-// Next, and must be Closed to release its group pins and the
-// coordinator's critical section.
+// created by NewParallelScanPredCtx, drained from any number of
+// goroutines via Next, and must be Closed to release its group pins and
+// the coordinator's critical section.
 type ParallelScan struct {
 	coord  *Session
 	blocks []*Block
@@ -84,46 +84,32 @@ type ParallelScan struct {
 	err   atomic.Pointer[error]
 }
 
-// NewParallelScan snapshots the context's block order and resolves every
-// §5.2 compaction-group decision once, returning a scan whose block list
-// can be drained concurrently. It enters a critical section on the
-// coordinator session and holds it — without refreshing — until Close;
-// the caller must not Refresh the coordinator while the scan is open.
-func (c *Context) NewParallelScan(s *Session) *ParallelScan {
-	return c.NewParallelScanPred(s, nil)
-}
-
-// NewParallelScanPred is NewParallelScan with a scan predicate: the
-// coordinator's decision pass evaluates pred's interval constraints
-// against each block's synopsis bounds exactly once, so pruned blocks
-// never enter the resolved block list — workers, the work-stealing
-// cursor and per-worker sessions never see them. Pruning is sound, not
-// exact: workers keep evaluating the residual predicate per row.
-func (c *Context) NewParallelScanPred(s *Session, pred *ScanPredicate) *ParallelScan {
-	return c.NewParallelScanPredCtx(context.Background(), s, pred)
-}
-
-// NewParallelScanPredCtx is NewParallelScanPred with a cancellation
-// context: the coordinator's resolution pass checks cctx between blocks
-// (aborting the fan-out early), and every subsequent Next polls it once
-// per claimed block, so a canceled scan returns within one block's work.
-// The scan must still be Closed — cancellation never leaks pins or the
-// coordinator's critical section. Err reports the cause.
+// NewParallelScanPredCtx snapshots the context's block order and
+// resolves every §5.2 compaction-group decision once, returning a scan
+// whose block list can be drained concurrently. It enters a critical
+// section on the coordinator session and holds it — without refreshing —
+// until Close; the caller must not Refresh the coordinator while the scan
+// is open.
+//
+// pred (nil scans everything) is evaluated against each block's synopsis
+// bounds exactly once, in the same decision pass, so pruned blocks never
+// enter the resolved list — workers, the work-stealing cursor and
+// per-worker sessions never see them. Pruning is sound, not exact:
+// workers keep evaluating the residual predicate per row.
+//
+// cctx (nil or Background costs nothing) is checked between blocks of
+// the resolution pass and once per claimed block by Next, so a canceled
+// scan returns within one block's work. The scan must still be Closed —
+// cancellation never leaks pins or the coordinator's critical section.
+// Err reports the cause.
 func (c *Context) NewParallelScanPredCtx(cctx context.Context, s *Session, pred *ScanPredicate) *ParallelScan {
 	if pred != nil && pred.ctx != c {
-		panic(errPredWrongContext)
+		panic(errPredWrongContext) // before Enter: a misuse must not leak the critical section
 	}
 	s.Enter()
-	e := &Enumerator{ctx: c, sess: s, blocks: c.SnapshotBlocks(), noRefresh: true, pred: pred}
-	ps := &ParallelScan{coord: s}
-	if cctx != nil {
-		if done := cctx.Done(); done != nil {
-			ps.done = done
-			ps.cause = func() error { return context.Cause(cctx) }
-			e.done = done
-			e.cause = ps.cause
-		}
-	}
+	e := c.newEnumerator(cctx, s, pred)
+	e.noRefresh = true
+	ps := &ParallelScan{coord: s, done: e.done, cause: e.cause}
 	var blocks []*Block
 	for {
 		b, ok := e.NextBlock()
@@ -212,38 +198,21 @@ func (ps *ParallelScan) Close() {
 	ps.coord.Exit()
 }
 
-// ScanParallel resolves the context once and shards its blocks across
-// `workers` goroutines, each with its own freshly registered Session
+// ScanParallelPredCtx is the parallel scan driver: it resolves the
+// context once (NewParallelScanPredCtx: pred pushed into the decision
+// pass, cctx observed at block-claim granularity) and shards the resolved
+// blocks across `workers` goroutines, each with its own pooled Session
 // inside its own critical section. fn is invoked once per resolved block;
 // returning ErrStopScan stops the scan cleanly, any other error stops it
-// and is returned. With workers <= 1 (or a single resolved block) the
-// scan runs inline on the coordinator session with zero goroutine
-// overhead, which keeps 1-worker baselines honest.
-func (c *Context) ScanParallel(coord *Session, workers int, fn func(worker int, ws *Session, b *Block) error) error {
-	return c.ScanParallelPredCtx(context.Background(), coord, workers, nil, fn)
-}
-
-// ScanParallelCtx is ScanParallel with a cancellation context; see
-// ScanParallelPredCtx.
-func (c *Context) ScanParallelCtx(cctx context.Context, coord *Session, workers int, fn func(worker int, ws *Session, b *Block) error) error {
-	return c.ScanParallelPredCtx(cctx, coord, workers, nil, fn)
-}
-
-// ScanParallelPred is ScanParallel with a scan predicate pushed into the
-// coordinator's resolution pass (see NewParallelScanPred).
-func (c *Context) ScanParallelPred(coord *Session, workers int, pred *ScanPredicate, fn func(worker int, ws *Session, b *Block) error) error {
-	return c.ScanParallelPredCtx(context.Background(), coord, workers, pred, fn)
-}
-
-// ScanParallelPredCtx is the full-contract scan driver: predicate
-// pushdown, cancellation, and panic isolation. Cancellation is observed
-// at block-claim granularity, so a canceled scan returns within one
-// block's work and the context's cause is returned. A panicking fn
-// unwinds only its worker: the scan stops, every worker session exits
-// its critical section and returns to the pool, and the panic surfaces
-// as an ErrWorkerPanic-wrapped error. With a Background context and a
-// non-panicking fn the workers=1 path is byte-for-byte the serial
-// oracle.
+// and is returned, and a canceled scan returns the context's cause.
+//
+// A panicking fn unwinds only its worker: the scan stops, every worker
+// session exits its critical section and returns to the pool, and the
+// panic surfaces as an ErrWorkerPanic-wrapped error. With workers <= 1
+// (or a single resolved block) the scan runs inline on the coordinator
+// session with zero goroutine overhead, which keeps 1-worker baselines
+// honest: with a nil pred, a Background context and a non-panicking fn
+// it visits exactly the serial oracle's blocks.
 func (c *Context) ScanParallelPredCtx(cctx context.Context, coord *Session, workers int, pred *ScanPredicate, fn func(worker int, ws *Session, b *Block) error) error {
 	ps := c.NewParallelScanPredCtx(cctx, coord, pred)
 	defer ps.Close()

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,7 @@ func scanIDs(t *testing.T, h *harness, workers int) map[int64]int {
 	t.Helper()
 	var mu sync.Mutex
 	seen := make(map[int64]int)
-	err := h.ctx.ScanParallel(h.s, workers, func(_ int, _ *Session, b *Block) error {
+	err := h.ctx.ScanParallelPredCtx(context.Background(), h.s, workers, nil, func(_ int, _ *Session, b *Block) error {
 		local := make(map[int64]int)
 		for slot := 0; slot < b.capacity; slot++ {
 			if !b.SlotIsValid(slot) {
@@ -32,7 +33,7 @@ func scanIDs(t *testing.T, h *harness, workers int) map[int64]int {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("ScanParallel: %v", err)
+		t.Fatalf("ScanParallelPredCtx: %v", err)
 	}
 	return seen
 }
@@ -135,7 +136,7 @@ func TestParallelScanPinsOutCompaction(t *testing.T) {
 	})
 	survivors := churnToLowOccupancy(t, h, 4)
 
-	ps := h.ctx.NewParallelScan(h.s)
+	ps := h.ctx.NewParallelScanPredCtx(context.Background(), h.s, nil)
 	// Compaction planned after the scan opened: must abort moving.
 	movedBefore := h.m.stats.ObjectsMoved.Load()
 	done := make(chan struct{})
@@ -295,7 +296,7 @@ func TestParallelScanStress(t *testing.T) {
 			for time.Now().Before(deadline) && fail.Load() == nil {
 				var mu sync.Mutex
 				counts := make(map[int64]int)
-				err := h.ctx.ScanParallel(coord, 4, func(_ int, _ *Session, b *Block) error {
+				err := h.ctx.ScanParallelPredCtx(context.Background(), coord, 4, nil, func(_ int, _ *Session, b *Block) error {
 					local := make([]int64, 0, b.capacity)
 					for slot := 0; slot < b.capacity; slot++ {
 						if !b.SlotIsValid(slot) {

@@ -35,7 +35,7 @@ func assertScanQuiesced(t *testing.T, h *harness) {
 // byte-identical-result oracle for the stress suites.
 func sumIDs(h *harness, cctx context.Context, workers int) (int64, error) {
 	var total atomic.Int64
-	err := h.ctx.ScanParallelCtx(cctx, h.s, workers, func(_ int, _ *Session, b *Block) error {
+	err := h.ctx.ScanParallelPredCtx(cctx, h.s, workers, nil, func(_ int, _ *Session, b *Block) error {
 		var local int64
 		for slot := 0; slot < b.capacity; slot++ {
 			if b.SlotIsValid(slot) {
@@ -67,7 +67,7 @@ func TestScanCancelPreCanceled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		visited := 0
-		err := h.ctx.ScanParallelCtx(cctx, h.s, workers, func(_ int, _ *Session, b *Block) error {
+		err := h.ctx.ScanParallelPredCtx(cctx, h.s, workers, nil, func(_ int, _ *Session, b *Block) error {
 			visited++
 			return nil
 		})
@@ -91,7 +91,7 @@ func TestScanCancelMidScan(t *testing.T) {
 		cctx, cancel := context.WithCancelCause(context.Background())
 		boom := errors.New("operator hit stop")
 		var visited atomic.Int64
-		err := h.ctx.ScanParallelCtx(cctx, h.s, workers, func(_ int, _ *Session, b *Block) error {
+		err := h.ctx.ScanParallelPredCtx(cctx, h.s, workers, nil, func(_ int, _ *Session, b *Block) error {
 			if visited.Add(1) == 2 {
 				cancel(boom)
 			}
@@ -111,14 +111,15 @@ func TestScanCancelMidScan(t *testing.T) {
 	}
 }
 
-// TestSerialEnumeratorCancel: the serial enumerator observes its context
-// between blocks and surfaces the cause through Err.
+// TestSerialEnumeratorCancel: an Enumerator built with a context (as the
+// parallel scan's resolution pass builds it) observes the context between
+// blocks and surfaces the cause through Err.
 func TestSerialEnumeratorCancel(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
 	populateBlocks(t, h, 4)
 	cctx, cancel := context.WithCancel(context.Background())
 	h.s.Enter()
-	en := h.ctx.NewEnumeratorCtx(cctx, h.s)
+	en := h.ctx.newEnumerator(cctx, h.s, nil)
 	if _, ok := en.NextBlock(); !ok {
 		t.Fatal("first NextBlock failed on a populated context")
 	}

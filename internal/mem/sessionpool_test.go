@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"context"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestParallelScanSessionPoolReuse(t *testing.T) {
 	}
 	const workers, scans = 4, 50
 	for i := 0; i < scans; i++ {
-		if err := h.ctx.ScanParallel(h.s, workers, func(int, *Session, *Block) error { return nil }); err != nil {
+		if err := h.ctx.ScanParallelPredCtx(context.Background(), h.s, workers, nil, func(int, *Session, *Block) error { return nil }); err != nil {
 			t.Fatalf("scan %d: %v", i, err)
 		}
 	}
@@ -44,7 +45,7 @@ func TestParallelScanSessionPoolDisabled(t *testing.T) {
 	}
 	const workers, scans = 4, 10
 	for i := 0; i < scans; i++ {
-		if err := h.ctx.ScanParallel(h.s, workers, func(int, *Session, *Block) error { return nil }); err != nil {
+		if err := h.ctx.ScanParallelPredCtx(context.Background(), h.s, workers, nil, func(int, *Session, *Block) error { return nil }); err != nil {
 			t.Fatalf("scan %d: %v", i, err)
 		}
 	}
@@ -101,7 +102,7 @@ func BenchmarkParallelScanSmall(b *testing.B) {
 					v int64
 					_ [56]byte
 				}
-				err := ctx.ScanParallel(s, 4, func(w int, _ *Session, blk *Block) error {
+				err := ctx.ScanParallelPredCtx(context.Background(), s, 4, nil, func(w int, _ *Session, blk *Block) error {
 					for slot := 0; slot < blk.Capacity(); slot++ {
 						if blk.SlotIsValid(slot) {
 							sums[w].v += *(*int64)(blk.FieldPtr(slot, idF))

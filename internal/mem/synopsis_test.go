@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -279,7 +280,7 @@ func prunedScanIDs(t *testing.T, h *harness, workers int, pred *ScanPredicate) m
 	t.Helper()
 	var mu sync.Mutex
 	seen := make(map[int64]int)
-	err := h.ctx.ScanParallelPred(h.s, workers, pred, func(_ int, _ *Session, b *Block) error {
+	err := h.ctx.ScanParallelPredCtx(context.Background(), h.s, workers, pred, func(_ int, _ *Session, b *Block) error {
 		local := make(map[int64]int)
 		for slot := 0; slot < b.capacity; slot++ {
 			if !b.SlotIsValid(slot) {
@@ -295,7 +296,7 @@ func prunedScanIDs(t *testing.T, h *harness, workers int, pred *ScanPredicate) m
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("ScanParallelPred: %v", err)
+		t.Fatalf("ScanParallelPredCtx: %v", err)
 	}
 	return seen
 }
@@ -344,7 +345,7 @@ func TestParallelScanPredPrunesAndMatches(t *testing.T) {
 			// Serial predicated enumerator sees the same admitted IDs.
 			serial := make(map[int64]int)
 			h.s.Enter()
-			en := h.ctx.NewEnumeratorPred(h.s, pred)
+			en := h.ctx.newEnumerator(context.Background(), h.s, pred)
 			for {
 				b, ok := en.NextBlock()
 				if !ok {

@@ -7,7 +7,7 @@
 // made reusable:
 //
 //   - Fan-out: a stage drives the source's block-sharded parallel scan
-//     (mem.ScanParallel underneath — one §5.2 decision pass, pooled
+//     (mem.ScanParallelPredCtx underneath — one §5.2 decision pass, pooled
 //     worker sessions, atomic-cursor work stealing). Each worker builds
 //     private state: a region.PartitionedTable in a leased arena
 //     (Table), a padded plain accumulator (Accum), or a row buffer
@@ -40,26 +40,21 @@ import (
 
 // Source is the scan side of a pipeline stage: anything that can shard
 // its resolved block list across workers and report its element count.
-// *core.Collection[T] implements it for every element type.
+// *core.Collection[T] implements it for every element type. Stages pass
+// a nil predicate; Where supplies one.
 type Source interface {
-	ParallelBlocks(s *core.Session, workers int, fn func(worker int, ws *core.Session, b *mem.Block) error) error
-	// ParallelBlocksCtx is ParallelBlocks bound to a context: workers
-	// observe cancellation at block-claim granularity and the scan
-	// returns the cancellation cause once every worker has unwound.
-	ParallelBlocksCtx(ctx context.Context, s *core.Session, workers int, fn func(worker int, ws *core.Session, b *mem.Block) error) error
+	// ParallelBlocksPredCtx is core.Collection.ParallelBlocksPredCtx:
+	// pred is pushed into the block-resolution pass (synopsis pruning),
+	// and workers observe ctx at block-claim granularity, the scan
+	// returning the cancellation cause once every worker has unwound.
+	ParallelBlocksPredCtx(ctx context.Context, s *core.Session, workers int, pred *mem.ScanPredicate, fn func(worker int, ws *core.Session, b *mem.Block) error) error
 	// Len reports the source's current element count; Table uses it to
 	// size adaptive worker-table hints.
 	Len() int
 }
 
-// PredSource is a Source that can additionally push a scan predicate
-// into its block-resolution pass (synopsis pruning); *core.Collection[T]
-// implements it. Wrap one with Where to run any stage skip-scanned.
-type PredSource interface {
-	Source
-	ParallelBlocksPred(s *core.Session, workers int, pred *mem.ScanPredicate, fn func(worker int, ws *core.Session, b *mem.Block) error) error
-	ParallelBlocksPredCtx(ctx context.Context, s *core.Session, workers int, pred *mem.ScanPredicate, fn func(worker int, ws *core.Session, b *mem.Block) error) error
-}
+// PredSource is Source under the name benchmark/ imports.
+type PredSource = Source
 
 // Where wraps a source with a pushed-down scan predicate: every stage
 // driven from the returned Source scans only blocks whose synopsis
@@ -67,7 +62,7 @@ type PredSource interface {
 // semantics change — the stage kernel must keep evaluating its full
 // residual predicate per row, exactly as it does unwrapped. A nil pred
 // returns src unchanged.
-func Where(src PredSource, pred *mem.ScanPredicate) Source {
+func Where(src Source, pred *mem.ScanPredicate) Source {
 	if pred == nil {
 		return src
 	}
@@ -75,15 +70,17 @@ func Where(src PredSource, pred *mem.ScanPredicate) Source {
 }
 
 type whereSource struct {
-	src  PredSource
+	src  Source
 	pred *mem.ScanPredicate
 }
 
-func (w *whereSource) ParallelBlocks(s *core.Session, workers int, fn func(worker int, ws *core.Session, b *mem.Block) error) error {
-	return w.src.ParallelBlocksPred(s, workers, w.pred, fn)
-}
-
-func (w *whereSource) ParallelBlocksCtx(ctx context.Context, s *core.Session, workers int, fn func(worker int, ws *core.Session, b *mem.Block) error) error {
+// ParallelBlocksPredCtx scans under w's predicate. Stages pass nil; there
+// is no predicate conjunction, so wrapping a Where source in another
+// Where is a programming error.
+func (w *whereSource) ParallelBlocksPredCtx(ctx context.Context, s *core.Session, workers int, pred *mem.ScanPredicate, fn func(worker int, ws *core.Session, b *mem.Block) error) error {
+	if pred != nil {
+		panic("query: Where source scanned with a second predicate")
+	}
 	return w.src.ParallelBlocksPredCtx(ctx, s, workers, w.pred, fn)
 }
 
@@ -238,8 +235,8 @@ func panicToError(r any) error {
 // order within each partition — deterministic whenever merge itself is.
 // The returned table lives in pipeline-tracked arenas (valid until
 // p.Close); it is nil when no worker saw a qualifying row. A non-nil
-// error means worker sessions were unavailable (epoch-slot exhaustion) —
-// callers typically degrade to their serial driver.
+// error (cancellation, worker-session exhaustion, a worker or merge
+// panic) is the query's error: callers return it, never retry serially.
 func Table[V any](p *Pipeline, src Source, capHint int,
 	kernel func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[V]),
 	merge func(dst, src *V),
@@ -252,7 +249,7 @@ func Table[V any](p *Pipeline, src Source, capHint int,
 	// equal-partition-count invariant for free.
 	parts := p.workers
 	tables := make([]padded[*region.PartitionedTable[V]], p.workers)
-	err = src.ParallelBlocksCtx(p.ctx, p.s, p.workers, func(w int, ws *core.Session, blk *mem.Block) error {
+	err = src.ParallelBlocksPredCtx(p.ctx, p.s, p.workers, nil, func(w int, ws *core.Session, blk *mem.Block) error {
 		t := tables[w].v
 		if t == nil {
 			t = region.NewPartitionedTable[V](p.Lease(), parts, capHint)
@@ -313,7 +310,7 @@ func Accum[A any](p *Pipeline, src Source,
 		used bool
 	}
 	accs := make([]padded[wacc], p.workers)
-	err := src.ParallelBlocksCtx(p.ctx, p.s, p.workers, func(w int, ws *core.Session, blk *mem.Block) error {
+	err := src.ParallelBlocksPredCtx(p.ctx, p.s, p.workers, nil, func(w int, ws *core.Session, blk *mem.Block) error {
 		a := &accs[w].v
 		a.used = true
 		kernel(w, ws, blk, &a.acc)
@@ -351,7 +348,7 @@ func Rows[R any](p *Pipeline, src Source,
 	emit func(ws *core.Session, blk *mem.Block, out *[]R),
 ) ([]R, error) {
 	bufs := make([]padded[[]R], p.workers)
-	err := src.ParallelBlocksCtx(p.ctx, p.s, p.workers, func(w int, ws *core.Session, blk *mem.Block) error {
+	err := src.ParallelBlocksPredCtx(p.ctx, p.s, p.workers, nil, func(w int, ws *core.Session, blk *mem.Block) error {
 		emit(ws, blk, &bufs[w].v)
 		return nil
 	})
@@ -403,7 +400,7 @@ func RowsUnordered[R any](p *Pipeline, src Source,
 ) error {
 	bufs := make([]padded[[]R], p.workers)
 	var mu sync.Mutex
-	return src.ParallelBlocksCtx(p.ctx, p.s, p.workers, func(w int, ws *core.Session, blk *mem.Block) error {
+	return src.ParallelBlocksPredCtx(p.ctx, p.s, p.workers, nil, func(w int, ws *core.Session, blk *mem.Block) error {
 		buf := bufs[w].v[:0]
 		emit(ws, blk, &buf)
 		bufs[w].v = buf

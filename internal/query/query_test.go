@@ -448,7 +448,7 @@ func TestParallelPipelineChurn(t *testing.T) {
 	pool := region.NewArenaPool(nil, 0, 0)
 	defer pool.Close()
 
-	stopCompactor := rt.StartCompactor(time.Millisecond)
+	stopCompactor := rt.StartMaintainer(mem.MaintainerConfig{Interval: time.Millisecond}).Stop
 	defer stopCompactor()
 
 	stop := make(chan struct{})

@@ -31,7 +31,10 @@ func TestQ6WindowCancelMidScan(t *testing.T) {
 	}
 	q := NewSMCQueries(sdb)
 	lo, hi := types.Date(0), types.Date(1<<30) // full-range window
-	want := q.Q6WindowPar(s, lo, hi, 1, false)
+	want, err := q.Q6WindowParCtx(context.Background(), s, lo, hi, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Pre-canceled: no block work, prompt typed return.
 	cctx, cancel := context.WithCancel(context.Background())
@@ -85,7 +88,15 @@ func TestQ6WindowCancelMidScan(t *testing.T) {
 		t.Fatalf("uncancelled Q6WindowParCtx after the storm = (%v, %v), want (%v, nil)", sum, err, want)
 	}
 
-	// Zero leaks across the whole storm, via the runtime snapshot.
+	// Zero leaks across the whole storm.
+	assertQuiesced(t, rt)
+}
+
+// assertQuiesced fails the test when the runtime snapshot shows a pooled
+// session, an epoch pin or a query arena still out after every query
+// returned.
+func assertQuiesced(t *testing.T, rt *core.Runtime) {
+	t.Helper()
 	st := rt.StatsSnapshot()
 	if st.SessionsLeased != st.SessionsReturned {
 		t.Fatalf("session pool unbalanced: %d leased, %d returned", st.SessionsLeased, st.SessionsReturned)
@@ -131,7 +142,9 @@ func TestParallelQ6WindowCancelOracle(t *testing.T) {
 	}
 	oracles := make([]decimal.Dec128, len(windows))
 	for i, w := range windows {
-		oracles[i] = q.Q6WindowPar(s, w[0], w[1], 1, false)
+		if oracles[i], err = q.Q6WindowParCtx(context.Background(), s, w[0], w[1], 1, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if oracles[2] == (decimal.Dec128{}) {
 		t.Fatal("full-window oracle sum is zero — degenerate dataset")
@@ -177,12 +190,5 @@ func TestParallelQ6WindowCancelOracle(t *testing.T) {
 			}
 		}
 	}
-	st := rt.StatsSnapshot()
-	if st.SessionsLeased != st.SessionsReturned {
-		t.Fatalf("session pool unbalanced after the stress: %d leased, %d returned",
-			st.SessionsLeased, st.SessionsReturned)
-	}
-	if st.EpochPins != 0 {
-		t.Fatalf("%d epoch pins leaked after the stress", st.EpochPins)
-	}
+	assertQuiesced(t, rt)
 }

@@ -97,20 +97,20 @@ func TestClusterPrunedQueriesMatchOracle(t *testing.T) {
 			}
 
 			for _, workers := range joinWorkerCounts() {
-				if got := q.Q1Par(s, p, workers); !reflect.DeepEqual(got, wantQ1) {
-					t.Fatalf("clustered heap: Q1Par(workers=%d) diverges from serial Q1", workers)
+				if got := mustPar(t, q.Q1ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ1) {
+					t.Fatalf("clustered heap: Q1ParCtx(workers=%d) diverges from serial Q1", workers)
 				}
-				if got := q.Q3Par(s, p, workers); !reflect.DeepEqual(got, wantQ3) {
-					t.Fatalf("clustered heap: Q3Par(workers=%d) diverges from serial Q3", workers)
+				if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
+					t.Fatalf("clustered heap: Q3ParCtx(workers=%d) diverges from serial Q3", workers)
 				}
-				if got := q.Q4Par(s, p, workers); !reflect.DeepEqual(got, wantQ4) {
-					t.Fatalf("clustered heap: Q4Par(workers=%d) diverges from serial Q4", workers)
+				if got := mustPar(t, q.Q4ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ4) {
+					t.Fatalf("clustered heap: Q4ParCtx(workers=%d) diverges from serial Q4", workers)
 				}
-				if got := q.Q6Par(s, p, workers); got != wantQ6 {
-					t.Fatalf("clustered heap: Q6Par(workers=%d) = %v, want %v", workers, got, wantQ6)
+				if got := mustPar(t, q.Q6ParCtx, s, p, workers); got != wantQ6 {
+					t.Fatalf("clustered heap: Q6ParCtx(workers=%d) = %v, want %v", workers, got, wantQ6)
 				}
-				if got := q.Q10Par(s, p, workers); !reflect.DeepEqual(got, wantQ10) {
-					t.Fatalf("clustered heap: Q10Par(workers=%d) diverges from serial Q10", workers)
+				if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
+					t.Fatalf("clustered heap: Q10ParCtx(workers=%d) diverges from serial Q10", workers)
 				}
 			}
 		})
@@ -145,14 +145,14 @@ func TestClusterCrossEdgePruning(t *testing.T) {
 
 	before := rt.StatsSnapshot()
 	for _, workers := range []int{1, 2, 4} {
-		if got := q.Q3Par(s, p, workers); !reflect.DeepEqual(got, wantQ3) {
-			t.Fatalf("cross-edge Q3Par(workers=%d) diverges from serial Q3", workers)
+		if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
+			t.Fatalf("cross-edge Q3ParCtx(workers=%d) diverges from serial Q3", workers)
 		}
-		if got := q.Q4Par(s, p, workers); !reflect.DeepEqual(got, wantQ4) {
-			t.Fatalf("cross-edge Q4Par(workers=%d) diverges from serial Q4", workers)
+		if got := mustPar(t, q.Q4ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ4) {
+			t.Fatalf("cross-edge Q4ParCtx(workers=%d) diverges from serial Q4", workers)
 		}
-		if got := q.Q10Par(s, p, workers); !reflect.DeepEqual(got, wantQ10) {
-			t.Fatalf("cross-edge Q10Par(workers=%d) diverges from serial Q10", workers)
+		if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
+			t.Fatalf("cross-edge Q10ParCtx(workers=%d) diverges from serial Q10", workers)
 		}
 	}
 	after := rt.StatsSnapshot()

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync"
@@ -11,8 +12,20 @@ import (
 	"repro/internal/core"
 )
 
-// TestParallelQueriesMatchSerial: Q1Par/Q6Par must produce the serial
-// kernels' exact results at every worker count and layout.
+// mustPar runs a *ParCtx pipeline driver under context.Background and
+// fails the test on its error, so a parity check always compares the
+// driver's own rows with the serial oracle's.
+func mustPar[R any](t *testing.T, drive func(context.Context, *core.Session, Params, int) (R, error), s *core.Session, p Params, workers int) R {
+	t.Helper()
+	got, err := drive(context.Background(), s, p, workers)
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return got
+}
+
+// TestParallelQueriesMatchSerial: Q1ParCtx/Q6ParCtx must produce the
+// serial kernels' exact results at every worker count and layout.
 func TestParallelQueriesMatchSerial(t *testing.T) {
 	d := testDataset(t)
 	p := DefaultParams()
@@ -31,11 +44,11 @@ func TestParallelQueriesMatchSerial(t *testing.T) {
 			wantQ1 := q.Q1(s, p)
 			wantQ6 := q.Q6(s, p)
 			for _, workers := range []int{1, 2, 4} {
-				if got := q.Q1Par(s, p, workers); !reflect.DeepEqual(got, wantQ1) {
-					t.Fatalf("Q1Par(workers=%d) diverges from Q1:\n got %+v\nwant %+v", workers, got, wantQ1)
+				if got := mustPar(t, q.Q1ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ1) {
+					t.Fatalf("Q1ParCtx(workers=%d) diverges from Q1:\n got %+v\nwant %+v", workers, got, wantQ1)
 				}
-				if got := q.Q6Par(s, p, workers); got != wantQ6 {
-					t.Fatalf("Q6Par(workers=%d) = %v, want %v", workers, got, wantQ6)
+				if got := mustPar(t, q.Q6ParCtx, s, p, workers); got != wantQ6 {
+					t.Fatalf("Q6ParCtx(workers=%d) = %v, want %v", workers, got, wantQ6)
 				}
 			}
 		})
@@ -56,8 +69,8 @@ func joinWorkerCounts() []int {
 	return ws
 }
 
-// TestParallelJoinQueriesMatchSerial: Q3Par/Q5Par/Q10Par and the
-// pipeline-native Q7Par/Q8Par/Q9Par must produce exactly the serial rows
+// TestParallelJoinQueriesMatchSerial: the Q2–Q5 and Q7–Q10 pipeline
+// drivers (QnParCtx) must produce exactly the serial rows
 // at every worker count and layout — the join kernels are shared, the
 // parallel drivers only change who scans which block, where the group
 // state lives and how it merges. Uses the ext dataset so the extended
@@ -97,29 +110,29 @@ func TestParallelJoinQueriesMatchSerial(t *testing.T) {
 				t.Fatalf("serial baseline empty (Q2=0 rows): dataset too small to exercise the join")
 			}
 			for _, workers := range joinWorkerCounts() {
-				if got := q.Q2Par(s, p, workers); !reflect.DeepEqual(got, wantQ2) {
-					t.Fatalf("Q2Par(workers=%d) diverges from Q2:\n got %+v\nwant %+v", workers, got, wantQ2)
+				if got := mustPar(t, q.Q2ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ2) {
+					t.Fatalf("Q2ParCtx(workers=%d) diverges from Q2:\n got %+v\nwant %+v", workers, got, wantQ2)
 				}
-				if got := q.Q3Par(s, p, workers); !reflect.DeepEqual(got, wantQ3) {
-					t.Fatalf("Q3Par(workers=%d) diverges from Q3:\n got %+v\nwant %+v", workers, got, wantQ3)
+				if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
+					t.Fatalf("Q3ParCtx(workers=%d) diverges from Q3:\n got %+v\nwant %+v", workers, got, wantQ3)
 				}
-				if got := q.Q4Par(s, p, workers); !reflect.DeepEqual(got, wantQ4) {
-					t.Fatalf("Q4Par(workers=%d) diverges from Q4:\n got %+v\nwant %+v", workers, got, wantQ4)
+				if got := mustPar(t, q.Q4ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ4) {
+					t.Fatalf("Q4ParCtx(workers=%d) diverges from Q4:\n got %+v\nwant %+v", workers, got, wantQ4)
 				}
-				if got := q.Q5Par(s, p, workers); !reflect.DeepEqual(got, wantQ5) {
-					t.Fatalf("Q5Par(workers=%d) diverges from Q5:\n got %+v\nwant %+v", workers, got, wantQ5)
+				if got := mustPar(t, q.Q5ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ5) {
+					t.Fatalf("Q5ParCtx(workers=%d) diverges from Q5:\n got %+v\nwant %+v", workers, got, wantQ5)
 				}
-				if got := q.Q10Par(s, p, workers); !reflect.DeepEqual(got, wantQ10) {
-					t.Fatalf("Q10Par(workers=%d) diverges from Q10:\n got %+v\nwant %+v", workers, got, wantQ10)
+				if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
+					t.Fatalf("Q10ParCtx(workers=%d) diverges from Q10:\n got %+v\nwant %+v", workers, got, wantQ10)
 				}
-				if got := q.Q7Par(s, p, workers); !reflect.DeepEqual(got, wantQ7) {
-					t.Fatalf("Q7Par(workers=%d) diverges from Q7:\n got %+v\nwant %+v", workers, got, wantQ7)
+				if got := mustPar(t, q.Q7ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ7) {
+					t.Fatalf("Q7ParCtx(workers=%d) diverges from Q7:\n got %+v\nwant %+v", workers, got, wantQ7)
 				}
-				if got := q.Q8Par(s, p, workers); !reflect.DeepEqual(got, wantQ8) {
-					t.Fatalf("Q8Par(workers=%d) diverges from Q8:\n got %+v\nwant %+v", workers, got, wantQ8)
+				if got := mustPar(t, q.Q8ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ8) {
+					t.Fatalf("Q8ParCtx(workers=%d) diverges from Q8:\n got %+v\nwant %+v", workers, got, wantQ8)
 				}
-				if got := q.Q9Par(s, p, workers); !reflect.DeepEqual(got, wantQ9) {
-					t.Fatalf("Q9Par(workers=%d) diverges from Q9:\n got %+v\nwant %+v", workers, got, wantQ9)
+				if got := mustPar(t, q.Q9ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ9) {
+					t.Fatalf("Q9ParCtx(workers=%d) diverges from Q9:\n got %+v\nwant %+v", workers, got, wantQ9)
 				}
 			}
 		})
@@ -147,14 +160,14 @@ func TestParallelJoinMergeDeterminism(t *testing.T) {
 	wantQ3, wantQ5, wantQ9 := q.Q3(s, p), q.Q5(s, p), q.Q9(s, p)
 	for _, workers := range joinWorkerCounts() {
 		for rep := 0; rep < 3; rep++ {
-			if got := q.Q3Par(s, p, workers); !reflect.DeepEqual(got, wantQ3) {
-				t.Fatalf("Q3Par(workers=%d) rep %d not byte-identical to serial merge", workers, rep)
+			if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
+				t.Fatalf("Q3ParCtx(workers=%d) rep %d not byte-identical to serial merge", workers, rep)
 			}
-			if got := q.Q5Par(s, p, workers); !reflect.DeepEqual(got, wantQ5) {
-				t.Fatalf("Q5Par(workers=%d) rep %d not byte-identical to serial merge", workers, rep)
+			if got := mustPar(t, q.Q5ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ5) {
+				t.Fatalf("Q5ParCtx(workers=%d) rep %d not byte-identical to serial merge", workers, rep)
 			}
-			if got := q.Q9Par(s, p, workers); !reflect.DeepEqual(got, wantQ9) {
-				t.Fatalf("Q9Par(workers=%d) rep %d not byte-identical to serial merge", workers, rep)
+			if got := mustPar(t, q.Q9ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ9) {
+				t.Fatalf("Q9ParCtx(workers=%d) rep %d not byte-identical to serial merge", workers, rep)
 			}
 		}
 	}
@@ -318,23 +331,23 @@ func TestParallelJoinStress(t *testing.T) {
 	runs := 0
 	for time.Now().Before(deadline) && fail.Load() == nil {
 		workers := 1 + runs%4
-		if got := q.Q3Par(s, p, workers); !reflect.DeepEqual(got, wantQ3) {
-			t.Fatalf("run %d: Q3Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
+			t.Fatalf("run %d: Q3ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
-		if got := q.Q5Par(s, p, workers); !reflect.DeepEqual(got, wantQ5) {
-			t.Fatalf("run %d: Q5Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q5ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ5) {
+			t.Fatalf("run %d: Q5ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
-		if got := q.Q10Par(s, p, workers); !reflect.DeepEqual(got, wantQ10) {
-			t.Fatalf("run %d: Q10Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
+			t.Fatalf("run %d: Q10ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
-		if got := q.Q7Par(s, p, workers); !reflect.DeepEqual(got, wantQ7) {
-			t.Fatalf("run %d: Q7Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q7ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ7) {
+			t.Fatalf("run %d: Q7ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
-		if got := q.Q8Par(s, p, workers); !reflect.DeepEqual(got, wantQ8) {
-			t.Fatalf("run %d: Q8Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q8ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ8) {
+			t.Fatalf("run %d: Q8ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
-		if got := q.Q9Par(s, p, workers); !reflect.DeepEqual(got, wantQ9) {
-			t.Fatalf("run %d: Q9Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q9ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ9) {
+			t.Fatalf("run %d: Q9ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
 		runs++
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // The pruned-scan contract: every parallel driver with predicate
-// pushdown (Q1/Q3/Q6/Q10 plus the pipeline-native Q4Par) must return
+// pushdown (Q1/Q3/Q6/Q10 plus the pipeline-native Q4ParCtx) must return
 // byte-identical results to its unpruned serial oracle — pruning drops
 // blocks that provably hold no matching row, the kernels keep evaluating
 // the residual predicate, so the answer cannot change.
@@ -45,20 +45,20 @@ func TestPrunedQueriesMatchOracle(t *testing.T) {
 				t.Fatal("serial Q4 baseline empty: dataset too small for the semi-join")
 			}
 			for _, workers := range joinWorkerCounts() {
-				if got := q.Q1Par(s, p, workers); !reflect.DeepEqual(got, wantQ1) {
-					t.Fatalf("pruned Q1Par(workers=%d) diverges from serial Q1", workers)
+				if got := mustPar(t, q.Q1ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ1) {
+					t.Fatalf("pruned Q1ParCtx(workers=%d) diverges from serial Q1", workers)
 				}
-				if got := q.Q3Par(s, p, workers); !reflect.DeepEqual(got, wantQ3) {
-					t.Fatalf("pruned Q3Par(workers=%d) diverges from serial Q3", workers)
+				if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
+					t.Fatalf("pruned Q3ParCtx(workers=%d) diverges from serial Q3", workers)
 				}
-				if got := q.Q4Par(s, p, workers); !reflect.DeepEqual(got, wantQ4) {
-					t.Fatalf("pruned Q4Par(workers=%d) diverges from serial Q4:\n got %+v\nwant %+v", workers, got, wantQ4)
+				if got := mustPar(t, q.Q4ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ4) {
+					t.Fatalf("pruned Q4ParCtx(workers=%d) diverges from serial Q4:\n got %+v\nwant %+v", workers, got, wantQ4)
 				}
-				if got := q.Q6Par(s, p, workers); got != wantQ6 {
-					t.Fatalf("pruned Q6Par(workers=%d) = %v, want %v", workers, got, wantQ6)
+				if got := mustPar(t, q.Q6ParCtx, s, p, workers); got != wantQ6 {
+					t.Fatalf("pruned Q6ParCtx(workers=%d) = %v, want %v", workers, got, wantQ6)
 				}
-				if got := q.Q10Par(s, p, workers); !reflect.DeepEqual(got, wantQ10) {
-					t.Fatalf("pruned Q10Par(workers=%d) diverges from serial Q10", workers)
+				if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
+					t.Fatalf("pruned Q10ParCtx(workers=%d) diverges from serial Q10", workers)
 				}
 			}
 		})
@@ -94,8 +94,8 @@ func TestPrunedScanActuallyPrunes(t *testing.T) {
 	want := q.Q6(s, p)
 	before := rt.StatsSnapshot()
 	for _, workers := range []int{1, 2, 4} {
-		if got := q.Q6Par(s, p, workers); got != want {
-			t.Fatalf("pruned Q6Par(workers=%d) = %v, want %v", workers, got, want)
+		if got := mustPar(t, q.Q6ParCtx, s, p, workers); got != want {
+			t.Fatalf("pruned Q6ParCtx(workers=%d) = %v, want %v", workers, got, want)
 		}
 	}
 	after := rt.StatsSnapshot()
@@ -213,20 +213,20 @@ func TestPrunedParallelMaintainerChurnStress(t *testing.T) {
 	runs := 0
 	for time.Now().Before(deadline) && fail.Load() == nil {
 		workers := 1 + runs%4
-		if got := q.Q1Par(s, p, workers); !reflect.DeepEqual(got, wantQ1) {
-			t.Fatalf("run %d: pruned Q1Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q1ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ1) {
+			t.Fatalf("run %d: pruned Q1ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
-		if got := q.Q3Par(s, p, workers); !reflect.DeepEqual(got, wantQ3) {
-			t.Fatalf("run %d: pruned Q3Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
+			t.Fatalf("run %d: pruned Q3ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
-		if got := q.Q4Par(s, p, workers); !reflect.DeepEqual(got, wantQ4) {
-			t.Fatalf("run %d: pruned Q4Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q4ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ4) {
+			t.Fatalf("run %d: pruned Q4ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
-		if got := q.Q6Par(s, p, workers); got != wantQ6 {
-			t.Fatalf("run %d: pruned Q6Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q6ParCtx, s, p, workers); got != wantQ6 {
+			t.Fatalf("run %d: pruned Q6ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
-		if got := q.Q10Par(s, p, workers); !reflect.DeepEqual(got, wantQ10) {
-			t.Fatalf("run %d: pruned Q10Par(workers=%d) diverged under churn", runs, workers)
+		if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
+			t.Fatalf("run %d: pruned Q10ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
 		runs++
 	}

@@ -207,7 +207,7 @@ func (q *SMCQueries) Q1(s *core.Session, p Params) []Q1Row {
 	cutoff := p.Q1Cutoff()
 	// Dense accumulator table indexed by (returnflag, linestatus) pairs:
 	// the query compiler knows both are single chars. The per-block
-	// kernel is shared with Q1Par (queries_smc_par.go).
+	// kernel is shared with Q1ParCtx (queries_smc_par.go).
 	var d q1Dense
 	columnar := q.db.Layout == core.Columnar
 
@@ -347,7 +347,7 @@ type q3Acc struct {
 // Q3 — shipping priority, lineitem→order→customer reference joins. The
 // group-by state lives in a leased memory region (§7's unsafe-query
 // optimization): one table in arena memory, discarded wholesale when the
-// query ends. The per-block kernel is shared with Q3Par
+// query ends. The per-block kernel is shared with Q3ParCtx
 // (queries_smc_joins.go).
 func (q *SMCQueries) Q3(s *core.Session, p Params) []Q3Row {
 	a := q.arenas.Lease()
@@ -431,7 +431,7 @@ func (q *SMCQueries) Q3MapIntermediates(s *core.Session, p Params) []Q3Row {
 // q4LateBlock scans one lineitem block for late lines (commit before
 // receipt) whose order falls in the Q4 window, folding their order keys
 // into the semi-join key table: the compiled per-block kernel, shared by
-// the serial Q4 and Q4Par. s must be the session whose critical section
+// the serial Q4 and Q4ParCtx. s must be the session whose critical section
 // covers blk.
 func (q *SMCQueries) q4LateBlock(s *core.Session, blk *mem.Block, lo, hi types.Date, late *region.PartitionedTable[struct{}]) {
 	for i := 0; i < blk.Capacity(); i++ {
@@ -455,7 +455,7 @@ func (q *SMCQueries) q4LateBlock(s *core.Session, blk *mem.Block, lo, hi types.D
 
 // q4CountBlock counts one orders block's in-window rows per priority
 // against the (merged, read-only) late-key table: the per-block counting
-// kernel, shared by the serial Q4 and Q4Par. The window check stays the
+// kernel, shared by the serial Q4 and Q4ParCtx. The window check stays the
 // residual predicate even when the scan was pruned on OrderDate.
 func (q *SMCQueries) q4CountBlock(blk *mem.Block, lo, hi types.Date, late *region.PartitionedTable[struct{}], counts map[string]int64) {
 	for i := 0; i < blk.Capacity(); i++ {
@@ -484,7 +484,7 @@ func q4Rows(counts map[string]int64) []Q4Row {
 
 // Q4 — order priority checking (semi-join on orderkey). The semi-join
 // key set is region-backed (§7). The per-block kernels are shared with
-// Q4Par (queries_smc_joins.go).
+// Q4ParCtx (queries_smc_joins.go).
 func (q *SMCQueries) Q4(s *core.Session, p Params) []Q4Row {
 	hi := p.Q4Date.AddMonths(3)
 	a := q.arenas.Lease()
@@ -519,7 +519,7 @@ func (q *SMCQueries) Q4(s *core.Session, p Params) []Q4Row {
 // Q5 — local supplier volume: five-way reference join. The revenue
 // accumulators live in a leased region keyed by nation key (pointer-free,
 // §7); names resolve in a finishing pass over the tiny nation collection.
-// The per-block kernel is shared with Q5Par (queries_smc_joins.go).
+// The per-block kernel is shared with Q5ParCtx (queries_smc_joins.go).
 func (q *SMCQueries) Q5(s *core.Session, p Params) []Q5Row {
 	a := q.arenas.Lease()
 	defer q.arenas.Return(a)

@@ -18,7 +18,7 @@ import (
 // Q7 — volume shipping between two nations, grouped by direction and
 // ship year. The revenue accumulators live in a leased region keyed by
 // the packed direction+year (pointer-free, §7). The per-block kernel is
-// shared with Q7Par (queries_smc_joins_ext.go).
+// shared with Q7ParCtx (queries_smc_joins_ext.go).
 func (q *SMCQueries) Q7(s *core.Session, p Params) []Q7Row {
 	a := q.arenas.Lease()
 	defer q.arenas.Return(a)
@@ -50,7 +50,7 @@ func (q *SMCQueries) Q7(s *core.Session, p Params) []Q7Row {
 // Q8 — national market share: per order year, the fraction of volume
 // supplied by one nation into one region for one part type. The per-year
 // volume sums live in a leased region keyed by order year (§7). The
-// per-block kernel is shared with Q8Par (queries_smc_joins_ext.go).
+// per-block kernel is shared with Q8ParCtx (queries_smc_joins_ext.go).
 func (q *SMCQueries) Q8(s *core.Session, p Params) []Q8Row {
 	a := q.arenas.Lease()
 	defer q.arenas.Return(a)
@@ -96,7 +96,7 @@ func packPSKey(part, supp int64) int64 {
 // region intermediates). Both the cost table and the profit table —
 // keyed by the packed (supplier nation, order year) — live in a leased
 // region; nation names resolve in a finishing pass over the tiny nation
-// collection. The per-block kernels are shared with Q9Par
+// collection. The per-block kernels are shared with Q9ParCtx
 // (queries_smc_joins_ext.go), whose first pipeline stage fans this very
 // cost-table build out over workers.
 func (q *SMCQueries) Q9(s *core.Session, p Params) []Q9Row {
@@ -146,7 +146,7 @@ func (q *SMCQueries) Q9(s *core.Session, p Params) []Q9Row {
 // back to the customer collection and materializes the output rows
 // inside its critical section, as the paper's generated code
 // materializes result objects before returning control (§4). The
-// per-block kernel is shared with Q10Par (queries_smc_joins.go).
+// per-block kernel is shared with Q10ParCtx (queries_smc_joins.go).
 func (q *SMCQueries) Q10(s *core.Session, p Params) []Q10Row {
 	ar := q.arenas.Lease()
 	defer q.arenas.Return(ar)

@@ -21,8 +21,8 @@ import (
 //     ArenaPool and builds a region.PartitionedTable of group state in
 //     it, so the hot join loop writes zero shared mutable state;
 //   - the per-block kernels (q3Block, q5Block, q10Block) are shared
-//     verbatim between the serial queries and the *Par drivers, exactly
-//     as Q1Par/Q6Par share q1Block/q6Block;
+//     verbatim between the serial queries and the *ParCtx drivers,
+//     exactly as Q1ParCtx/Q6ParCtx share q1Block/q6Block;
 //   - after the scan the workers' tables merge per partition in
 //     parallel (worker order within each partition keeps the fold
 //     deterministic) and the finishing/dimension-resolution passes shard
@@ -30,8 +30,10 @@ import (
 //     table's partitions (query.PartitionRows).
 //
 // The scaffolding that drives all of this — arena leases, fan-out over
-// mem.ScanParallel, parallel merge, parallel finish — is internal/query;
-// the drivers here shrink to kernel + finish closures.
+// mem.ScanParallelPredCtx, parallel merge, parallel finish — is
+// internal/query; the drivers here shrink to kernel + finish closures.
+// Each query has exactly two paths: the serial oracle (Qn) and its
+// pipeline driver (QnParCtx), whose errors reach the caller.
 
 // joinTableHint sizes a worker's partitioned group table.
 const joinTableHint = 1024
@@ -156,22 +158,11 @@ func (q *SMCQueries) q2EmitBlock(s *core.Session, blk *mem.Block, regionName []b
 	}
 }
 
-// Q2Par is Q2 over the query pipeline: a Table stage over partsupp
+// Q2ParCtx is Q2 over the query pipeline: a Table stage over partsupp
 // builds the per-part minimum-cost state, then a second partsupp scan
 // emits the suppliers achieving it, probing the merged table read-only.
-// Results are identical to Q2 on a quiesced collection.
-func (q *SMCQueries) Q2Par(s *core.Session, p Params, workers int) []Q2Row {
-	rows, err := q.Q2ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		// Worker sessions were unavailable (slot exhaustion): degrade to
-		// the serial kernel rather than failing the query.
-		return q.Q2(s, p)
-	}
-	return rows
-}
-
-// Q2ParCtx is Q2Par bound to a context: admission-gated, cancelable at
-// block-claim granularity, never degrades to the serial driver.
+// Results are identical to Q2 on a quiesced collection (see Q3ParCtx
+// for the contract).
 func (q *SMCQueries) Q2ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q2Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -474,25 +465,13 @@ func (q *SMCQueries) q10FinishBlock(s *core.Session, blk *mem.Block, rev *region
 	}
 }
 
-// Q3Par is Q3 fanned out over `workers` block-sharded scan workers on
+// Q3ParCtx is Q3 fanned out over `workers` block-sharded scan workers on
 // the pipeline layer: per-worker leased arenas, parallel per-partition
 // merge, partition-sharded row emission. Results are identical to Q3 on
 // a quiesced collection; under concurrent mutation both have the
-// enumerator's bag semantics. On pipeline errors (worker-session
-// exhaustion) the drivers degrade to their serial counterparts rather
-// than failing the query.
-func (q *SMCQueries) Q3Par(s *core.Session, p Params, workers int) []Q3Row {
-	rows, err := q.Q3ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		return q.Q3(s, p)
-	}
-	return rows
-}
-
-// Q3ParCtx is Q3Par bound to a context: the query is admission-gated by
-// the runtime's memory budget and cancelable at block-claim granularity.
-// Unlike Q3Par it never degrades to the serial driver — budget rejection,
-// cancellation and worker faults surface as the error.
+// enumerator's bag semantics. The query is admission-gated by the
+// runtime's memory budget and cancelable at block-claim granularity;
+// budget rejection, cancellation and worker faults surface as the error.
 func (q *SMCQueries) Q3ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q3Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -549,22 +528,13 @@ func (q *SMCQueries) Q3ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	return SortQ3(rows), nil
 }
 
-// Q4Par is Q4 fanned out over the pipeline: a Table stage builds the
+// Q4ParCtx is Q4 fanned out over the pipeline: a Table stage builds the
 // late-order semi-join key set from the lineitem scan (per-worker leased
 // tables, no-op merge — presence is idempotent), then an Accum stage
 // scans orders with the order-date window pushed down onto the orders
 // collection's block synopses, probing the merged key set read-only and
 // counting per priority. Results are identical to Q4 on a quiesced
-// collection; pipeline errors degrade to the serial driver.
-func (q *SMCQueries) Q4Par(s *core.Session, p Params, workers int) []Q4Row {
-	rows, err := q.Q4ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		return q.Q4(s, p)
-	}
-	return rows
-}
-
-// Q4ParCtx is Q4Par bound to a context (see Q3ParCtx for the contract).
+// collection (see Q3ParCtx for the contract).
 func (q *SMCQueries) Q4ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q4Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -573,7 +543,7 @@ func (q *SMCQueries) Q4ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	defer pl.Close()
 	hi := p.Q4Date.AddMonths(3)
 	// Late-key cardinality scales with the input behind a selective
-	// window: sparse adaptive hint, as in Q3Par.
+	// window: sparse adaptive hint, as in Q3ParCtx.
 	late, err := query.Table(pl, q.db.Lineitems, query.AdaptiveSparseHint,
 		func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[struct{}]) {
 			q.q4LateBlock(ws, blk, p.Q4Date, hi, t)
@@ -619,18 +589,10 @@ func (q *SMCQueries) Q4ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	return q4Rows(counts), nil
 }
 
-// Q5Par is Q5 fanned out over `workers` block-sharded scan workers; the
-// nation-resolution finishing pass shards over the nation collection's
-// blocks with the merged revenue table probed read-only.
-func (q *SMCQueries) Q5Par(s *core.Session, p Params, workers int) []Q5Row {
-	rows, err := q.Q5ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		return q.Q5(s, p)
-	}
-	return rows
-}
-
-// Q5ParCtx is Q5Par bound to a context (see Q3ParCtx for the contract).
+// Q5ParCtx is Q5 fanned out over `workers` block-sharded scan workers;
+// the nation-resolution finishing pass shards over the nation
+// collection's blocks with the merged revenue table probed read-only
+// (see Q3ParCtx for the contract).
 func (q *SMCQueries) Q5ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q5Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -659,18 +621,9 @@ func (q *SMCQueries) Q5ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	return rows, nil
 }
 
-// Q10Par is Q10 fanned out over `workers` block-sharded scan workers;
+// Q10ParCtx is Q10 fanned out over `workers` block-sharded scan workers;
 // the customer-resolution finishing pass shards over the customer
-// collection's blocks.
-func (q *SMCQueries) Q10Par(s *core.Session, p Params, workers int) []Q10Row {
-	rows, err := q.Q10ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		return q.Q10(s, p)
-	}
-	return rows
-}
-
-// Q10ParCtx is Q10Par bound to a context (see Q3ParCtx for the contract).
+// collection's blocks (see Q3ParCtx for the contract).
 func (q *SMCQueries) Q10ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q10Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -704,7 +657,7 @@ func (q *SMCQueries) Q10ParCtx(ctx context.Context, s *core.Session, p Params, w
 		Int32Range("ReturnFlag", 'R', 'R').
 		InKeySet("OrderKey", oks)
 	// Per-customer group state behind a one-quarter window: sparse
-	// adaptive hint, as in Q3Par.
+	// adaptive hint, as in Q3ParCtx.
 	merged, err := query.Table(pl, query.Where(q.db.Lineitems, pred), query.AdaptiveSparseHint,
 		func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[decimal.Dec128]) {
 			q.q10Block(ws, blk, lo, hi, t)

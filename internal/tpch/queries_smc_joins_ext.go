@@ -298,21 +298,11 @@ func q9Row(names map[int64]string, k int64, v decimal.Dec128) Q9Row {
 	}
 }
 
-// Q7Par is Q7 fanned out over `workers` block-sharded scan workers on
+// Q7ParCtx is Q7 fanned out over `workers` block-sharded scan workers on
 // the pipeline layer, with partition-sharded row emission. Results are
-// identical to Q7 on a quiesced collection. Like every Par driver it
-// degrades to its serial counterpart when worker sessions are
-// unavailable.
-func (q *SMCQueries) Q7Par(s *core.Session, p Params, workers int) []Q7Row {
-	rows, err := q.Q7ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		return q.Q7(s, p)
-	}
-	return rows
-}
-
-// Q7ParCtx is Q7Par bound to a context: admission-gated, cancelable at
-// block-claim granularity, never degrades to the serial driver.
+// identical to Q7 on a quiesced collection. It is admission-gated and
+// cancelable at block-claim granularity, and its errors reach the
+// caller (see Q3ParCtx).
 func (q *SMCQueries) Q7ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q7Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -340,18 +330,9 @@ func (q *SMCQueries) Q7ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	return rows, nil
 }
 
-// Q8Par is Q8 fanned out over `workers` block-sharded scan workers on
+// Q8ParCtx is Q8 fanned out over `workers` block-sharded scan workers on
 // the pipeline layer; shares compute from exact merged sums, so worker
-// count cannot change them.
-func (q *SMCQueries) Q8Par(s *core.Session, p Params, workers int) []Q8Row {
-	rows, err := q.Q8ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		return q.Q8(s, p)
-	}
-	return rows
-}
-
-// Q8ParCtx is Q8Par bound to a context (see Q7ParCtx for the contract).
+// count cannot change them (see Q7ParCtx for the contract).
 func (q *SMCQueries) Q8ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q8Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -381,20 +362,11 @@ func (q *SMCQueries) Q8ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	return rows, nil
 }
 
-// Q9Par is Q9 as a two-stage pipeline: the partsupp cost-table build —
-// a serial pre-pass before this layer existed — fans out as a first
-// Table stage, and its merged result feeds the main lineitem scan
-// read-only. The finishing pass resolves nation names against the
-// dimension collection and emits rows partition-sharded.
-func (q *SMCQueries) Q9Par(s *core.Session, p Params, workers int) []Q9Row {
-	rows, err := q.Q9ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		return q.Q9(s, p)
-	}
-	return rows
-}
-
-// Q9ParCtx is Q9Par bound to a context (see Q7ParCtx for the contract).
+// Q9ParCtx is Q9 as a two-stage pipeline: the partsupp cost-table build
+// fans out as a first Table stage, and its merged result feeds the main
+// lineitem scan read-only. The finishing pass resolves nation names
+// against the dimension collection and emits rows partition-sharded (see
+// Q7ParCtx for the contract).
 func (q *SMCQueries) Q9ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q9Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {

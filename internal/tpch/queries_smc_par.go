@@ -29,7 +29,7 @@ var decKeyMin = decimal.Dec128{Lo: 0, Hi: math.MinInt64}
 var oneUnit = decimal.FromUnits(1)
 
 // Parallel compiled queries: the scan-dominated kernels (Q1, Q6) fanned
-// out over the pipeline layer's Accum stage. Each worker folds into its
+// out over the pipeline layer's Accum stage by their *ParCtx drivers. Each worker folds into its
 // own accumulator set (cache-line padded against false sharing) and the
 // partials merge in worker order after the scan — the paper's per-thread
 // generated query state, one per worker instead of one per stream. The
@@ -277,12 +277,11 @@ func (q *SMCQueries) q6WindowBlock(blk *mem.Block, lo, hi types.Date, columnar b
 	}
 }
 
-// Q6WindowPar is the Q6-style windowed revenue scan behind the prune
-// benchmark figure: sum(extendedprice × discount) over ship dates in
-// [lo, hi], fanned out over `workers`, with the window optionally pushed
-// down onto the lineitem block synopses. The kernel's residual window
-// check runs either way, so pushdown can only skip provably-empty
-// blocks, never change the sum.
+// Q6WindowPar is Q6WindowParCtx under context.Background, falling back to
+// a serial unpruned scan when the pipeline fails. The name and the
+// fallback survive only because benchmark/ (workloads.go) calls it as its
+// q6window oracle; every other caller uses Q6WindowParCtx and handles the
+// error. It goes with Q6WindowSharedCtx in a benchmark-archetype change.
 func (q *SMCQueries) Q6WindowPar(s *core.Session, lo, hi types.Date, workers int, pushdown bool) decimal.Dec128 {
 	sum, err := q.Q6WindowParCtx(context.Background(), s, lo, hi, workers, pushdown)
 	if err != nil {
@@ -305,12 +304,17 @@ func (q *SMCQueries) Q6WindowPar(s *core.Session, lo, hi types.Date, workers int
 	return sum
 }
 
-// Q6WindowParCtx is Q6WindowPar bound to a context: the scan is
+// Q6WindowParCtx is the Q6-style windowed revenue scan behind the prune
+// figure and the served q6window endpoint: sum(extendedprice × discount)
+// over ship dates in [lo, hi], fanned out over `workers`, with the window
+// optionally pushed down onto the lineitem block synopses. The kernel's
+// residual window check runs either way, so pushdown can only skip
+// provably-empty blocks, never change the sum. The scan is
 // admission-gated by the memory budget and cancelable at block-claim
 // granularity — a canceled scan returns within one block's work plus
 // worker unwind, with every pooled session returned and every leased
-// arena back in the pool after Close. It never degrades to the serial
-// driver; cancellation and budget rejection surface as the error.
+// arena back in the pool after Close. Cancellation, budget rejection and
+// worker faults surface as the error.
 func (q *SMCQueries) Q6WindowParCtx(ctx context.Context, s *core.Session, lo, hi types.Date, workers int, pushdown bool) (decimal.Dec128, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -341,21 +345,13 @@ func (q *SMCQueries) Q6WindowSharedCtx(ctx context.Context, s *core.Session, lo,
 	return q.Q6WindowParCtx(ctx, s, lo, hi, workers, pushdown)
 }
 
-// Q1Par is Q1 fanned out over `workers` block-sharded scan workers.
-// Results are identical to Q1 on a quiesced collection; under concurrent
-// mutation both have the enumerator's bag semantics.
-func (q *SMCQueries) Q1Par(s *core.Session, p Params, workers int) []Q1Row {
-	rows, err := q.Q1ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		// Worker sessions were unavailable (slot exhaustion): degrade to
-		// the serial kernel rather than failing the query.
-		return q.Q1(s, p)
-	}
-	return rows
-}
-
-// Q1ParCtx is Q1Par bound to a context: admission-gated, cancelable at
-// block-claim granularity, never degrades to the serial driver.
+// Q1ParCtx is Q1 fanned out over `workers` block-sharded scan workers on
+// the query pipeline. Results are identical to Q1 on a quiesced
+// collection; under concurrent mutation both have the enumerator's bag
+// semantics. Like every *ParCtx driver it is admission-gated by the
+// runtime's memory budget and cancelable at block-claim granularity, and
+// budget rejection, cancellation and worker faults surface as the error:
+// Q1 is the independent oracle, never a fallback.
 func (q *SMCQueries) Q1ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q1Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -378,17 +374,8 @@ func (q *SMCQueries) Q1ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	return q1Finish(total.groups()), nil
 }
 
-// Q6Par is Q6 fanned out over `workers` block-sharded scan workers.
-func (q *SMCQueries) Q6Par(s *core.Session, p Params, workers int) decimal.Dec128 {
-	sum, err := q.Q6ParCtx(context.Background(), s, p, workers)
-	if err != nil {
-		return q.Q6(s, p)
-	}
-	return sum
-}
-
-// Q6ParCtx is Q6Par bound to a context: admission-gated, cancelable at
-// block-claim granularity, never degrades to the serial driver.
+// Q6ParCtx is Q6 fanned out over `workers` block-sharded scan workers
+// (see Q1ParCtx for the contract).
 func (q *SMCQueries) Q6ParCtx(ctx context.Context, s *core.Session, p Params, workers int) (decimal.Dec128, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
