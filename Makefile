@@ -1,12 +1,4 @@
 GO ?= go
-SF ?= 0.05
-REPS ?= 5
-
-# SUFFIX distinguishes fresh figure emissions from committed baselines:
-# CI runs the bench targets with SUFFIX=.new, then `make benchdiff`
-# compares BENCH_<stem>.json against BENCH_<stem>.new.json. The *_OUT
-# variables remain overridable per figure.
-SUFFIX ?=
 
 # Pinned lint/scan tool versions (module semver; staticcheck v0.6.1 is
 # the 2025.1.1 release). `make lint` installs exactly these; CI caches
@@ -15,23 +7,19 @@ SUFFIX ?=
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-# Figure output stems, in bench/benchdiff/clean order.
-FIG_STEMS := parallel joins compact prune cluster serve govern
-
-PAR_OUT ?= BENCH_parallel$(SUFFIX).json
-JOINS_OUT ?= BENCH_joins$(SUFFIX).json
-COMPACT_OUT ?= BENCH_compact$(SUFFIX).json
-PRUNE_OUT ?= BENCH_prune$(SUFFIX).json
-CLUSTER_OUT ?= BENCH_cluster$(SUFFIX).json
-SERVE_OUT ?= BENCH_serve$(SUFFIX).json
-GOVERN_OUT ?= BENCH_govern$(SUFFIX).json
+# `make perf-gate`: the served benchmark at BASE vs the working tree,
+# PAIRS alternating seed pairs per workload of RUN_SECONDS each
+# (RUN_SECONDS empty = BENCHMARK.json's run_seconds, WORKLOADS empty =
+# all five).
+BASE ?= origin/main
+PAIRS ?= 4
+RUN_SECONDS ?=
+WORKLOADS ?=
 
 # Per-target budget of `make fuzz-smoke`.
 FUZZTIME ?= 10s
 
-.PHONY: build vet fmt test lint race-stress serve-smoke bench-check fuzz-smoke \
-	bench bench-par bench-joins bench-compact bench-prune bench-cluster bench-serve bench-govern \
-	benchdiff clean
+.PHONY: build vet fmt test lint race-stress serve-smoke bench-check fuzz-smoke perf-gate clean
 
 build:
 	$(GO) build ./...
@@ -87,39 +75,13 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
 		done
 
-# bench-<fig> emits one figure's JSON; `make bench` keeps its historical
-# meaning (the parallel-scan scaling figure).
-bench: bench-par
+# Perf gate: scripts/ab.sh builds BENCHMARK.json's benchmark from BASE
+# and from the working tree and alternates them on this host; it fails
+# when a median end-to-end metric is worse than its bound or any round
+# fails. Claims are made with this, at the protocol in ROADMAP.md.
+perf-gate:
+	bash scripts/ab.sh $(BASE) --pairs $(PAIRS) $(if $(RUN_SECONDS),--seconds $(RUN_SECONDS)) $(WORKLOADS)
 
-bench-par:
-	$(GO) run ./cmd/smcbench -fig par -sf $(SF) -reps $(REPS) -json $(PAR_OUT)
-
-bench-joins:
-	$(GO) run ./cmd/smcbench -fig joins -sf $(SF) -reps $(REPS) -json-joins $(JOINS_OUT)
-
-bench-compact:
-	$(GO) run ./cmd/smcbench -fig compact -sf $(SF) -reps $(REPS) -json-compact $(COMPACT_OUT)
-
-bench-prune:
-	$(GO) run ./cmd/smcbench -fig prune -sf $(SF) -reps $(REPS) -json-prune $(PRUNE_OUT)
-
-bench-cluster:
-	$(GO) run ./cmd/smcbench -fig cluster -sf $(SF) -reps $(REPS) -json-cluster $(CLUSTER_OUT)
-
-bench-serve:
-	$(GO) run ./cmd/smcbench -fig serve -sf $(SF) -reps $(REPS) -json-serve $(SERVE_OUT)
-
-bench-govern:
-	$(GO) run ./cmd/smcbench -fig govern -sf $(SF) -reps $(REPS) -json-govern $(GOVERN_OUT)
-
-# Perf-regression gate: compare freshly emitted *.new.json figures
-# against the committed baselines (workers=1 points, >30% fails; skips
-# cleanly on a CPU-count or SF mismatch). Run the bench targets with
-# SUFFIX=.new first — see .github/workflows/ci.yml.
-benchdiff:
-	@for s in $(FIG_STEMS); do \
-		$(GO) run ./cmd/benchdiff -skip-missing BENCH_$$s.json BENCH_$$s.new.json || exit 1; \
-	done
-
+# The benchmark's and the perf gate's builds, caches and run outputs.
 clean:
-	rm -f $(foreach s,$(FIG_STEMS),BENCH_$(s).json BENCH_$(s).new.json)
+	rm -rf .bench_build

@@ -7,9 +7,19 @@
 // memory management with compaction and overflow rescue), internal/epoch
 // (epoch-based reclamation), internal/offheap (GC-invisible memory),
 // internal/region (query-intermediate regions) and internal/schema
-// (tabular layouts). See README.md for the architecture overview,
-// DESIGN.md for the paper-to-code map and EXPERIMENTS.md for the
-// reproduced evaluation.
+// (tabular layouts).
+//
+// # Measurement
+//
+// One stack measures performance. benchmark/ (its own module, named by
+// BENCHMARK.json) boots the served posture and reports end-to-end and
+// per-layer metrics for five workloads; scripts/ab.sh (`make
+// perf-gate`) runs it on a base revision and on the working tree,
+// alternating, and fails when a median moves past its bound.
+// cmd/smcbench prints the paper's figures, plus the beyond-paper
+// figures the served benchmark does not carry (joins, compact, cluster,
+// govern), as text reports; cmd/profq profiles SMC queries in
+// isolation.
 //
 // # Parallel scan engine
 //
@@ -40,8 +50,8 @@
 //     (work stealing), folding into per-worker partial accumulators that
 //     merge after the scan.
 //
-// The `par` figure of cmd/smcbench (and `make bench`, which writes
-// BENCH_parallel.json) sweeps the engine over 1..NumCPU workers.
+// The served benchmark's tpch.speedup_w reports the engine's worker
+// scaling.
 //
 // # Concurrent query-memory subsystem
 //
@@ -105,10 +115,8 @@
 // metrics and the mem session-pool hit/miss counters for production
 // observability.
 //
-// The `joins` figure of cmd/smcbench (and `make bench-joins`, which
-// writes BENCH_joins.json) sweeps Q3/Q5/Q7/Q8/Q9/Q10 over 1..NumCPU
-// workers; both figure JSONs are stamped with GOMAXPROCS/NumCPU/Go
-// version. examples/query_pipeline shows a custom (non-TPC-H)
+// The `joins` figure of cmd/smcbench sweeps Q3/Q5/Q7/Q8/Q9/Q10 over
+// 1..NumCPU workers. examples/query_pipeline shows a custom (non-TPC-H)
 // aggregation on the pipeline.
 //
 // # Parallel compaction engine and maintenance scheduler
@@ -137,12 +145,8 @@
 // (groups moved/aborted, helped moves, bail-outs, bytes reclaimed,
 // pass wall time) next to the session-pool and arena-pool metrics.
 //
-// The `compact` figure of cmd/smcbench (and `make bench-compact`, which
-// writes BENCH_compact.json) sweeps reclamation throughput and Q1/Q6
-// interference over 1..NumCPU move workers, and cmd/benchdiff gates CI
-// on the committed figure baselines: >30% slowdown at a matching
-// (query, layout, workers=1) point fails the build, skipping cleanly
-// when the meta blocks show a CPU-count mismatch.
+// The `compact` figure of cmd/smcbench sweeps reclamation throughput and
+// Q1/Q6 interference over 1..NumCPU move workers.
 //
 // # Block synopses and predicate pushdown (skip-scan)
 //
@@ -178,11 +182,9 @@
 // candidate threshold (abandonAllocBlock wake-up), so compaction — and
 // with it bounds re-tightening — starts without waiting out a poll tick.
 //
-// The `prune` figure of cmd/smcbench (and `make bench-prune`, which
-// writes BENCH_prune.json) sweeps pruned vs unpruned Q6-style window
-// scans over predicate selectivity × heap fragmentation (fresh /
-// churned / churned-then-compacted), recording the blocks-pruned
-// fraction; the JSON joins the benchdiff gate.
+// The served benchmark's window_pruned and churn_mix workloads report
+// the pruned block fraction (mem.pruned_frac) on a fresh and on a
+// churned, continuously compacted heap.
 //
 // # Clustering & cross-edge pruning
 //
@@ -223,12 +225,10 @@
 //     models by re-keying orders in date order. StatsSnapshot surfaces
 //     SynopsisOverlap (key-set admissions) and KeySetPruned.
 //
-// The `cluster` figure of cmd/smcbench (and `make bench-cluster`, which
-// writes BENCH_cluster.json) runs churn cycles against clustered vs
-// size-only maintenance — pruned fraction of a 1%-selectivity window
-// stays >= 0.90 after one clustered pass — plus the Q3/Q10 cross-edge
-// speedups on a date-correlated heap; the JSON joins the benchdiff
-// gate.
+// The `cluster` figure of cmd/smcbench runs churn cycles against
+// clustered vs size-only maintenance — pruned fraction of a
+// 1%-selectivity window stays >= 0.90 after one clustered pass — plus
+// the Q3/Q4/Q10 cross-edge speedups on a date-correlated heap.
 //
 // # Serving
 //
@@ -270,11 +270,8 @@
 // rejected requests — a dead client strands no session, arena or
 // epoch pin.
 //
-// The `serve` figure of cmd/smcbench (and `make bench-serve`, which
-// writes BENCH_serve.json) drives the served q6window path with
-// 1/8/64/512 concurrent HTTP clients — every response sum asserted
-// identical to the serial oracle — reporting p50/p99/qps; the JSON
-// joins the benchdiff gate on the low-concurrency medians.
+// benchmark/ drives this front door end to end, every answer checked
+// against a serial oracle.
 //
 // # Memory governance
 //
@@ -323,11 +320,10 @@
 // storm test runs 1000 pressure/churn/trim cycles under -race and
 // asserts the byte ledgers balance to the block.
 //
-// The `govern` figure of cmd/smcbench (and `make bench-govern`, which
-// writes BENCH_govern.json) sweeps the served q6window path at budgets
-// of unbounded/2x/1.25x/0.9x the measured working set: p50/p99,
-// rejected fraction, and the ladder counters per step — zero OOMs,
-// every refusal a typed 503 with a reclaim-derived Retry-After, and
-// arenas/sessions demonstrably shrink before the first admission
-// fails; the JSON joins the benchdiff gate.
+// The `govern` figure of cmd/smcbench sweeps the served q6window path
+// at budgets of unbounded/2x/1.25x/0.9x the measured working set:
+// p50/p99, rejected fraction, and the ladder counters per step — zero
+// OOMs, every refusal a typed 503 with a reclaim-derived Retry-After,
+// and arenas/sessions demonstrably shrink before the first admission
+// fails.
 package repro

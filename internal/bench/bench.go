@@ -26,7 +26,8 @@ type Options struct {
 	SF float64
 	// Seed fixes the generator.
 	Seed uint64
-	// Threads lists the thread counts for Figures 7 and 8.
+	// Threads lists the thread counts for Figures 7 and 8 and the worker
+	// counts of the joins and compact sweeps.
 	Threads []int
 	// Reps is the number of repetitions per measurement (median taken).
 	Reps int
@@ -51,22 +52,29 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Meta stamps a figure's machine-readable output with the environment it
-// was measured in, so a scaling curve is self-describing: a flat curve
-// recorded on a 1-CPU container reads as "1 CPU", not as a regression.
-type Meta struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	GoVersion  string `json:"go_version"`
-}
-
-// CurrentMeta captures the measuring environment.
-func CurrentMeta() Meta {
-	return Meta{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
+// workerSweep builds a figure's worker-count list: an explicitly
+// configured list is used verbatim, while the default list is extended
+// by doubling up to the machine's cores (plus NumCPU itself) so the
+// figure shows the full scaling curve.
+func workerSweep(threads []int, explicit bool) []int {
+	sweep := append([]int(nil), threads...)
+	if explicit {
+		return sweep
 	}
+	maxW := 1
+	for _, w := range sweep {
+		if w > maxW {
+			maxW = w
+		}
+	}
+	for w := maxW * 2; w <= runtime.NumCPU(); w *= 2 {
+		sweep = append(sweep, w)
+		maxW = w
+	}
+	if n := runtime.NumCPU(); maxW < n {
+		sweep = append(sweep, n)
+	}
+	return sweep
 }
 
 // median runs fn reps times and returns the median duration.

@@ -206,35 +206,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestFigureParallel(t *testing.T) {
-	r, err := FigureParallel(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(r.Points))
-	}
-	for _, pt := range r.Points {
-		if pt.Q1RowMs <= 0 || pt.Q6RowMs <= 0 {
-			t.Fatalf("degenerate point %+v", pt)
-		}
-	}
-	if r.Meta.GOMAXPROCS < 1 || r.Meta.NumCPU < 1 || r.Meta.GoVersion == "" {
-		t.Fatalf("missing environment metadata: %+v", r.Meta)
-	}
-	renderOK(t, r.Render())
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "\"workers\": 1") {
-		t.Fatalf("JSON missing worker points: %s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "\"go_version\"") {
-		t.Fatalf("JSON missing environment metadata: %s", sb.String())
-	}
-}
-
 func TestFigureJoins(t *testing.T) {
 	r, err := FigureJoins(tinyOpts())
 	if err != nil {
@@ -251,21 +222,53 @@ func TestFigureJoins(t *testing.T) {
 			t.Fatalf("degenerate Q7–Q9 point %+v", pt)
 		}
 	}
-	if r.Meta.GOMAXPROCS < 1 || r.Meta.NumCPU < 1 || r.Meta.GoVersion == "" {
-		t.Fatalf("missing environment metadata: %+v", r.Meta)
-	}
 	renderOK(t, r.Render())
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
+}
+
+func TestFigureCompact(t *testing.T) {
+	r, err := FigureCompact(tinyOpts())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "\"q3_ind_ms\"") {
-		t.Fatalf("JSON missing join timings: %s", sb.String())
+	if len(r.Points) != 2 {
+		t.Fatalf("got %d points, want 2", len(r.Points))
 	}
-	if !strings.Contains(sb.String(), "\"q9_dir_ms\"") {
-		t.Fatalf("JSON missing Q7–Q9 timings: %s", sb.String())
+	for _, pt := range r.Points {
+		if pt.CompactMs <= 0 || pt.ObjectsMoved <= 0 || pt.Q1DuringMs <= 0 {
+			t.Fatalf("degenerate point %+v", pt)
+		}
 	}
-	if !strings.Contains(sb.String(), "\"go_version\"") {
-		t.Fatalf("JSON missing environment metadata: %s", sb.String())
+	renderOK(t, r.Render())
+}
+
+// FigureCluster itself asserts pruned == unpruned sums and pruned join
+// rows == the serial oracles; this checks the sweep's shape.
+func TestFigureCluster(t *testing.T) {
+	r, err := FigureCluster(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
 	}
+	if want := 2 * clusterCycles * 2; len(r.Sweep) != want {
+		t.Fatalf("got %d sweep points, want %d", len(r.Sweep), want)
+	}
+	if len(r.Joins) != 3 {
+		t.Fatalf("got %d join points, want 3", len(r.Joins))
+	}
+	renderOK(t, r.Render())
+}
+
+// FigureGovern itself fails on an oracle mismatch, an untyped failure or
+// a refusal before any ladder trim; this checks every level ran.
+func TestFigureGovern(t *testing.T) {
+	r, err := FigureGovern(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Points) != len(governBudgets) {
+		t.Fatalf("got %d levels, want %d", len(r.Points), len(governBudgets))
+	}
+	if unb := r.Points[0]; unb.Rejected != 0 || unb.P50Ms <= 0 {
+		t.Fatalf("unbounded level refused or unmeasured: %+v", unb)
+	}
+	renderOK(t, r.Render())
 }

@@ -13,7 +13,7 @@ import (
 // rows live on unchanged, but the re-adds land in reclaimed slots
 // heap-wide, widening every block's bounds — the churn shape that
 // degrades zone maps.
-func upsertScatter(t *testing.T, env *pruneEnv, rng *rand.Rand) {
+func upsertScatter(t *testing.T, env *clusterEnv, rng *rand.Rand) {
 	t.Helper()
 	type held struct {
 		ref core.Ref[tpch.SLineitem]
@@ -37,7 +37,7 @@ func upsertScatter(t *testing.T, env *pruneEnv, rng *rand.Rand) {
 // clusterFrac runs one maintenance pass and measures the pruned block
 // fraction of a 1%-selectivity window scan over the surviving date
 // domain, asserting the pruned and unpruned sums are identical.
-func clusterFrac(t *testing.T, env *pruneEnv, label string) float64 {
+func clusterFrac(t *testing.T, env *clusterEnv, label string) float64 {
 	t.Helper()
 	env.rt.Manager().TryAdvanceEpoch()
 	moved, err := env.rt.CompactNow()

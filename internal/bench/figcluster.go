@@ -2,16 +2,15 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/decimal"
 	"repro/internal/tpch"
 	"repro/internal/types"
 )
@@ -22,12 +21,12 @@ import (
 // domains enable on the compiled join queries.
 //
 // Part one — steady-state skip-scan recovery. Both packing modes start
-// from the same churned retention heap (upsert scatter + date trim, as
-// in the prune figure) and then run identical churn → compaction cycles:
-// each cycle upserts a random 30% sample (re-adds land in reclaimed
-// slots heap-wide, widening bounds) and trims a random 45% (retention
-// attrition, which keeps blocks under the compaction threshold so every
-// maintenance pass can rewrite them). Size-only packing rebuilds target
+// from the same churned retention heap (upsert scatter + date trim) and
+// then run identical churn → compaction cycles: each cycle upserts a
+// random 30% sample (re-adds land in reclaimed slots heap-wide, widening
+// bounds) and trims a random 45% (retention attrition, which keeps
+// blocks under the compaction threshold so every maintenance pass can
+// rewrite them). Size-only packing rebuilds target
 // bounds exactly but over arbitrary (fullest-first) source mixes, so
 // each target spans most of the surviving key domain; clustered packing
 // groups key-adjacent blocks and moves rows in key order, so targets
@@ -47,51 +46,45 @@ import (
 // ClusterPoint is one (packing, cycle, selectivity) measurement of the
 // churn → maintenance sweep.
 type ClusterPoint struct {
-	Workers        int     `json:"workers"`
-	Packing        string  `json:"packing"` // size | cluster
-	Cycle          int     `json:"cycle"`   // maintenance passes completed
-	SelectivityPct float64 `json:"selectivity_pct"`
-	Rows           int     `json:"rows"` // surviving lineitem rows
+	Packing        string // size | cluster
+	Cycle          int    // maintenance passes completed
+	SelectivityPct float64
+	Rows           int // surviving lineitem rows
 	// PrunedMs / UnprunedMs are the same windowed scan with and without
 	// predicate pushdown.
-	PrunedMs   float64 `json:"pruned_ms"`
-	UnprunedMs float64 `json:"unpruned_ms"`
-	Speedup    float64 `json:"speedup"`
+	PrunedMs   float64
+	UnprunedMs float64
+	Speedup    float64
 	// BlocksTotal is the lineitem block count at measurement time;
 	// BlocksPruned/BlocksScanned are one pruned run's synopsis decisions.
-	BlocksTotal   int     `json:"blocks_total"`
-	BlocksPruned  int64   `json:"blocks_pruned"`
-	BlocksScanned int64   `json:"blocks_scanned"`
-	PrunedFrac    float64 `json:"pruned_frac"`
+	BlocksTotal   int
+	BlocksPruned  int64
+	BlocksScanned int64
+	PrunedFrac    float64
 }
 
 // ClusterJoinPoint is one cross-edge semi-join pruning measurement.
 type ClusterJoinPoint struct {
-	Workers int    `json:"workers"`
-	Query   string `json:"query"` // q3 | q4 | q10
+	Query string // q3 | q4 | q10
 	// PrunedMs is the pipeline driver with key-set pruning at workers=1;
 	// SerialMs is the serial unpruned oracle producing identical rows.
-	PrunedMs float64 `json:"pruned_ms"`
-	SerialMs float64 `json:"serial_ms"`
-	Speedup  float64 `json:"speedup"`
+	PrunedMs float64
+	SerialMs float64
+	Speedup  float64
 	// One instrumented run's key-set decisions: blocks pruned because no
 	// distilled key range overlapped their key synopsis, and blocks
 	// admitted with at least one overlapping key-set constraint.
-	KeySetPruned    int64 `json:"keyset_pruned"`
-	SynopsisOverlap int64 `json:"synopsis_overlap"`
+	KeySetPruned    int64
+	SynopsisOverlap int64
 }
 
-// ClusterResult is the clustered-compaction figure. Points holds one
-// flat workers=1 point with every series as its own metric key, so the
-// benchdiff gate covers the whole sweep.
+// ClusterResult is the clustered-compaction figure.
 type ClusterResult struct {
-	SF     float64              `json:"sf"`
-	CPUs   int                  `json:"cpus"`
-	Reps   int                  `json:"reps"`
-	Meta   Meta                 `json:"meta"`
-	Points []map[string]float64 `json:"points"`
-	Sweep  []ClusterPoint       `json:"sweep"`
-	Joins  []ClusterJoinPoint   `json:"joins"`
+	SF    float64
+	CPUs  int
+	Reps  int
+	Sweep []ClusterPoint
+	Joins []ClusterJoinPoint
 }
 
 // sinkRows defeats dead-code elimination in the join measurements.
@@ -105,11 +98,58 @@ var sinkRows int
 // state guarantee is stated over.
 const clusterMaintThreshold = 0.85
 
+// clusterEnv is one loaded lineitem heap under one packing mode.
+type clusterEnv struct {
+	rt *core.Runtime
+	s  *core.Session
+	db *tpch.SMCDB
+	q  *tpch.SMCQueries
+}
+
+func (e *clusterEnv) Close() {
+	e.s.Close()
+	e.rt.Close()
+}
+
+// window runs the one-worker windowed revenue scan over [lo, hi], with or
+// without synopsis pushdown.
+func (e *clusterEnv) window(lo, hi types.Date, pushdown bool) (decimal.Dec128, error) {
+	return e.q.Q6WindowParCtx(context.Background(), e.s, lo, hi, 1, pushdown)
+}
+
+// checkWindow runs the window once pruned and once unpruned, requires
+// equal sums, and returns the pruned run's synopsis decisions.
+func (e *clusterEnv) checkWindow(lo, hi types.Date) (pruned, scanned int64, err error) {
+	before := e.rt.StatsSnapshot()
+	p, err := e.window(lo, hi, true)
+	after := e.rt.StatsSnapshot()
+	if err != nil {
+		return 0, 0, err
+	}
+	u, err := e.window(lo, hi, false)
+	if err != nil {
+		return 0, 0, err
+	}
+	if p != u {
+		return 0, 0, fmt.Errorf("pruned sum %v != unpruned %v", p, u)
+	}
+	return after.BlocksPruned - before.BlocksPruned, after.BlocksScanned - before.BlocksScanned, nil
+}
+
+// timeWindow is the window's median time in milliseconds over reps runs.
+func (e *clusterEnv) timeWindow(reps int, lo, hi types.Date, pushdown bool) (float64, error) {
+	d, err := medianErr(reps, func() (err error) {
+		sinkDec, err = e.window(lo, hi, pushdown)
+		return err
+	})
+	return msF(d), err
+}
+
 // newClusterEnv loads the date-sorted dataset row-indirect under the
-// given packing mode and applies the prune figure's initial churn: a 30%
-// upsert scatter followed by a retention trim past cutoff. Both packing
-// series see the identical (seeded) churn.
-func newClusterEnv(o Options, data *tpch.Dataset, cutoff types.Date, packing core.PackingMode) (*pruneEnv, error) {
+// given packing mode and applies the initial churn: a 30% upsert
+// scatter followed by a retention trim past cutoff. Both packing series
+// see the identical (seeded) churn.
+func newClusterEnv(o Options, data *tpch.Dataset, cutoff types.Date, packing core.PackingMode) (*clusterEnv, error) {
 	rt, err := core.NewRuntime(core.Options{
 		HeapBackend:         o.HeapBackend,
 		CompactionPacking:   packing,
@@ -129,7 +169,7 @@ func newClusterEnv(o Options, data *tpch.Dataset, cutoff types.Date, packing cor
 		rt.Close()
 		return nil, err
 	}
-	env := &pruneEnv{rt: rt, s: s, db: db, q: tpch.NewSMCQueries(db)}
+	env := &clusterEnv{rt: rt, s: s, db: db, q: tpch.NewSMCQueries(db)}
 
 	type held struct {
 		ref core.Ref[tpch.SLineitem]
@@ -172,7 +212,7 @@ func newClusterEnv(o Options, data *tpch.Dataset, cutoff types.Date, packing cor
 // random 30% sample (re-adds land in reclaimed slots heap-wide, widening
 // bounds) and trim a random 45% (retention attrition). Deterministic
 // under the caller's rng, so both packing series churn identically.
-func clusterChurn(env *pruneEnv, rng *rand.Rand) error {
+func clusterChurn(env *clusterEnv, rng *rand.Rand) error {
 	type held struct {
 		ref core.Ref[tpch.SLineitem]
 		row tpch.SLineitem
@@ -207,7 +247,7 @@ func clusterChurn(env *pruneEnv, rng *rand.Rand) error {
 }
 
 // survivorDates snapshots the surviving ship dates, sorted.
-func survivorDates(env *pruneEnv) []types.Date {
+func survivorDates(env *clusterEnv) []types.Date {
 	var dates []types.Date
 	env.db.Lineitems.ForEach(env.s, func(_ core.Ref[tpch.SLineitem], v *tpch.SLineitem) bool {
 		dates = append(dates, v.ShipDate)
@@ -225,8 +265,7 @@ const clusterCycles = 3
 // and latency of 1%/10%-selectivity windowed scans over the surviving
 // date domain, results asserted identical to the unpruned runs), then
 // the cross-edge key-set pruning of Q3/Q4/Q10 against their serial
-// oracles. All points run at workers=1 (the stable serial baseline the
-// perf gate diffs).
+// oracles. All points run at workers=1.
 func FigureCluster(o Options) (*ClusterResult, error) {
 	o = o.WithDefaults()
 	data := tpch.Generate(o.SF, o.Seed)
@@ -242,9 +281,7 @@ func FigureCluster(o Options) (*ClusterResult, error) {
 	}
 	retention := sorted.Lineitems[min(n*75/100, n-1)].ShipDate
 
-	res := &ClusterResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps, Meta: CurrentMeta()}
-	gate := map[string]float64{"workers": 1}
-	res.Points = []map[string]float64{gate}
+	res := &ClusterResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps}
 
 	packings := []struct {
 		name string
@@ -277,7 +314,7 @@ func FigureCluster(o Options) (*ClusterResult, error) {
 			for _, sel := range selectivities {
 				hi := dates[min(len(dates)*sel/100, len(dates)-1)]
 				pt := ClusterPoint{
-					Workers: 1, Packing: pk.name, Cycle: cycle,
+					Packing: pk.name, Cycle: cycle,
 					SelectivityPct: float64(sel), Rows: len(dates),
 				}
 				pt.BlocksPruned, pt.BlocksScanned, err = env.checkWindow(lo, hi)
@@ -298,7 +335,6 @@ func FigureCluster(o Options) (*ClusterResult, error) {
 				if pt.PrunedMs > 0 {
 					pt.Speedup = pt.UnprunedMs / pt.PrunedMs
 				}
-				gate[fmt.Sprintf("cluster_%s_c%d_%d_ms", pk.name, cycle, sel)] = pt.PrunedMs
 				res.Sweep = append(res.Sweep, pt)
 			}
 			if cycle < clusterCycles {
@@ -311,7 +347,7 @@ func FigureCluster(o Options) (*ClusterResult, error) {
 		env.Close()
 	}
 
-	joins, err := clusterJoins(o, data, gate)
+	joins, err := clusterJoins(o, data)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +367,7 @@ func FigureCluster(o Options) (*ClusterResult, error) {
 // runs and the distilled key sets cut real block ranges. The serial
 // oracles run on the same re-keyed collections, so the row-identity
 // assertion still covers the pruning paths exactly.
-func clusterJoins(o Options, data *tpch.Dataset, gate map[string]float64) ([]ClusterJoinPoint, error) {
+func clusterJoins(o Options, data *tpch.Dataset) ([]ClusterJoinPoint, error) {
 	remap := *data
 	remap.Orders = append([]tpch.OrderRow(nil), data.Orders...)
 	sort.SliceStable(remap.Orders, func(i, j int) bool {
@@ -405,7 +441,7 @@ func clusterJoins(o Options, data *tpch.Dataset, gate map[string]float64) ([]Clu
 			func() { sinkRows = len(q.Q10(s, p)) }},
 	}
 	for _, r := range runs {
-		pt := ClusterJoinPoint{Workers: 1, Query: r.name}
+		pt := ClusterJoinPoint{Query: r.name}
 		before := rt.StatsSnapshot()
 		err := r.pruned()
 		after := rt.StatsSnapshot()
@@ -423,7 +459,6 @@ func clusterJoins(o Options, data *tpch.Dataset, gate map[string]float64) ([]Clu
 		if pt.PrunedMs > 0 {
 			pt.Speedup = pt.SerialMs / pt.PrunedMs
 		}
-		gate[fmt.Sprintf("cluster_%s_ms", r.name)] = pt.PrunedMs
 		out = append(out, pt)
 	}
 	return out, nil
@@ -437,7 +472,7 @@ func (r *ClusterResult) Render() *Table {
 		Notes: []string{
 			"each cycle: 30% upsert scatter + 45% retention trim, then one maintenance pass",
 			"cluster packing groups key-adjacent blocks and moves in key order; size packing is fullest-first FFD",
-			"joins: q3/q4/q10 cross-edge key-set pruning vs serial oracle — see BENCH_cluster.json",
+			"q3/q4/q10 rows: cross-edge key-set pruning at workers=1 (pruned ms) vs the serial oracle (unpruned ms column)",
 		},
 	}
 	for _, pt := range r.Sweep {
@@ -465,11 +500,4 @@ func (r *ClusterResult) Render() *Table {
 		})
 	}
 	return t
-}
-
-// WriteJSON emits the machine-readable result (BENCH_cluster.json).
-func (r *ClusterResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -27,32 +25,31 @@ import (
 
 // CompactPoint is one worker count's measurements.
 type CompactPoint struct {
-	Workers int `json:"workers"`
+	Workers int
 	// CompactMs is the median wall time of one full compaction pass.
-	CompactMs float64 `json:"compact_ms"`
+	CompactMs float64
 	// ReclaimedMB is the block memory the pass handed to the graveyard.
-	ReclaimedMB float64 `json:"reclaimed_mb"`
+	ReclaimedMB float64
 	// ReclaimMBps is ReclaimedMB / pass time.
-	ReclaimMBps float64 `json:"reclaim_mbps"`
+	ReclaimMBps float64
 	// ObjectsMoved counts relocated objects in the measured pass.
-	ObjectsMoved int64 `json:"objects_moved"`
+	ObjectsMoved int64
 	// Q1DuringMs / Q6DuringMs are query latencies concurrent with a
 	// compaction pass at this worker count.
-	Q1DuringMs float64 `json:"q1_during_ms"`
-	Q6DuringMs float64 `json:"q6_during_ms"`
+	Q1DuringMs float64
+	Q6DuringMs float64
 }
 
 // CompactResult is the parallel-compaction scaling figure.
 type CompactResult struct {
-	SF   float64 `json:"sf"`
-	CPUs int     `json:"cpus"`
-	Reps int     `json:"reps"`
-	Meta Meta    `json:"meta"`
+	SF   float64
+	CPUs int
+	Reps int
 	// Q1BaseMs / Q6BaseMs are the no-compactor baselines on an identical
 	// fragmented heap.
-	Q1BaseMs float64        `json:"q1_base_ms"`
-	Q6BaseMs float64        `json:"q6_base_ms"`
-	Points   []CompactPoint `json:"points"`
+	Q1BaseMs float64
+	Q6BaseMs float64
+	Points   []CompactPoint
 }
 
 // fragmentedEnv is one freshly loaded, heavily fragmented lineitem heap.
@@ -117,7 +114,7 @@ func FigureCompact(o Options) (*CompactResult, error) {
 	p := tpch.DefaultParams()
 	sweep := workerSweep(o.Threads, explicit)
 
-	res := &CompactResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps, Meta: CurrentMeta()}
+	res := &CompactResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps}
 
 	// Baselines: the same queries on an identical fragmented heap with no
 	// compactor running.
@@ -242,11 +239,4 @@ func (r *CompactResult) Render() *Table {
 		})
 	}
 	return t
-}
-
-// WriteJSON emits the machine-readable result (BENCH_compact.json).
-func (r *CompactResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -37,40 +37,37 @@ type GovernPoint struct {
 	// Label names the budget level; Budget is the configured byte limit
 	// (0 = unbounded) and WorkingSet the governed total it was derived
 	// from.
-	Label      string `json:"label"`
-	Budget     int64  `json:"budget"`
-	WorkingSet int64  `json:"working_set"`
+	Label      string
+	Budget     int64
+	WorkingSet int64
 	// Request outcomes: successes (oracle-asserted) vs typed budget
 	// rejections; RejectedFrac is rejections over total. Anything else —
 	// a 500, a panic, an untyped failure — aborts the figure.
-	Requests     int     `json:"requests"`
-	Rejected     int     `json:"rejected"`
-	RejectedFrac float64 `json:"rejected_frac"`
+	Requests     int
+	Rejected     int
+	RejectedFrac float64
 	// Latency of successful requests through the full served stack.
-	P50Ms float64 `json:"p50_ms"`
-	P99Ms float64 `json:"p99_ms"`
+	P50Ms float64
+	P99Ms float64
 	// Governor activity during the level (deltas): ladder passes, arena
 	// bytes trimmed, sessions closed, restores after pressure cleared.
-	Rebalances      int64 `json:"rebalances"`
-	ArenaBytesFreed int64 `json:"arena_bytes_freed"`
-	SessionsTrimmed int64 `json:"sessions_trimmed"`
-	Restores        int64 `json:"restores"`
+	Rebalances      int64
+	ArenaBytesFreed int64
+	SessionsTrimmed int64
+	Restores        int64
 	// Level is the pressure classification when the batch finished.
-	Level string `json:"level"`
+	Level string
 }
 
-// GovernResult is the adaptive-governance figure. Points carries one
-// flat workers=1 gate point whose unpressured medians the benchdiff gate
-// diffs (the pressured levels queue admissions by design — their
-// latencies are backpressure, not regressions).
+// GovernResult is the adaptive-governance figure. The pressured levels
+// queue admissions by design: their latencies are backpressure, not
+// regressions.
 type GovernResult struct {
-	SF         float64              `json:"sf"`
-	CPUs       int                  `json:"cpus"`
-	Reps       int                  `json:"reps"`
-	WorkingSet int64                `json:"working_set"`
-	Meta       Meta                 `json:"meta"`
-	Points     []map[string]float64 `json:"points"`
-	Detail     []GovernPoint        `json:"detail"`
+	SF         float64
+	CPUs       int
+	Reps       int
+	WorkingSet int64
+	Points     []GovernPoint
 }
 
 // governBudgets is the sweep: unbounded, comfortable headroom, just
@@ -233,9 +230,7 @@ func FigureGovern(o Options) (*GovernResult, error) {
 	}
 
 	perClient := max(2, o.Reps)
-	res := &GovernResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps, WorkingSet: ws, Meta: CurrentMeta()}
-	gate := map[string]float64{"workers": 1}
-	res.Points = []map[string]float64{gate}
+	res := &GovernResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps, WorkingSet: ws}
 	for _, lvl := range governBudgets {
 		budget := int64(0)
 		if lvl.frac > 0 {
@@ -315,15 +310,7 @@ func FigureGovern(o Options) (*GovernResult, error) {
 		if rejected > 0 && after.ArenaBytesFreed == 0 && after.SessionsTrimmed == 0 {
 			return nil, fmt.Errorf("budget %s: %d admissions failed before any arena/session trim", lvl.label, rejected)
 		}
-		// The unpressured levels gate the benchdiff: pressured medians
-		// are backpressure by design.
-		switch lvl.label {
-		case "unbounded":
-			gate["govern_unbounded_p50_ms"] = pt.P50Ms
-		case "2x":
-			gate["govern_2x_p50_ms"] = pt.P50Ms
-		}
-		res.Detail = append(res.Detail, pt)
+		res.Points = append(res.Points, pt)
 	}
 	rt.SetMemoryBudget(0)
 	return res, nil
@@ -340,7 +327,7 @@ func (r *GovernResult) Render() *Table {
 			"arena retention and the session pool shrink before any admission fails (the degradation ladder)",
 		},
 	}
-	for _, pt := range r.Detail {
+	for _, pt := range r.Points {
 		t.Rows = append(t.Rows, []string{
 			pt.Label,
 			fmt.Sprintf("%d", pt.Budget),
@@ -355,11 +342,4 @@ func (r *GovernResult) Render() *Table {
 		})
 	}
 	return t
-}
-
-// WriteJSON emits the machine-readable result (BENCH_govern.json).
-func (r *GovernResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 
 	"repro/internal/core"
@@ -14,19 +12,19 @@ import (
 // JoinsPoint is one worker count's join-query measurements
 // (milliseconds), on the indirect and direct-pointer row layouts.
 type JoinsPoint struct {
-	Workers  int     `json:"workers"`
-	Q3IndMs  float64 `json:"q3_ind_ms"`
-	Q3DirMs  float64 `json:"q3_dir_ms"`
-	Q5IndMs  float64 `json:"q5_ind_ms"`
-	Q5DirMs  float64 `json:"q5_dir_ms"`
-	Q7IndMs  float64 `json:"q7_ind_ms"`
-	Q7DirMs  float64 `json:"q7_dir_ms"`
-	Q8IndMs  float64 `json:"q8_ind_ms"`
-	Q8DirMs  float64 `json:"q8_dir_ms"`
-	Q9IndMs  float64 `json:"q9_ind_ms"`
-	Q9DirMs  float64 `json:"q9_dir_ms"`
-	Q10IndMs float64 `json:"q10_ind_ms"`
-	Q10DirMs float64 `json:"q10_dir_ms"`
+	Workers  int
+	Q3IndMs  float64
+	Q3DirMs  float64
+	Q5IndMs  float64
+	Q5DirMs  float64
+	Q7IndMs  float64
+	Q7DirMs  float64
+	Q8IndMs  float64
+	Q8DirMs  float64
+	Q9IndMs  float64
+	Q9DirMs  float64
+	Q10IndMs float64
+	Q10DirMs float64
 }
 
 // JoinsResult is the parallel-join scaling figure (beyond-paper): the
@@ -34,11 +32,10 @@ type JoinsPoint struct {
 // parallel per-partition merge, parallel finish — swept over worker
 // counts on the reference-join queries Q3, Q5, Q7, Q8, Q9 and Q10.
 type JoinsResult struct {
-	SF     float64      `json:"sf"`
-	CPUs   int          `json:"cpus"`
-	Reps   int          `json:"reps"`
-	Meta   Meta         `json:"meta"`
-	Points []JoinsPoint `json:"points"`
+	SF     float64
+	CPUs   int
+	Reps   int
+	Points []JoinsPoint
 }
 
 // FigureJoins measures the parallel join drivers Q3ParCtx, Q5ParCtx,
@@ -82,7 +79,7 @@ func FigureJoins(o Options) (*JoinsResult, error) {
 	sweep := workerSweep(o.Threads, explicit)
 
 	ctx := context.Background()
-	res := &JoinsResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps, Meta: CurrentMeta()}
+	res := &JoinsResult{SF: o.SF, CPUs: runtime.NumCPU(), Reps: o.Reps}
 	for _, workers := range sweep {
 		w := workers
 		pt := JoinsPoint{Workers: w}
@@ -132,7 +129,7 @@ func (r *JoinsResult) Render() *Table {
 		Columns: []string{"workers", "Q3 ind", "×", "Q3 dir", "×", "Q5 ind", "×", "Q5 dir", "×", "Q7 ind", "×", "Q7 dir", "×", "Q8 ind", "×", "Q8 dir", "×", "Q9 ind", "×", "Q9 dir", "×", "Q10 ind", "×", "Q10 dir", "×"},
 		Notes: []string{
 			"unified pipeline: per-worker leased arenas + partitioned tables, parallel per-partition merge + finish",
-			fmt.Sprintf("speedup requires free cores: GOMAXPROCS=%d, %s", r.Meta.GOMAXPROCS, r.Meta.GoVersion),
+			fmt.Sprintf("speedup requires free cores: GOMAXPROCS=%d, %s", runtime.GOMAXPROCS(0), runtime.Version()),
 		},
 	}
 	sp := func(b, v float64) string {
@@ -159,11 +156,4 @@ func (r *JoinsResult) Render() *Table {
 		})
 	}
 	return t
-}
-
-// WriteJSON emits the machine-readable result (BENCH_joins.json).
-func (r *JoinsResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
