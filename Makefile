@@ -46,11 +46,13 @@ lint: fmt
 
 # The parallel-scan, pipeline, parallel-join, parallel-compaction,
 # maintainer and HTTP-front-door stress tests (exactly-once and exact
-# serial results under churn + compaction + request storms) under the
+# serial results under churn + compaction + request storms), plus the
+# figure harnesses that measure from concurrent goroutines, under the
 # race detector.
 race-stress:
-	$(GO) test -race -run 'Parallel|Maintainer|Compact|Pruned|Fault|Cancel|Budget|Cluster|Serve|Govern' \
-		./internal/mem ./internal/core ./internal/query ./internal/tpch ./internal/region ./internal/serve
+	$(GO) test -race -run 'Parallel|Maintainer|Compact|Pruned|Fault|Cancel|Budget|Cluster|Serve|Govern|Figure9' \
+		./internal/mem ./internal/core ./internal/query ./internal/tpch ./internal/region ./internal/serve \
+		./internal/bench
 
 # End-to-end smoke of the smcserve front door: boot on a small SF, curl
 # a parameterized Q6 and /stats, assert the served sum equals the

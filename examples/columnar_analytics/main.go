@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decimal"
-	"repro/internal/mem"
 	"repro/internal/tpch"
 	"repro/internal/types"
 )
@@ -58,40 +57,26 @@ func main() {
 			if !ok {
 				break
 			}
-			n := blk.Capacity()
-			if layout == core.Columnar {
-				ship := blk.ColBase(shipF)
-				ext := blk.ColBase(extF)
-				disc := blk.ColBase(discF)
-				for i := 0; i < n; i++ {
-					if !blk.SlotIsValid(i) {
-						continue
-					}
-					if *(*types.Date)(unsafe.Add(ship, uintptr(i)*4)) < cutoff {
-						continue
-					}
-					decimal.MulAdd(&revenue,
-						(*decimal.Dec128)(unsafe.Add(ext, uintptr(i)*16)),
-						(*decimal.Dec128)(unsafe.Add(disc, uintptr(i)*16)))
-				}
-				continue
-			}
-			for i := 0; i < n; i++ {
+			// One kernel for both layouts: resolve each column's base
+			// and stride once per block, then walk rows by stride.
+			ship, shipStride := blk.Col(shipF)
+			ext, extStride := blk.Col(extF)
+			disc, discStride := blk.Col(discF)
+			for i := 0; i < blk.Capacity(); i++ {
 				if !blk.SlotIsValid(i) {
 					continue
 				}
-				if *(*types.Date)(blk.FieldPtr(i, shipF)) < cutoff {
+				if *(*types.Date)(unsafe.Add(ship, uintptr(i)*shipStride)) < cutoff {
 					continue
 				}
 				decimal.MulAdd(&revenue,
-					(*decimal.Dec128)(blk.FieldPtr(i, extF)),
-					(*decimal.Dec128)(blk.FieldPtr(i, discF)))
+					(*decimal.Dec128)(unsafe.Add(ext, uintptr(i)*extStride)),
+					(*decimal.Dec128)(unsafe.Add(disc, uintptr(i)*discStride)))
 			}
 		}
 		en.Close()
 		s.Exit()
 		el := time.Since(t0)
-		_ = mem.RowIndirect
 		return el, revenue, coll.MemoryBytes() / 1024
 	}
 

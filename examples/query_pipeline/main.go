@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"sort"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -73,19 +74,21 @@ func main() {
 		oracle[page] = st
 	}
 
-	// Compiled-query style: resolve field offsets once, scan slot
-	// directories with raw pointers.
+	// Compiled-query style: resolve each column's base and stride once
+	// per block, scan slot directories with raw pointers.
 	sch := events.Schema()
 	fPage := sch.MustField("PageID")
 	fLat := sch.MustField("LatencyUs")
 	kernel := func(_ *core.Session, blk *mem.Block, t *region.PartitionedTable[pageStats]) {
+		page, pageStride := blk.Col(fPage)
+		lat, latStride := blk.Col(fLat)
 		for i := 0; i < blk.Capacity(); i++ {
 			if !blk.SlotIsValid(i) {
 				continue
 			}
-			st := t.At(*(*int64)(blk.FieldPtr(i, fPage)))
+			st := t.At(*(*int64)(unsafe.Add(page, uintptr(i)*pageStride)))
 			st.Views++
-			st.LatencyUs += *(*int64)(blk.FieldPtr(i, fLat))
+			st.LatencyUs += *(*int64)(unsafe.Add(lat, uintptr(i)*latStride))
 		}
 	}
 	mergeStats := func(dst, src *pageStats) {

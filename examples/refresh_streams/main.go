@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/decimal"
@@ -104,13 +105,28 @@ func main() {
 				return
 			default:
 			}
+			// A compiled block kernel: each column's base and stride
+			// resolve once per block; rows are walked by stride.
 			var revenue decimal.Dec128
-			coll.Context().ForEachValid(s.Mem(), func(b *mem.Block, slot int) bool {
-				ext := (*decimal.Dec128)(b.FieldPtr(slot, extF))
-				d := (*decimal.Dec128)(b.FieldPtr(slot, discF))
-				decimal.MulAdd(&revenue, ext, d)
-				return true
-			})
+			s.Enter()
+			en := coll.Enumerate(s)
+			for {
+				blk, ok := en.NextBlock()
+				if !ok {
+					break
+				}
+				ext, extStride := blk.Col(extF)
+				disc, discStride := blk.Col(discF)
+				for i := 0; i < blk.Capacity(); i++ {
+					if blk.SlotIsValid(i) {
+						decimal.MulAdd(&revenue,
+							(*decimal.Dec128)(unsafe.Add(ext, uintptr(i)*extStride)),
+							(*decimal.Dec128)(unsafe.Add(disc, uintptr(i)*discStride)))
+					}
+				}
+			}
+			en.Close()
+			s.Exit()
 			queries.Add(1)
 		}
 	}()

@@ -68,8 +68,13 @@ func Figure9(o Options) (*Figure9Result, error) {
 			}
 		}()
 
-		// Churn thread: allocates managed objects with varying lifetimes.
+		// Churn thread: allocates managed objects with varying lifetimes
+		// into its own sink, which the measuring goroutine publishes
+		// after joining it, so no two goroutines share a sink.
+		churned := make(chan struct{})
+		var sink *tpch.MLineitem
 		go func() {
+			defer close(churned)
 			var keep []*tpch.MLineitem
 			i := 0
 			lastGC := time.Now()
@@ -86,7 +91,7 @@ func Figure9(o Options) (*Figure9Result, error) {
 						keep = keep[2048:]
 					}
 				}
-				sinkAny = l
+				sink = l
 				if churnBatch && time.Since(lastGC) > 50*time.Millisecond {
 					runtime.GC()
 					lastGC = time.Now()
@@ -98,6 +103,8 @@ func Figure9(o Options) (*Figure9Result, error) {
 		time.Sleep(400 * time.Millisecond)
 		close(stop)
 		<-done
+		<-churned
+		sinkAny = sink
 		return float64(maxOvershoot.Load()) / 1e6
 	}
 

@@ -3,6 +3,7 @@ package mem
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -109,19 +110,44 @@ func TestSlotIncWordAndRefFromDirect(t *testing.T) {
 	h.s.Exit()
 }
 
-func TestColBaseColumnar(t *testing.T) {
-	h := newHarness(t, Columnar, Config{BlockSize: 1 << 13, HeapBackend: true})
-	h.add(t, h.s, 5, "c")
-	blk := h.ctx.SnapshotBlocks()[0]
-	base := blk.ColBase(h.idF)
-	if base == nil {
-		t.Fatal("ColBase nil")
-	}
-	if got := *(*int64)(base); got != 5 {
-		t.Fatalf("column value = %d", got)
-	}
-	if blk.FieldPtr(0, h.idF) != base {
-		t.Fatal("FieldPtr(0) should equal the column base")
+// TestColView pins the one addressing rule: for every layout, field and
+// slot of a block, the column view's base + i*stride is FieldPtr(i, f),
+// row views start past RowDirect's slot header, and values written
+// through Alloc read back through the view.
+func TestColView(t *testing.T) {
+	for _, tc := range []struct {
+		layout Layout
+		hdr    uintptr
+	}{{RowIndirect, 0}, {RowDirect, 8}, {Columnar, 0}} {
+		t.Run(tc.layout.String(), func(t *testing.T) {
+			h := newHarness(t, tc.layout, Config{BlockSize: 1 << 13, HeapBackend: true})
+			for id := int64(0); id < 5; id++ {
+				h.add(t, h.s, 100+id, "c")
+			}
+			blk := h.ctx.SnapshotBlocks()[0]
+			for fi := range testSchema.Fields {
+				f := &testSchema.Fields[fi]
+				base, stride := blk.Col(f)
+				if tc.layout == Columnar {
+					if want := unsafe.Add(blk.base, blk.colOff[f.Index]); base != want || stride != f.Kind.Size() {
+						t.Fatalf("%s: Col = (%p, %d), want (%p, %d)", f.Name, base, stride, want, f.Kind.Size())
+					}
+				} else if want := unsafe.Add(blk.data, tc.hdr+f.Offset); base != want || stride != uintptr(blk.slotStride) {
+					t.Fatalf("%s: Col = (%p, %d), want (%p, %d)", f.Name, base, stride, want, blk.slotStride)
+				}
+				for i := 0; i < blk.Capacity(); i++ {
+					if got, want := unsafe.Add(base, uintptr(i)*stride), blk.FieldPtr(i, f); got != want {
+						t.Fatalf("%s slot %d: view %p, FieldPtr %p", f.Name, i, got, want)
+					}
+				}
+			}
+			ids, stride := blk.Col(h.idF)
+			for i := 0; i < 5; i++ {
+				if got := *(*int64)(unsafe.Add(ids, uintptr(i)*stride)); got != 100+int64(i) {
+					t.Fatalf("slot %d ID through the view = %d", i, got)
+				}
+			}
+		})
 	}
 }
 

@@ -79,6 +79,15 @@ type Block struct {
 	inReclaimQ atomic.Bool
 	allocOwned atomic.Bool // currently some session's allocation block
 	buried     atomic.Bool // emptied by compaction, awaiting release
+	// sealed marks a compaction source that keeps objects after some of
+	// its slots were moved out (its group aborted after a helper moved,
+	// or a relocation never resolved). A moved-from slot must never host
+	// a new object: the moved copy shares its string storage, and a
+	// direct-mode tombstone header still carries the moved object's
+	// incarnation. So a sealed block is never allocated into again; it
+	// stays a compaction candidate until a later pass empties and buries
+	// it.
+	sealed atomic.Bool
 
 	// syn holds the block's per-column min/max synopses, one per column
 	// registered on the context (nil otherwise). Widen-only on insert,
@@ -298,20 +307,25 @@ func (b *Block) slotIndexFromData(p unsafe.Pointer) int {
 	return int(off / uintptr(b.slotStride))
 }
 
-// FieldPtr returns the address of a field of slot i under the block's
-// layout. Hot compiled-query code should hoist strides out of loops; this
-// is the general accessor.
-func (b *Block) FieldPtr(i int, f *schema.Field) unsafe.Pointer {
+// Col returns the block's column view of field f: slot i's value of f
+// lives at base + i*stride under every layout. Row layouts return the
+// field's address in slot 0 (past RowDirect's slot header) and the slot
+// stride; Columnar returns the column segment's base and the field's
+// element size (§4.1). Compiled kernels resolve their columns once per
+// block with it and then walk rows with constant strides (§4).
+func (b *Block) Col(f *schema.Field) (base unsafe.Pointer, stride uintptr) {
 	if b.colOff != nil {
-		return unsafe.Add(b.base, b.colOff[f.Index]+uintptr(i)*f.Kind.Size())
+		return unsafe.Add(b.base, b.colOff[f.Index]), f.Kind.Size()
 	}
-	return unsafe.Add(b.SlotData(i), f.Offset)
+	return unsafe.Add(b.data, uintptr(b.hdrSize)+f.Offset), uintptr(b.slotStride)
 }
 
-// ColBase returns the base address of a column segment (Columnar only);
-// compiled columnar queries hoist this per block (§4.1).
-func (b *Block) ColBase(f *schema.Field) unsafe.Pointer {
-	return unsafe.Add(b.base, b.colOff[f.Index])
+// FieldPtr returns the address of a field of slot i under the block's
+// layout: the general accessor, addressing through the column view.
+// Kernels that touch many rows hoist Col out of the row loop instead.
+func (b *Block) FieldPtr(i int, f *schema.Field) unsafe.Pointer {
+	base, stride := b.Col(f)
+	return unsafe.Add(base, uintptr(i)*stride)
 }
 
 // blockFromAddr recovers the block owning an off-heap address by masking

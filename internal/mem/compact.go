@@ -109,6 +109,16 @@ type relocList struct {
 	bySlot  []int32 // slot -> index+1; 0 = not scheduled
 }
 
+// anyMoved reports whether some scheduled object left its source slot.
+func (l *relocList) anyMoved() bool {
+	for i := range l.entries {
+		if l.entries[i].status.Load() == rDone {
+			return true
+		}
+	}
+	return false
+}
+
 func (l *relocList) find(slot int) *relocEntry {
 	if l == nil || slot >= len(l.bySlot) {
 		return nil
@@ -302,6 +312,11 @@ func (m *Manager) CompactNowWorkersCtx(cctx context.Context, workers int) (int, 
 	for _, g := range groups {
 		for _, b := range g.blocks {
 			if list := b.reloc.Load(); list != nil {
+				// Seal before the group claim drops, so an allocator's
+				// claim (which re-checks the group) sees one or the other.
+				if b.validCount.Load() != 0 && list.anyMoved() {
+					b.sealed.Store(true)
+				}
 				for i := range list.entries {
 					re := &list.entries[i]
 					if st := re.status.Load(); st == rDone || st == rSkipped {
@@ -368,7 +383,7 @@ func (m *Manager) isCompactionCandidate(b *Block) bool {
 	return !b.allocOwned.Load() &&
 		b.group.Load() == nil &&
 		b.targetOf.Load() == nil &&
-		b.validCount.Load() > 0 &&
+		(b.validCount.Load() > 0 || b.sealed.Load()) &&
 		b.occupancy() < b.ctx.mgr.cfg.CompactionThreshold
 }
 
@@ -917,8 +932,10 @@ func (m *Manager) helpGroup(g *CompactionGroup) bool {
 	return resolved
 }
 
-// abortGroup abandons a group before any of its objects moved: unfreeze
-// everything and put the blocks back in general circulation.
+// abortGroup abandons a group: unfreeze everything not yet moved and put
+// the blocks back in circulation. The compactor aborts only before it
+// moves anything, but a helper may already have moved objects; their
+// source blocks are sealed (Block.sealed).
 func (m *Manager) abortGroup(g *CompactionGroup) {
 	for _, b := range g.blocks {
 		list := b.reloc.Load()
@@ -944,7 +961,11 @@ func (m *Manager) abortGroup(g *CompactionGroup) {
 					break
 				}
 			}
-			re.status.Store(rSkipped)
+			// A helper may have moved the object meanwhile: keep rDone.
+			re.status.CompareAndSwap(rPending, rSkipped)
+		}
+		if list.anyMoved() {
+			b.sealed.Store(true)
 		}
 		b.reloc.Store(nil)
 		b.group.Store(nil)

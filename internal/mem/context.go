@@ -183,7 +183,7 @@ func (c *Context) MemoryBytes() int64 {
 // fraction crossed the threshold (§3.5). Blocks currently owned by an
 // allocating session are skipped; the owner re-checks on abandon.
 func (c *Context) enqueueReclaim(b *Block) {
-	if b.allocOwned.Load() || b.inReclaimQ.Load() || b.group.Load() != nil || b.buried.Load() {
+	if b.allocOwned.Load() || b.inReclaimQ.Load() || b.group.Load() != nil || b.buried.Load() || b.sealed.Load() {
 		return
 	}
 	thresh := int32(float64(b.capacity) * c.mgr.cfg.ReclaimThreshold)
@@ -209,9 +209,9 @@ func (c *Context) takeReclaimable() (b *Block, waiting bool) {
 	i := 0
 	for i < len(c.reclaimQ) {
 		re := c.reclaimQ[i]
-		if re.blk.buried.Load() || re.blk.group.Load() != nil {
-			// The block was emptied (or is being emptied) by a
-			// compaction that ran after it was enqueued: the queue
+		if re.blk.buried.Load() || re.blk.group.Load() != nil || re.blk.sealed.Load() {
+			// The block was emptied (or is being emptied, or was sealed)
+			// by a compaction that ran after it was enqueued: the queue
 			// entry is dead, never hand the block out.
 			re.blk.inReclaimQ.Store(false)
 			c.reclaimQ = append(c.reclaimQ[:i], c.reclaimQ[i+1:]...)
@@ -236,7 +236,7 @@ func (c *Context) takeReclaimable() (b *Block, waiting bool) {
 		// least one side always observes the other and backs off;
 		// otherwise a block could be emptied and unmapped while a
 		// session keeps allocating into it.
-		if re.blk.group.Load() != nil || re.blk.buried.Load() {
+		if re.blk.group.Load() != nil || re.blk.buried.Load() || re.blk.sealed.Load() {
 			re.blk.allocOwned.Store(false)
 			continue
 		}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -237,5 +238,95 @@ func TestBigStringDedicatedRegion(t *testing.T) {
 	}
 	if live := h.ctx.LiveStringBytes(); live >= 10_000 {
 		t.Fatalf("big string not released: %d live bytes", live)
+	}
+}
+
+// TestMovedFromSlotsNeverReused drives a group that moved objects and
+// then aborted — a helper moved them before the compactor's pin wait
+// timed out — so its source blocks return to circulation holding
+// moved-from slots. No such slot may host a new object: the moved copy
+// shares the slot's string storage, and in direct mode the slot header
+// is a forwarding tombstone that still carries the moved object's
+// incarnation (a new object there would be unremovable and would alias
+// the old object's direct pointers).
+func TestMovedFromSlotsNeverReused(t *testing.T) {
+	for _, layout := range allLayouts() {
+		t.Run(layout.String(), func(t *testing.T) {
+			h := newHarness(t, layout, Config{BlockSize: 1 << 13, HeapBackend: true})
+			survivors := churnToLowOccupancy(t, h, 4)
+			groups := h.m.planGroups()
+			if len(groups) == 0 {
+				t.Fatal("no groups planned")
+			}
+			for _, g := range groups {
+				h.m.freezeGroup(g)
+				g.state.Store(gFrozen)
+			}
+			type movedFrom struct {
+				blk  *Block
+				slot int
+			}
+			var from []movedFrom
+			for _, g := range groups {
+				b := g.blocks[0]
+				re := &b.reloc.Load().entries[0]
+				if !h.m.moveOne(g.ctx, b, re) {
+					t.Fatal("helper move did not happen")
+				}
+				from = append(from, movedFrom{b, int(re.slot)})
+			}
+			h.m.abortRun(groups)
+
+			// Ripen every limbo slot, offer the sources for reuse, and
+			// allocate more than they could hold.
+			for i := 0; i < 3; i++ {
+				h.m.TryAdvanceEpoch()
+			}
+			for _, f := range from {
+				h.ctx.enqueueReclaim(f.blk)
+			}
+			for i := 0; i < 3; i++ {
+				h.m.TryAdvanceEpoch()
+			}
+			var fresh []types.Ref
+			for i := 0; i < 4*h.ctx.BlockCapacity(); i++ {
+				fresh = append(fresh, h.add(t, h.s, int64(-1-i), fmt.Sprintf("fresh%d", i)))
+			}
+			for _, f := range from {
+				if slotDirState(f.blk.SlotDirWord(f.slot)) == slotValid {
+					t.Fatalf("moved-from slot %d of block %d hosts a new object", f.slot, f.blk.ID())
+				}
+			}
+			done := make(chan error, 1)
+			go func() {
+				for _, r := range fresh {
+					if err := h.remove(h.s, r); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Remove of a new object did not return")
+			}
+			verifySurvivors(t, h, survivors)
+
+			// The next pass empties the sealed sources and buries them.
+			if _, err := h.m.CompactNow(); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range from {
+				if !f.blk.sealed.Load() || !f.blk.buried.Load() {
+					t.Fatalf("block %d: sealed=%v buried=%v after the next pass", f.blk.ID(), f.blk.sealed.Load(), f.blk.buried.Load())
+				}
+			}
+			verifySurvivors(t, h, survivors)
+		})
 	}
 }

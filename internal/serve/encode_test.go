@@ -265,7 +265,11 @@ func FuzzServeEncoders(f *testing.F) {
 // TestServeEncodeRowsAllocFree pins the stream's hot loop: a 1 000-row
 // block batch encodes into a sized buffer without a single allocation.
 func TestServeEncodeRowsAllocFree(t *testing.T) {
-	srv := newEnv(t, 0.001, serve.Config{}).srv
+	env := newEnv(t, 0.001, serve.Config{})
+	srv := env.srv
+	// AllocsPerRun counts the whole process's mallocs: the environment's
+	// Maintainer ticking mid-measurement would be charged to the encoder.
+	env.mt.Stop()
 	rows := make([]tpch.Q6WindowHit, 1000)
 	for i := range rows {
 		rows[i] = tpch.Q6WindowHit{

@@ -15,12 +15,16 @@ import (
 // Compiled "unsafe" queries over self-managed collections: the Go
 // equivalent of the paper's compiled unsafe C# (§7). The generated-code
 // idioms are reproduced by hand, as the paper itself did: per-block slot
-// directory scans, constant field offsets hoisted out of loops, direct
-// pointers to 16-byte decimals passed to in-place arithmetic, reference
-// joins through FieldRef (indirection or direct pointers per layout), and
-// columnar per-column base pointers when the collection is columnar
-// (§4.1). Every query runs inside critical sections managed by the block
-// enumerator (§4).
+// directory scans, direct pointers to 16-byte decimals passed to in-place
+// arithmetic, and reference joins through FieldRef (indirection or
+// direct pointers per layout). Every kernel resolves the columns it reads
+// from its own block once per block through the block's column view
+// (mem.Block.Col, wrapped by column below) and then walks rows with a
+// constant stride, so one loop serves all three layouts: a row layout's
+// view is a field offset plus the slot stride, a columnar one the
+// column's base plus its element size (§4, §4.1). Hops into other blocks
+// still address through mem.Obj. Every query runs inside critical
+// sections managed by the block enumerator (§4).
 
 // SMCQueries caches the resolved field handles ("compiled" offsets) for
 // one SMCDB, plus the arena pool its query intermediates lease from
@@ -136,58 +140,61 @@ func NewSMCQueries(db *SMCDB) *SMCQueries {
 	return q
 }
 
-// strAt reads an off-heap string field without copying.
-func strAt(b *mem.Block, slot int, f *schema.Field) []byte {
-	return (*(*types.StrRef)(b.FieldPtr(slot, f))).Bytes()
+// column is a block's resolved view of one field (mem.Block.Col): row
+// i's value lives at base + i*stride under every layout. Kernels build
+// one per field per block, so the per-row address is one multiply-add.
+type column struct {
+	base   unsafe.Pointer
+	stride uintptr
 }
 
-func decAt(b *mem.Block, slot int, f *schema.Field) *decimal.Dec128 {
-	return (*decimal.Dec128)(b.FieldPtr(slot, f))
+// colOf resolves blk's view of field f.
+func colOf(blk *mem.Block, f *schema.Field) column {
+	base, stride := blk.Col(f)
+	return column{base, stride}
 }
 
-func dateAt(b *mem.Block, slot int, f *schema.Field) types.Date {
-	return *(*types.Date)(b.FieldPtr(slot, f))
-}
-
-func i32At(b *mem.Block, slot int, f *schema.Field) int32 {
-	return *(*int32)(b.FieldPtr(slot, f))
-}
-
-func i64At(b *mem.Block, slot int, f *schema.Field) int64 {
-	return *(*int64)(b.FieldPtr(slot, f))
-}
+func (c column) at(i int) unsafe.Pointer   { return unsafe.Add(c.base, uintptr(i)*c.stride) }
+func (c column) date(i int) types.Date     { return *(*types.Date)(c.at(i)) }
+func (c column) i32(i int) int32           { return *(*int32)(c.at(i)) }
+func (c column) i64(i int) int64           { return *(*int64)(c.at(i)) }
+func (c column) dec(i int) *decimal.Dec128 { return (*decimal.Dec128)(c.at(i)) }
+func (c column) str(i int) []byte          { return (*(*types.StrRef)(c.at(i))).Bytes() }
 
 // objStr reads a string field of a dereferenced object.
 func objStr(o mem.Obj, f *schema.Field) []byte {
 	return (*(*types.StrRef)(o.Field(f))).Bytes()
 }
 
-// deref follows a reference field of obj into fr's target collection. It
-// open-codes the dereference checks the paper's JIT compiler inlines into
-// generated query code — generation match plus clean incarnation match,
-// then the payload load — and falls back to the full protocol (flags,
-// relocation cases, null) otherwise.
-// Deref exposes the open-coded dereference fast path to external
-// compiled query code (the benchmark harness and examples).
+// Deref follows fr's reference field of o into fr's target collection
+// through the open-coded fast path below. It is the hop out of an object
+// reached by an earlier dereference — for the kernels here and for
+// external compiled query code (the figure harnesses).
 func (q *SMCQueries) Deref(s *core.Session, fr *core.FieldRef, o mem.Obj) (mem.Obj, error) {
-	return q.deref(s, fr, o)
+	return q.deref(s, fr, o.Field(fr.Field), o)
 }
 
-func (q *SMCQueries) deref(s *core.Session, fr *core.FieldRef, o mem.Obj) (mem.Obj, error) {
-	fp := o.Field(fr.Field)
+// deref follows the reference stored at cell — the address of fr's field
+// of object o, which a kernel takes from its block's column view — into
+// fr's target collection. It open-codes the dereference checks the
+// paper's JIT compiler inlines into generated query code — generation
+// match plus clean incarnation match, then the payload load — and falls
+// back to the full protocol (flags, relocation cases, null) otherwise;
+// only that slow path consults o.
+func (q *SMCQueries) deref(s *core.Session, fr *core.FieldRef, cell unsafe.Pointer, o mem.Obj) (mem.Obj, error) {
 	if fr.Direct {
-		addr := *(*uint64)(fp)
+		addr := *(*uint64)(cell)
 		if addr == 0 {
 			return mem.Obj{}, mem.ErrNullReference
 		}
 		p := types.LaunderAddr(uintptr(addr))
-		if mem.SlotIncWord(p) == *(*uint32)(unsafe.Add(fp, 8)) {
+		if mem.SlotIncWord(p) == *(*uint32)(unsafe.Add(cell, 8)) {
 			return mem.Obj{Ptr: p}, nil
 		}
 		return fr.Deref(s, o)
 	}
 	if q.rowFast {
-		r := *(*types.Ref)(fp)
+		r := *(*types.Ref)(cell)
 		e := r.Entry
 		if e == nil {
 			return mem.Obj{}, mem.ErrNullReference
@@ -209,7 +216,6 @@ func (q *SMCQueries) Q1(s *core.Session, p Params) []Q1Row {
 	// the query compiler knows both are single chars. The per-block
 	// kernel is shared with Q1ParCtx (queries_smc_par.go).
 	var d q1Dense
-	columnar := q.db.Layout == core.Columnar
 
 	s.Enter()
 	en := q.db.Lineitems.Enumerate(s)
@@ -218,67 +224,34 @@ func (q *SMCQueries) Q1(s *core.Session, p Params) []Q1Row {
 		if !ok {
 			break
 		}
-		q.q1Block(blk, cutoff, columnar, &d)
+		q.q1Block(blk, cutoff, &d)
 	}
 	en.Close()
 	s.Exit()
 	return q1Finish(d.groups())
 }
 
-// Q2 — minimum-cost supplier, reference joins through partsupp.
+// Q2 — minimum-cost supplier, reference joins through partsupp. The
+// per-part minimum-cost state lives in a leased region; both passes run
+// the per-block kernels shared with Q2ParCtx (queries_smc_joins.go).
 func (q *SMCQueries) Q2(s *core.Session, p Params) []Q2Row {
+	a := q.arenas.Lease()
+	defer q.arenas.Return(a)
+	minCost := region.NewPartitionedTable[q2Min](a, 1, joinTableHint)
 	typeSuffix := []byte(p.Q2Type)
-	region := []byte(p.Q2Region)
+	regionName := []byte(p.Q2Region)
 
 	s.Enter()
 	defer s.Exit()
-
 	// Pass 1: minimum supply cost per qualifying part among suppliers in
 	// the region.
-	minCost := make(map[int64]decimal.Dec128)
 	en := q.db.PartSupps.Enumerate(s)
 	for {
 		blk, ok := en.NextBlock()
 		if !ok {
 			break
 		}
-		for i := 0; i < blk.Capacity(); i++ {
-			if !blk.SlotIsValid(i) {
-				continue
-			}
-			ps := mem.Obj{Blk: blk, Slot: i}
-			pobj, err := q.deref(s, &q.frPSPart, ps)
-			if err != nil {
-				continue
-			}
-			if *(*int32)(pobj.Field(q.pSize)) != p.Q2Size {
-				continue
-			}
-			if !bytes.HasSuffix(objStr(pobj, q.pType), typeSuffix) {
-				continue
-			}
-			sobj, err := q.deref(s, &q.frPSSupp, ps)
-			if err != nil {
-				continue
-			}
-			nobj, err := q.deref(s, &q.frSNation, sobj)
-			if err != nil {
-				continue
-			}
-			robj, err := q.deref(s, &q.frNRegion, nobj)
-			if err != nil {
-				continue
-			}
-			if !bytes.Equal(objStr(robj, q.rName), region) {
-				continue
-			}
-			pk := *(*int64)(pobj.Field(q.pKey))
-			cost := *decAt(blk, i, q.psCost)
-			cur, ok := minCost[pk]
-			if !ok || cost.Less(cur) {
-				minCost[pk] = cost
-			}
-		}
+		q.q2MinBlock(s, blk, p.Q2Size, typeSuffix, regionName, minCost)
 	}
 	en.Close()
 
@@ -290,46 +263,7 @@ func (q *SMCQueries) Q2(s *core.Session, p Params) []Q2Row {
 		if !ok {
 			break
 		}
-		for i := 0; i < blk.Capacity(); i++ {
-			if !blk.SlotIsValid(i) {
-				continue
-			}
-			ps := mem.Obj{Blk: blk, Slot: i}
-			pobj, err := q.deref(s, &q.frPSPart, ps)
-			if err != nil {
-				continue
-			}
-			pk := *(*int64)(pobj.Field(q.pKey))
-			mc, ok := minCost[pk]
-			if !ok || *decAt(blk, i, q.psCost) != mc {
-				continue
-			}
-			sobj, err := q.deref(s, &q.frPSSupp, ps)
-			if err != nil {
-				continue
-			}
-			nobj, err := q.deref(s, &q.frSNation, sobj)
-			if err != nil {
-				continue
-			}
-			robj, err := q.deref(s, &q.frNRegion, nobj)
-			if err != nil {
-				continue
-			}
-			if !bytes.Equal(objStr(robj, q.rName), region) {
-				continue
-			}
-			rows = append(rows, Q2Row{
-				AcctBal: *(*decimal.Dec128)(sobj.Field(q.sBal)),
-				SName:   string(objStr(sobj, q.sName)),
-				NName:   string(objStr(nobj, q.nName)),
-				PartKey: pk,
-				Mfgr:    string(objStr(pobj, q.pMfgr)),
-				Address: string(objStr(sobj, q.sAddr)),
-				Phone:   string(objStr(sobj, q.sPhone)),
-				Comment: string(objStr(sobj, q.sCmnt)),
-			})
-		}
+		q.q2EmitBlock(s, blk, regionName, minCost, &rows)
 	}
 	en2.Close()
 	return SortQ2(rows)
@@ -383,22 +317,20 @@ func (q *SMCQueries) Q3MapIntermediates(s *core.Session, p Params) []Q3Row {
 		if !ok {
 			break
 		}
+		ship, ext, disc := colOf(blk, q.lShip), colOf(blk, q.lExt), colOf(blk, q.lDisc)
+		ord := colOf(blk, q.frLOrder.Field)
 		for i := 0; i < blk.Capacity(); i++ {
-			if !blk.SlotIsValid(i) {
+			if !blk.SlotIsValid(i) || ship.date(i) <= p.Q3Date {
 				continue
 			}
-			if dateAt(blk, i, q.lShip) <= p.Q3Date {
-				continue
-			}
-			l := mem.Obj{Blk: blk, Slot: i}
-			oobj, err := q.deref(s, &q.frLOrder, l)
+			oobj, err := q.deref(s, &q.frLOrder, ord.at(i), mem.Obj{Blk: blk, Slot: i})
 			if err != nil {
 				continue
 			}
 			if *(*types.Date)(oobj.Field(q.oDate)) >= p.Q3Date {
 				continue
 			}
-			cobj, err := q.deref(s, &q.frOCust, oobj)
+			cobj, err := q.Deref(s, &q.frOCust, oobj)
 			if err != nil {
 				continue
 			}
@@ -414,7 +346,7 @@ func (q *SMCQueries) Q3MapIntermediates(s *core.Session, p Params) []Q3Row {
 				}
 				groups[ok64] = a
 			}
-			rev := decAt(blk, i, q.lExt).Mul(one.Sub(*decAt(blk, i, q.lDisc)))
+			rev := ext.dec(i).Mul(one.Sub(*disc.dec(i)))
 			decimal.AddAssign(&a.rev, &rev)
 		}
 	}
@@ -434,21 +366,19 @@ func (q *SMCQueries) Q3MapIntermediates(s *core.Session, p Params) []Q3Row {
 // the serial Q4 and Q4ParCtx. s must be the session whose critical section
 // covers blk.
 func (q *SMCQueries) q4LateBlock(s *core.Session, blk *mem.Block, lo, hi types.Date, late *region.PartitionedTable[struct{}]) {
+	commit, recv := colOf(blk, q.lCommit), colOf(blk, q.lRecv)
+	key, ord := colOf(blk, q.lOrderKey), colOf(blk, q.frLOrder.Field)
 	for i := 0; i < blk.Capacity(); i++ {
-		if !blk.SlotIsValid(i) {
+		if !blk.SlotIsValid(i) || commit.date(i) >= recv.date(i) {
 			continue
 		}
-		if dateAt(blk, i, q.lCommit) >= dateAt(blk, i, q.lRecv) {
-			continue
-		}
-		l := mem.Obj{Blk: blk, Slot: i}
-		oobj, err := q.deref(s, &q.frLOrder, l)
+		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), mem.Obj{Blk: blk, Slot: i})
 		if err != nil {
 			continue
 		}
 		od := *(*types.Date)(oobj.Field(q.oDate))
 		if od >= lo && od < hi {
-			late.At(i64At(blk, i, q.lOrderKey))
+			late.At(key.i64(i))
 		}
 	}
 }
@@ -458,16 +388,16 @@ func (q *SMCQueries) q4LateBlock(s *core.Session, blk *mem.Block, lo, hi types.D
 // kernel, shared by the serial Q4 and Q4ParCtx. The window check stays the
 // residual predicate even when the scan was pruned on OrderDate.
 func (q *SMCQueries) q4CountBlock(blk *mem.Block, lo, hi types.Date, late *region.PartitionedTable[struct{}], counts map[string]int64) {
+	date, key, prio := colOf(blk, q.oDate), colOf(blk, q.oKey), colOf(blk, q.oPrio)
 	for i := 0; i < blk.Capacity(); i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
-		od := dateAt(blk, i, q.oDate)
-		if od < lo || od >= hi {
+		if od := date.date(i); od < lo || od >= hi {
 			continue
 		}
-		if late.Get(i64At(blk, i, q.oKey)) != nil {
-			counts[string(strAt(blk, i, q.oPrio))]++
+		if late.Get(key.i64(i)) != nil {
+			counts[string(prio.str(i))]++
 		}
 	}
 }
@@ -546,7 +476,6 @@ func (q *SMCQueries) Q6(s *core.Session, p Params) decimal.Dec128 {
 	hi := p.Q6Date.AddYears(1)
 	lo := p.Q6Discount.Sub(decimal.MustParse("0.01"))
 	hiD := p.Q6Discount.Add(decimal.MustParse("0.01"))
-	columnar := q.db.Layout == core.Columnar
 	var sum q6Sum
 
 	s.Enter()
@@ -556,7 +485,7 @@ func (q *SMCQueries) Q6(s *core.Session, p Params) decimal.Dec128 {
 		if !ok {
 			break
 		}
-		q.q6Block(blk, p, hi, lo, hiD, columnar, &sum)
+		q.q6Block(blk, p, hi, lo, hiD, &sum)
 	}
 	en.Close()
 	s.Exit()

@@ -69,16 +69,17 @@ func mergeQ2Min(dst, src *q2Min) {
 
 // q2MinBlock scans one partsupp block into a per-part minimum-cost
 // table: the compiled first-pass Q2 kernel (partsupp→part and
-// partsupp→supplier→nation→region reference joins), mirroring the
-// serial Q2's pass 1 filters exactly.
+// partsupp→supplier→nation→region reference joins), shared by the
+// serial Q2 and Q2ParCtx.
 func (q *SMCQueries) q2MinBlock(s *core.Session, blk *mem.Block, size int32, typeSuffix, regionName []byte, minCost *region.PartitionedTable[q2Min]) {
+	part, supp, cost := colOf(blk, q.frPSPart.Field), colOf(blk, q.frPSSupp.Field), colOf(blk, q.psCost)
 	n := blk.Capacity()
 	for i := 0; i < n; i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
 		ps := mem.Obj{Blk: blk, Slot: i}
-		pobj, err := q.deref(s, &q.frPSPart, ps)
+		pobj, err := q.deref(s, &q.frPSPart, part.at(i), ps)
 		if err != nil {
 			continue
 		}
@@ -88,61 +89,63 @@ func (q *SMCQueries) q2MinBlock(s *core.Session, blk *mem.Block, size int32, typ
 		if !bytes.HasSuffix(objStr(pobj, q.pType), typeSuffix) {
 			continue
 		}
-		sobj, err := q.deref(s, &q.frPSSupp, ps)
+		sobj, err := q.deref(s, &q.frPSSupp, supp.at(i), ps)
 		if err != nil {
 			continue
 		}
-		nobj, err := q.deref(s, &q.frSNation, sobj)
-		if err != nil {
+		if _, ok := q.suppInRegion(s, sobj, regionName); !ok {
 			continue
 		}
-		robj, err := q.deref(s, &q.frNRegion, nobj)
-		if err != nil {
-			continue
-		}
-		if !bytes.Equal(objStr(robj, q.rName), regionName) {
-			continue
-		}
-		cost := *decAt(blk, i, q.psCost)
+		c := cost.dec(i)
 		a := minCost.At(*(*int64)(pobj.Field(q.pKey)))
-		if !a.seen || cost.Less(a.cost) {
-			a.seen, a.cost = true, cost
+		if !a.seen || c.Less(a.cost) {
+			a.seen, a.cost = true, *c
 		}
 	}
 }
 
+// suppInRegion hops supplier→nation→region and reports whether the
+// supplier's region is named regionName, returning the nation on the
+// way for the callers that print it.
+func (q *SMCQueries) suppInRegion(s *core.Session, sobj mem.Obj, regionName []byte) (mem.Obj, bool) {
+	nobj, err := q.Deref(s, &q.frSNation, sobj)
+	if err != nil {
+		return mem.Obj{}, false
+	}
+	robj, err := q.Deref(s, &q.frNRegion, nobj)
+	if err != nil {
+		return mem.Obj{}, false
+	}
+	return nobj, bytes.Equal(objStr(robj, q.rName), regionName)
+}
+
 // q2EmitBlock scans one partsupp block for suppliers achieving their
 // part's minimum cost, probing the merged first-pass table read-only:
-// the compiled second-pass Q2 kernel, mirroring the serial pass 2.
+// the compiled second-pass Q2 kernel, shared by the serial Q2 and
+// Q2ParCtx.
 func (q *SMCQueries) q2EmitBlock(s *core.Session, blk *mem.Block, regionName []byte, minCost *region.PartitionedTable[q2Min], out *[]Q2Row) {
+	part, supp, cost := colOf(blk, q.frPSPart.Field), colOf(blk, q.frPSSupp.Field), colOf(blk, q.psCost)
 	n := blk.Capacity()
 	for i := 0; i < n; i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
 		ps := mem.Obj{Blk: blk, Slot: i}
-		pobj, err := q.deref(s, &q.frPSPart, ps)
+		pobj, err := q.deref(s, &q.frPSPart, part.at(i), ps)
 		if err != nil {
 			continue
 		}
 		pk := *(*int64)(pobj.Field(q.pKey))
 		mc := minCost.Get(pk)
-		if mc == nil || !mc.seen || *decAt(blk, i, q.psCost) != mc.cost {
+		if mc == nil || !mc.seen || *cost.dec(i) != mc.cost {
 			continue
 		}
-		sobj, err := q.deref(s, &q.frPSSupp, ps)
+		sobj, err := q.deref(s, &q.frPSSupp, supp.at(i), ps)
 		if err != nil {
 			continue
 		}
-		nobj, err := q.deref(s, &q.frSNation, sobj)
-		if err != nil {
-			continue
-		}
-		robj, err := q.deref(s, &q.frNRegion, nobj)
-		if err != nil {
-			continue
-		}
-		if !bytes.Equal(objStr(robj, q.rName), regionName) {
+		nobj, ok := q.suppInRegion(s, sobj, regionName)
+		if !ok {
 			continue
 		}
 		*out = append(*out, Q2Row{
@@ -196,23 +199,21 @@ func (q *SMCQueries) Q2ParCtx(ctx context.Context, s *core.Session, p Params, wo
 // covers blk.
 func (q *SMCQueries) q3Block(s *core.Session, blk *mem.Block, date types.Date, segment []byte, groups *region.PartitionedTable[q3Acc]) {
 	one := decimal.FromInt64(1)
+	ship, ext, disc := colOf(blk, q.lShip), colOf(blk, q.lExt), colOf(blk, q.lDisc)
+	ord := colOf(blk, q.frLOrder.Field)
 	n := blk.Capacity()
 	for i := 0; i < n; i++ {
-		if !blk.SlotIsValid(i) {
+		if !blk.SlotIsValid(i) || ship.date(i) <= date {
 			continue
 		}
-		if dateAt(blk, i, q.lShip) <= date {
-			continue
-		}
-		l := mem.Obj{Blk: blk, Slot: i}
-		oobj, err := q.deref(s, &q.frLOrder, l)
+		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), mem.Obj{Blk: blk, Slot: i})
 		if err != nil {
 			continue
 		}
 		if *(*types.Date)(oobj.Field(q.oDate)) >= date {
 			continue
 		}
-		cobj, err := q.deref(s, &q.frOCust, oobj)
+		cobj, err := q.Deref(s, &q.frOCust, oobj)
 		if err != nil {
 			continue
 		}
@@ -225,7 +226,7 @@ func (q *SMCQueries) q3Block(s *core.Session, blk *mem.Block, date types.Date, s
 			a.date = *(*types.Date)(oobj.Field(q.oDate))
 			a.sprio = *(*int32)(oobj.Field(q.oSprio))
 		}
-		rev := decAt(blk, i, q.lExt).Mul(one.Sub(*decAt(blk, i, q.lDisc)))
+		rev := ext.dec(i).Mul(one.Sub(*disc.dec(i)))
 		decimal.AddAssign(&a.rev, &rev)
 	}
 }
@@ -257,13 +258,15 @@ func q3Rows(groups *region.PartitionedTable[q3Acc]) []Q3Row {
 // shared by the serial and parallel drivers.
 func (q *SMCQueries) q5Block(s *core.Session, blk *mem.Block, lo, hi types.Date, regionName []byte, rev *region.PartitionedTable[decimal.Dec128]) {
 	one := decimal.FromInt64(1)
+	ext, disc := colOf(blk, q.lExt), colOf(blk, q.lDisc)
+	ord, supp := colOf(blk, q.frLOrder.Field), colOf(blk, q.frLSupp.Field)
 	n := blk.Capacity()
 	for i := 0; i < n; i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
 		l := mem.Obj{Blk: blk, Slot: i}
-		oobj, err := q.deref(s, &q.frLOrder, l)
+		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), l)
 		if err != nil {
 			continue
 		}
@@ -271,26 +274,19 @@ func (q *SMCQueries) q5Block(s *core.Session, blk *mem.Block, lo, hi types.Date,
 		if od < lo || od >= hi {
 			continue
 		}
-		sobj, err := q.deref(s, &q.frLSupp, l)
+		sobj, err := q.deref(s, &q.frLSupp, supp.at(i), l)
 		if err != nil {
 			continue
 		}
-		snobj, err := q.deref(s, &q.frSNation, sobj)
+		snobj, ok := q.suppInRegion(s, sobj, regionName)
+		if !ok {
+			continue
+		}
+		cobj, err := q.Deref(s, &q.frOCust, oobj)
 		if err != nil {
 			continue
 		}
-		robj, err := q.deref(s, &q.frNRegion, snobj)
-		if err != nil {
-			continue
-		}
-		if !bytes.Equal(objStr(robj, q.rName), regionName) {
-			continue
-		}
-		cobj, err := q.deref(s, &q.frOCust, oobj)
-		if err != nil {
-			continue
-		}
-		cnobj, err := q.deref(s, &q.frCNation, cobj)
+		cnobj, err := q.Deref(s, &q.frCNation, cobj)
 		if err != nil {
 			continue
 		}
@@ -298,7 +294,7 @@ func (q *SMCQueries) q5Block(s *core.Session, blk *mem.Block, lo, hi types.Date,
 		if *(*int64)(cnobj.Field(q.nKey)) != snKey {
 			continue
 		}
-		r := decAt(blk, i, q.lExt).Mul(one.Sub(*decAt(blk, i, q.lDisc)))
+		r := ext.dec(i).Mul(one.Sub(*disc.dec(i)))
 		decimal.AddAssign(rev.At(snKey), &r)
 	}
 }
@@ -336,12 +332,13 @@ func (q *SMCQueries) q5Finish(s *core.Session, rev *region.PartitionedTable[deci
 // the block-sharded parallel one (the merged table is read-only here, so
 // concurrent probes race with nothing).
 func (q *SMCQueries) q5FinishBlock(blk *mem.Block, rev *region.PartitionedTable[decimal.Dec128], out *[]Q5Row) {
+	key, name := colOf(blk, q.nKey), colOf(blk, q.nName)
 	for i := 0; i < blk.Capacity(); i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
-		if v := rev.Get(i64At(blk, i, q.nKey)); v != nil {
-			*out = append(*out, Q5Row{Nation: string(strAt(blk, i, q.nName)), Revenue: *v})
+		if v := rev.Get(key.i64(i)); v != nil {
+			*out = append(*out, Q5Row{Nation: string(name.str(i)), Revenue: *v})
 		}
 	}
 }
@@ -351,16 +348,14 @@ func (q *SMCQueries) q5FinishBlock(blk *mem.Block, rev *region.PartitionedTable[
 // report, shared by the serial and parallel drivers.
 func (q *SMCQueries) q10Block(s *core.Session, blk *mem.Block, lo, hi types.Date, rev *region.PartitionedTable[decimal.Dec128]) {
 	one := decimal.FromInt64(1)
+	ret, ext, disc := colOf(blk, q.lRet), colOf(blk, q.lExt), colOf(blk, q.lDisc)
+	ord := colOf(blk, q.frLOrder.Field)
 	n := blk.Capacity()
 	for i := 0; i < n; i++ {
-		if !blk.SlotIsValid(i) {
+		if !blk.SlotIsValid(i) || ret.i32(i) != 'R' {
 			continue
 		}
-		if i32At(blk, i, q.lRet) != 'R' {
-			continue
-		}
-		l := mem.Obj{Blk: blk, Slot: i}
-		oobj, err := q.deref(s, &q.frLOrder, l)
+		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), mem.Obj{Blk: blk, Slot: i})
 		if err != nil {
 			continue
 		}
@@ -368,11 +363,11 @@ func (q *SMCQueries) q10Block(s *core.Session, blk *mem.Block, lo, hi types.Date
 		if od < lo || od >= hi {
 			continue
 		}
-		cobj, err := q.deref(s, &q.frOCust, oobj)
+		cobj, err := q.Deref(s, &q.frOCust, oobj)
 		if err != nil {
 			continue
 		}
-		r := decAt(blk, i, q.lExt).Mul(one.Sub(*decAt(blk, i, q.lDisc)))
+		r := ext.dec(i).Mul(one.Sub(*disc.dec(i)))
 		decimal.AddAssign(rev.At(*(*int64)(cobj.Field(q.cKey))), &r)
 	}
 }
@@ -439,26 +434,28 @@ func q10Cutoff(rev *region.PartitionedTable[decimal.Dec128]) q10Entry {
 // block-sharded parallel one. s must be the session whose critical
 // section covers blk (the nation dereference needs it).
 func (q *SMCQueries) q10FinishBlock(s *core.Session, blk *mem.Block, rev *region.PartitionedTable[decimal.Dec128], cut q10Entry, out *[]Q10Row) {
+	key, name, bal := colOf(blk, q.cKey), colOf(blk, q.cName), colOf(blk, q.cBal)
+	addr, phone, cmnt := colOf(blk, q.cAddr), colOf(blk, q.cPhone), colOf(blk, q.cCmnt)
+	nation := colOf(blk, q.frCNation.Field)
 	for i := 0; i < blk.Capacity(); i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
-		ck := i64At(blk, i, q.cKey)
+		ck := key.i64(i)
 		v := rev.Get(ck)
 		if v == nil || cut.before(q10Entry{key: ck, rev: *v}) {
 			continue
 		}
-		c := mem.Obj{Blk: blk, Slot: i}
 		row := Q10Row{
 			CustKey: ck,
-			Name:    string(objStr(c, q.cName)),
+			Name:    string(name.str(i)),
 			Revenue: *v,
-			AcctBal: *(*decimal.Dec128)(c.Field(q.cBal)),
-			Address: string(objStr(c, q.cAddr)),
-			Phone:   string(objStr(c, q.cPhone)),
-			Comment: string(objStr(c, q.cCmnt)),
+			AcctBal: *bal.dec(i),
+			Address: string(addr.str(i)),
+			Phone:   string(phone.str(i)),
+			Comment: string(cmnt.str(i)),
 		}
-		if cnobj, err := q.deref(s, &q.frCNation, c); err == nil {
+		if cnobj, err := q.deref(s, &q.frCNation, nation.at(i), mem.Obj{Blk: blk, Slot: i}); err == nil {
 			row.Nation = string(objStr(cnobj, q.nName))
 		}
 		*out = append(*out, row)
@@ -489,10 +486,11 @@ func (q *SMCQueries) Q3ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	opred := q.db.Orders.Predicate().DateRange("OrderDate", dateMin, p.Q3Date-1)
 	oks, err := query.Keys(pl, query.Where(q.db.Orders, opred),
 		func(_ *core.Session, blk *mem.Block, out *[]int64) {
+			date, key := colOf(blk, q.oDate), colOf(blk, q.oKey)
 			n := blk.Capacity()
 			for i := 0; i < n; i++ {
-				if blk.SlotIsValid(i) && dateAt(blk, i, q.oDate) < p.Q3Date {
-					*out = append(*out, i64At(blk, i, q.oKey))
+				if blk.SlotIsValid(i) && date.date(i) < p.Q3Date {
+					*out = append(*out, key.i64(i))
 				}
 			}
 		})
@@ -637,13 +635,14 @@ func (q *SMCQueries) Q10ParCtx(ctx context.Context, s *core.Session, p Params, w
 	opred := q.db.Orders.Predicate().DateRange("OrderDate", lo, hi-1)
 	oks, err := query.Keys(pl, query.Where(q.db.Orders, opred),
 		func(_ *core.Session, blk *mem.Block, out *[]int64) {
+			date, key := colOf(blk, q.oDate), colOf(blk, q.oKey)
 			n := blk.Capacity()
 			for i := 0; i < n; i++ {
 				if !blk.SlotIsValid(i) {
 					continue
 				}
-				if od := dateAt(blk, i, q.oDate); od >= lo && od < hi {
-					*out = append(*out, i64At(blk, i, q.oKey))
+				if od := date.date(i); od >= lo && od < hi {
+					*out = append(*out, key.i64(i))
 				}
 			}
 		})

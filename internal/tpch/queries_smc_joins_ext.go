@@ -40,21 +40,23 @@ const (
 // session whose critical section covers blk.
 func (q *SMCQueries) q7Block(s *core.Session, blk *mem.Block, nation1, nation2 []byte, rev *region.PartitionedTable[decimal.Dec128]) {
 	one := decimal.FromInt64(1)
+	shipc, ext, disc := colOf(blk, q.lShip), colOf(blk, q.lExt), colOf(blk, q.lDisc)
+	ord, supp := colOf(blk, q.frLOrder.Field), colOf(blk, q.frLSupp.Field)
 	n := blk.Capacity()
 	for i := 0; i < n; i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
-		ship := dateAt(blk, i, q.lShip)
+		ship := shipc.date(i)
 		if ship < q7DateLo || ship > q7DateHi {
 			continue
 		}
 		l := mem.Obj{Blk: blk, Slot: i}
-		sobj, err := q.deref(s, &q.frLSupp, l)
+		sobj, err := q.deref(s, &q.frLSupp, supp.at(i), l)
 		if err != nil {
 			continue
 		}
-		snobj, err := q.deref(s, &q.frSNation, sobj)
+		snobj, err := q.Deref(s, &q.frSNation, sobj)
 		if err != nil {
 			continue
 		}
@@ -63,15 +65,15 @@ func (q *SMCQueries) q7Block(s *core.Session, blk *mem.Block, nation1, nation2 [
 		if !is1 && !is2 {
 			continue
 		}
-		oobj, err := q.deref(s, &q.frLOrder, l)
+		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), l)
 		if err != nil {
 			continue
 		}
-		cobj, err := q.deref(s, &q.frOCust, oobj)
+		cobj, err := q.Deref(s, &q.frOCust, oobj)
 		if err != nil {
 			continue
 		}
-		cnobj, err := q.deref(s, &q.frCNation, cobj)
+		cnobj, err := q.Deref(s, &q.frCNation, cobj)
 		if err != nil {
 			continue
 		}
@@ -82,7 +84,7 @@ func (q *SMCQueries) q7Block(s *core.Session, blk *mem.Block, nation1, nation2 [
 		if is2 && !bytes.Equal(cn, nation1) {
 			continue
 		}
-		r := decAt(blk, i, q.lExt).Mul(one.Sub(*decAt(blk, i, q.lDisc)))
+		r := ext.dec(i).Mul(one.Sub(*disc.dec(i)))
 		decimal.AddAssign(rev.At(int64(q7Dir(is1, ship.Year()))), &r)
 	}
 }
@@ -102,13 +104,15 @@ func q7Row(p Params, k int64, v decimal.Dec128) Q7Row {
 // parallel drivers.
 func (q *SMCQueries) q8Block(s *core.Session, blk *mem.Block, nation, regionName, ptype []byte, groups *region.PartitionedTable[q8Acc]) {
 	one := decimal.FromInt64(1)
+	ext, disc := colOf(blk, q.lExt), colOf(blk, q.lDisc)
+	ord, part, supp := colOf(blk, q.frLOrder.Field), colOf(blk, q.frLPart.Field), colOf(blk, q.frLSupp.Field)
 	n := blk.Capacity()
 	for i := 0; i < n; i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
 		l := mem.Obj{Blk: blk, Slot: i}
-		oobj, err := q.deref(s, &q.frLOrder, l)
+		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), l)
 		if err != nil {
 			continue
 		}
@@ -116,22 +120,22 @@ func (q *SMCQueries) q8Block(s *core.Session, blk *mem.Block, nation, regionName
 		if od < q7DateLo || od > q7DateHi {
 			continue
 		}
-		pobj, err := q.deref(s, &q.frLPart, l)
+		pobj, err := q.deref(s, &q.frLPart, part.at(i), l)
 		if err != nil {
 			continue
 		}
 		if !bytes.Equal(objStr(pobj, q.pType), ptype) {
 			continue
 		}
-		cobj, err := q.deref(s, &q.frOCust, oobj)
+		cobj, err := q.Deref(s, &q.frOCust, oobj)
 		if err != nil {
 			continue
 		}
-		cnobj, err := q.deref(s, &q.frCNation, cobj)
+		cnobj, err := q.Deref(s, &q.frCNation, cobj)
 		if err != nil {
 			continue
 		}
-		crobj, err := q.deref(s, &q.frNRegion, cnobj)
+		crobj, err := q.Deref(s, &q.frNRegion, cnobj)
 		if err != nil {
 			continue
 		}
@@ -139,13 +143,13 @@ func (q *SMCQueries) q8Block(s *core.Session, blk *mem.Block, nation, regionName
 			continue
 		}
 		a := groups.At(int64(od.Year()))
-		vol := decAt(blk, i, q.lExt).Mul(one.Sub(*decAt(blk, i, q.lDisc)))
+		vol := ext.dec(i).Mul(one.Sub(*disc.dec(i)))
 		decimal.AddAssign(&a.total, &vol)
-		sobj, err := q.deref(s, &q.frLSupp, l)
+		sobj, err := q.deref(s, &q.frLSupp, supp.at(i), l)
 		if err != nil {
 			continue
 		}
-		snobj, err := q.deref(s, &q.frSNation, sobj)
+		snobj, err := q.Deref(s, &q.frSNation, sobj)
 		if err != nil {
 			continue
 		}
@@ -175,17 +179,18 @@ func q8Row(k int64, a *q8Acc) Q8Row {
 // supplycost table: the compiled per-block kernel of Q9's first stage,
 // shared by the serial and parallel drivers.
 func (q *SMCQueries) q9CostBlock(s *core.Session, blk *mem.Block, cost *region.PartitionedTable[decimal.Dec128]) {
+	part, supp, cc := colOf(blk, q.frPSPart.Field), colOf(blk, q.frPSSupp.Field), colOf(blk, q.psCost)
 	n := blk.Capacity()
 	for i := 0; i < n; i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
 		ps := mem.Obj{Blk: blk, Slot: i}
-		pobj, err := q.deref(s, &q.frPSPart, ps)
+		pobj, err := q.deref(s, &q.frPSPart, part.at(i), ps)
 		if err != nil {
 			continue
 		}
-		sobj, err := q.deref(s, &q.frPSSupp, ps)
+		sobj, err := q.deref(s, &q.frPSSupp, supp.at(i), ps)
 		if err != nil {
 			continue
 		}
@@ -193,7 +198,7 @@ func (q *SMCQueries) q9CostBlock(s *core.Session, blk *mem.Block, cost *region.P
 			*(*int64)(pobj.Field(q.pKey)),
 			*(*int64)(sobj.Field(q.sKey)),
 		)
-		*cost.At(k) = *decAt(blk, i, q.psCost)
+		*cost.At(k) = *cc.dec(i)
 	}
 }
 
@@ -219,20 +224,22 @@ func (q *SMCQueries) q9Block(s *core.Session, blk *mem.Block, color []byte, cost
 		return
 	}
 	one := decimal.FromInt64(1)
+	ext, disc, qty := colOf(blk, q.lExt), colOf(blk, q.lDisc), colOf(blk, q.lQty)
+	ord, part, supp := colOf(blk, q.frLOrder.Field), colOf(blk, q.frLPart.Field), colOf(blk, q.frLSupp.Field)
 	n := blk.Capacity()
 	for i := 0; i < n; i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
 		l := mem.Obj{Blk: blk, Slot: i}
-		pobj, err := q.deref(s, &q.frLPart, l)
+		pobj, err := q.deref(s, &q.frLPart, part.at(i), l)
 		if err != nil {
 			continue
 		}
 		if !bytes.Contains(objStr(pobj, q.pName), color) {
 			continue
 		}
-		sobj, err := q.deref(s, &q.frLSupp, l)
+		sobj, err := q.deref(s, &q.frLSupp, supp.at(i), l)
 		if err != nil {
 			continue
 		}
@@ -244,16 +251,16 @@ func (q *SMCQueries) q9Block(s *core.Session, blk *mem.Block, color []byte, cost
 		if c == nil {
 			continue
 		}
-		oobj, err := q.deref(s, &q.frLOrder, l)
+		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), l)
 		if err != nil {
 			continue
 		}
-		snobj, err := q.deref(s, &q.frSNation, sobj)
+		snobj, err := q.Deref(s, &q.frSNation, sobj)
 		if err != nil {
 			continue
 		}
-		amount := decAt(blk, i, q.lExt).Mul(one.Sub(*decAt(blk, i, q.lDisc)))
-		amount = amount.Sub(c.Mul(*decAt(blk, i, q.lQty)))
+		amount := ext.dec(i).Mul(one.Sub(*disc.dec(i)))
+		amount = amount.Sub(c.Mul(*qty.dec(i)))
 		g := packNationYear(
 			*(*int64)(snobj.Field(q.nKey)),
 			int32((*(*types.Date)(oobj.Field(q.oDate))).Year()),
@@ -276,11 +283,12 @@ func (q *SMCQueries) nationNames(s *core.Session) map[int64]string {
 		if !ok {
 			break
 		}
+		key, name := colOf(blk, q.nKey), colOf(blk, q.nName)
 		for i := 0; i < blk.Capacity(); i++ {
 			if !blk.SlotIsValid(i) {
 				continue
 			}
-			names[i64At(blk, i, q.nKey)] = string(strAt(blk, i, q.nName))
+			names[key.i64(i)] = string(name.str(i))
 		}
 	}
 	en.Close()

@@ -3,7 +3,6 @@ package tpch
 import (
 	"context"
 	"math"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/decimal"
@@ -104,70 +103,23 @@ func (d *q1Dense) mergeFrom(o *q1Dense) {
 
 // q1Block scans one block into a dense accumulator table: the compiled
 // per-block Q1 kernel, shared by the serial and parallel drivers.
-func (q *SMCQueries) q1Block(blk *mem.Block, cutoff types.Date, columnar bool, d *q1Dense) {
+func (q *SMCQueries) q1Block(blk *mem.Block, cutoff types.Date, d *q1Dense) {
 	one := decimal.FromInt64(1)
+	ship, ret, stat := colOf(blk, q.lShip), colOf(blk, q.lRet), colOf(blk, q.lStat)
+	qty, ext, disc, tax := colOf(blk, q.lQty), colOf(blk, q.lExt), colOf(blk, q.lDisc), colOf(blk, q.lTax)
 	n := blk.Capacity()
-	if columnar {
-		shipBase := blk.ColBase(q.lShip)
-		qtyBase := blk.ColBase(q.lQty)
-		extBase := blk.ColBase(q.lExt)
-		discBase := blk.ColBase(q.lDisc)
-		taxBase := blk.ColBase(q.lTax)
-		retBase := blk.ColBase(q.lRet)
-		statBase := blk.ColBase(q.lStat)
-		for i := 0; i < n; i++ {
-			if !blk.SlotIsValid(i) {
-				continue
-			}
-			if *(*types.Date)(unsafe.Add(shipBase, uintptr(i)*4)) > cutoff {
-				continue
-			}
-			rf := *(*int32)(unsafe.Add(retBase, uintptr(i)*4))
-			ls := *(*int32)(unsafe.Add(statBase, uintptr(i)*4))
-			a := &d.accs[q1DenseIdx(rf, ls)]
-			a.used = true
-			qty := (*decimal.Dec128)(unsafe.Add(qtyBase, uintptr(i)*16))
-			ext := (*decimal.Dec128)(unsafe.Add(extBase, uintptr(i)*16))
-			dsc := (*decimal.Dec128)(unsafe.Add(discBase, uintptr(i)*16))
-			tax := (*decimal.Dec128)(unsafe.Add(taxBase, uintptr(i)*16))
-			decimal.AddAssign(&a.sumQty, qty)
-			decimal.AddAssign(&a.sumBase, ext)
-			decimal.AddAssign(&a.sumDisc, dsc)
-			disc := ext.Mul(one.Sub(*dsc))
-			charge := disc.Mul(one.Add(*tax))
-			decimal.AddAssign(&a.sumCharge, &charge)
-			a.count++
-		}
-		return
-	}
-	shipOff := q.lShip.Offset
-	qtyOff := q.lQty.Offset
-	extOff := q.lExt.Offset
-	discOff := q.lDisc.Offset
-	taxOff := q.lTax.Offset
-	retOff := q.lRet.Offset
-	statOff := q.lStat.Offset
 	for i := 0; i < n; i++ {
-		if !blk.SlotIsValid(i) {
+		if !blk.SlotIsValid(i) || ship.date(i) > cutoff {
 			continue
 		}
-		base := blk.SlotData(i)
-		if *(*types.Date)(unsafe.Add(base, shipOff)) > cutoff {
-			continue
-		}
-		rf := *(*int32)(unsafe.Add(base, retOff))
-		ls := *(*int32)(unsafe.Add(base, statOff))
-		a := &d.accs[q1DenseIdx(rf, ls)]
+		a := &d.accs[q1DenseIdx(ret.i32(i), stat.i32(i))]
 		a.used = true
-		qty := (*decimal.Dec128)(unsafe.Add(base, qtyOff))
-		ext := (*decimal.Dec128)(unsafe.Add(base, extOff))
-		dsc := (*decimal.Dec128)(unsafe.Add(base, discOff))
-		tax := (*decimal.Dec128)(unsafe.Add(base, taxOff))
-		decimal.AddAssign(&a.sumQty, qty)
-		decimal.AddAssign(&a.sumBase, ext)
+		e, dsc := ext.dec(i), disc.dec(i)
+		decimal.AddAssign(&a.sumQty, qty.dec(i))
+		decimal.AddAssign(&a.sumBase, e)
 		decimal.AddAssign(&a.sumDisc, dsc)
-		disc := ext.Mul(one.Sub(*dsc))
-		charge := disc.Mul(one.Add(*tax))
+		price := e.Mul(one.Sub(*dsc))
+		charge := price.Mul(one.Add(*tax.dec(i)))
 		decimal.AddAssign(&a.sumCharge, &charge)
 		a.count++
 	}
@@ -181,99 +133,39 @@ type q6Sum struct {
 
 // q6Block scans one block into a partial revenue sum: the compiled
 // per-block Q6 kernel, shared by the serial and parallel drivers.
-func (q *SMCQueries) q6Block(blk *mem.Block, p Params, hi types.Date, lo, hiD decimal.Dec128, columnar bool, out *q6Sum) {
+func (q *SMCQueries) q6Block(blk *mem.Block, p Params, hi types.Date, lo, hiD decimal.Dec128, out *q6Sum) {
+	ship, qty, ext, disc := colOf(blk, q.lShip), colOf(blk, q.lQty), colOf(blk, q.lExt), colOf(blk, q.lDisc)
 	n := blk.Capacity()
-	if columnar {
-		shipBase := blk.ColBase(q.lShip)
-		qtyBase := blk.ColBase(q.lQty)
-		extBase := blk.ColBase(q.lExt)
-		discBase := blk.ColBase(q.lDisc)
-		for i := 0; i < n; i++ {
-			if !blk.SlotIsValid(i) {
-				continue
-			}
-			ship := *(*types.Date)(unsafe.Add(shipBase, uintptr(i)*4))
-			if ship < p.Q6Date || ship >= hi {
-				continue
-			}
-			dsc := (*decimal.Dec128)(unsafe.Add(discBase, uintptr(i)*16))
-			if dsc.Less(lo) || hiD.Less(*dsc) {
-				continue
-			}
-			qty := (*decimal.Dec128)(unsafe.Add(qtyBase, uintptr(i)*16))
-			if !qty.Less(p.Q6Quantity) {
-				continue
-			}
-			ext := (*decimal.Dec128)(unsafe.Add(extBase, uintptr(i)*16))
-			decimal.MulAdd(&out.sum, ext, dsc)
-		}
-		return
-	}
-	shipOff := q.lShip.Offset
-	qtyOff := q.lQty.Offset
-	extOff := q.lExt.Offset
-	discOff := q.lDisc.Offset
 	for i := 0; i < n; i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
-		base := blk.SlotData(i)
-		ship := *(*types.Date)(unsafe.Add(base, shipOff))
-		if ship < p.Q6Date || ship >= hi {
+		if d := ship.date(i); d < p.Q6Date || d >= hi {
 			continue
 		}
-		dsc := (*decimal.Dec128)(unsafe.Add(base, discOff))
-		if dsc.Less(lo) || hiD.Less(*dsc) {
+		dsc := disc.dec(i)
+		if dsc.Less(lo) || hiD.Less(*dsc) || !qty.dec(i).Less(p.Q6Quantity) {
 			continue
 		}
-		qty := (*decimal.Dec128)(unsafe.Add(base, qtyOff))
-		if !qty.Less(p.Q6Quantity) {
-			continue
-		}
-		ext := (*decimal.Dec128)(unsafe.Add(base, extOff))
-		decimal.MulAdd(&out.sum, ext, dsc)
+		decimal.MulAdd(&out.sum, ext.dec(i), dsc)
 	}
 }
 
 // q6WindowBlock sums revenue (extendedprice × discount) over ship dates
-// in [lo, hi]: the Q6-style windowed scan kernel the prune figure sweeps
-// over selectivities — the window is the whole predicate, so measured
-// selectivity is purely date-driven.
-func (q *SMCQueries) q6WindowBlock(blk *mem.Block, lo, hi types.Date, columnar bool, out *q6Sum) {
+// in [lo, hi]: the Q6-style windowed scan kernel behind Q6WindowParCtx
+// and the served q6window endpoint, whose window is the whole predicate,
+// so its selectivity is purely date-driven.
+func (q *SMCQueries) q6WindowBlock(blk *mem.Block, lo, hi types.Date, out *q6Sum) {
+	ship, ext, disc := colOf(blk, q.lShip), colOf(blk, q.lExt), colOf(blk, q.lDisc)
 	n := blk.Capacity()
-	if columnar {
-		shipBase := blk.ColBase(q.lShip)
-		extBase := blk.ColBase(q.lExt)
-		discBase := blk.ColBase(q.lDisc)
-		for i := 0; i < n; i++ {
-			if !blk.SlotIsValid(i) {
-				continue
-			}
-			ship := *(*types.Date)(unsafe.Add(shipBase, uintptr(i)*4))
-			if ship < lo || ship > hi {
-				continue
-			}
-			ext := (*decimal.Dec128)(unsafe.Add(extBase, uintptr(i)*16))
-			dsc := (*decimal.Dec128)(unsafe.Add(discBase, uintptr(i)*16))
-			decimal.MulAdd(&out.sum, ext, dsc)
-		}
-		return
-	}
-	shipOff := q.lShip.Offset
-	extOff := q.lExt.Offset
-	discOff := q.lDisc.Offset
 	for i := 0; i < n; i++ {
 		if !blk.SlotIsValid(i) {
 			continue
 		}
-		base := blk.SlotData(i)
-		ship := *(*types.Date)(unsafe.Add(base, shipOff))
-		if ship < lo || ship > hi {
+		if d := ship.date(i); d < lo || d > hi {
 			continue
 		}
-		ext := (*decimal.Dec128)(unsafe.Add(base, extOff))
-		dsc := (*decimal.Dec128)(unsafe.Add(base, discOff))
-		decimal.MulAdd(&out.sum, ext, dsc)
+		decimal.MulAdd(&out.sum, ext.dec(i), disc.dec(i))
 	}
 }
 
@@ -287,7 +179,6 @@ func (q *SMCQueries) Q6WindowPar(s *core.Session, lo, hi types.Date, workers int
 	if err != nil {
 		// Worker sessions unavailable: degrade to a serial unpruned scan.
 		var acc q6Sum
-		columnar := q.db.Layout == core.Columnar
 		s.Enter()
 		en := q.db.Lineitems.Enumerate(s)
 		for {
@@ -295,7 +186,7 @@ func (q *SMCQueries) Q6WindowPar(s *core.Session, lo, hi types.Date, workers int
 			if !ok {
 				break
 			}
-			q.q6WindowBlock(blk, lo, hi, columnar, &acc)
+			q.q6WindowBlock(blk, lo, hi, &acc)
 		}
 		en.Close()
 		s.Exit()
@@ -304,10 +195,10 @@ func (q *SMCQueries) Q6WindowPar(s *core.Session, lo, hi types.Date, workers int
 	return sum
 }
 
-// Q6WindowParCtx is the Q6-style windowed revenue scan behind the prune
-// figure and the served q6window endpoint: sum(extendedprice × discount)
-// over ship dates in [lo, hi], fanned out over `workers`, with the window
-// optionally pushed down onto the lineitem block synopses. The kernel's
+// Q6WindowParCtx is the Q6-style windowed revenue scan behind the served
+// q6window endpoint: sum(extendedprice × discount) over ship dates in
+// [lo, hi], fanned out over `workers`, with the window optionally pushed
+// down onto the lineitem block synopses. The kernel's
 // residual window check runs either way, so pushdown can only skip
 // provably-empty blocks, never change the sum. The scan is
 // admission-gated by the memory budget and cancelable at block-claim
@@ -321,14 +212,13 @@ func (q *SMCQueries) Q6WindowParCtx(ctx context.Context, s *core.Session, lo, hi
 		return decimal.Dec128{}, err
 	}
 	defer pl.Close()
-	columnar := q.db.Layout == core.Columnar
 	src := query.Source(q.db.Lineitems)
 	if pushdown {
 		src = query.Where(q.db.Lineitems, q.db.Lineitems.Predicate().DateRange("ShipDate", lo, hi))
 	}
 	out, err := query.Accum(pl, src,
 		func(_ int, _ *core.Session, blk *mem.Block, acc *q6Sum) {
-			q.q6WindowBlock(blk, lo, hi, columnar, acc)
+			q.q6WindowBlock(blk, lo, hi, acc)
 		},
 		func(dst, src *q6Sum) { decimal.AddAssign(&dst.sum, &src.sum) })
 	if err != nil {
@@ -359,13 +249,12 @@ func (q *SMCQueries) Q1ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	}
 	defer pl.Close()
 	cutoff := p.Q1Cutoff()
-	columnar := q.db.Layout == core.Columnar
 	// Pushdown: shipdate <= cutoff. The kernel keeps its per-row check —
 	// pruning only drops blocks whose entire date range is past the cut.
 	pred := q.db.Lineitems.Predicate().DateRange("ShipDate", dateMin, cutoff)
 	total, err := query.Accum(pl, query.Where(q.db.Lineitems, pred),
 		func(_ int, _ *core.Session, blk *mem.Block, acc *q1Dense) {
-			q.q1Block(blk, cutoff, columnar, acc)
+			q.q1Block(blk, cutoff, acc)
 		},
 		func(dst, src *q1Dense) { dst.mergeFrom(src) })
 	if err != nil {
@@ -385,7 +274,6 @@ func (q *SMCQueries) Q6ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	hi := p.Q6Date.AddYears(1)
 	lo := p.Q6Discount.Sub(decimal.MustParse("0.01"))
 	hiD := p.Q6Discount.Add(decimal.MustParse("0.01"))
-	columnar := q.db.Layout == core.Columnar
 	// Pushdown: the full Q6 interval conjunction — shipdate in [lo, hi),
 	// discount in [lo, hiD], quantity < max (strict bounds become
 	// inclusive by stepping one date/decimal unit).
@@ -395,7 +283,7 @@ func (q *SMCQueries) Q6ParCtx(ctx context.Context, s *core.Session, p Params, wo
 		DecimalRange("Quantity", decKeyMin, p.Q6Quantity.Sub(oneUnit))
 	out, err := query.Accum(pl, query.Where(q.db.Lineitems, pred),
 		func(_ int, _ *core.Session, blk *mem.Block, acc *q6Sum) {
-			q.q6Block(blk, p, hi, lo, hiD, columnar, acc)
+			q.q6Block(blk, p, hi, lo, hiD, acc)
 		},
 		func(dst, src *q6Sum) { decimal.AddAssign(&dst.sum, &src.sum) })
 	if err != nil {
@@ -428,61 +316,26 @@ func (q *SMCQueries) Q6WindowRowsCtx(ctx context.Context, s *core.Session, lo, h
 		return err
 	}
 	defer pl.Close()
-	columnar := q.db.Layout == core.Columnar
 	src := query.Source(q.db.Lineitems)
 	if pushdown {
 		src = query.Where(q.db.Lineitems, q.db.Lineitems.Predicate().DateRange("ShipDate", lo, hi))
 	}
 	return query.RowsUnordered(pl, src,
 		func(_ *core.Session, blk *mem.Block, out *[]Q6WindowHit) {
+			ship, ext, disc := colOf(blk, q.lShip), colOf(blk, q.lExt), colOf(blk, q.lDisc)
+			key := colOf(blk, q.lOrderKey)
 			n := blk.Capacity()
-			if columnar {
-				shipBase := blk.ColBase(q.lShip)
-				extBase := blk.ColBase(q.lExt)
-				discBase := blk.ColBase(q.lDisc)
-				keyBase := blk.ColBase(q.lOrderKey)
-				for i := 0; i < n; i++ {
-					if !blk.SlotIsValid(i) {
-						continue
-					}
-					ship := *(*types.Date)(unsafe.Add(shipBase, uintptr(i)*4))
-					if ship < lo || ship > hi {
-						continue
-					}
-					ext := (*decimal.Dec128)(unsafe.Add(extBase, uintptr(i)*16))
-					dsc := (*decimal.Dec128)(unsafe.Add(discBase, uintptr(i)*16))
-					var rev decimal.Dec128
-					decimal.MulAdd(&rev, ext, dsc)
-					*out = append(*out, Q6WindowHit{
-						OrderKey: *(*int64)(unsafe.Add(keyBase, uintptr(i)*8)),
-						ShipDate: ship,
-						Revenue:  rev,
-					})
-				}
-				return
-			}
-			shipOff := q.lShip.Offset
-			extOff := q.lExt.Offset
-			discOff := q.lDisc.Offset
-			keyOff := q.lOrderKey.Offset
 			for i := 0; i < n; i++ {
 				if !blk.SlotIsValid(i) {
 					continue
 				}
-				base := blk.SlotData(i)
-				ship := *(*types.Date)(unsafe.Add(base, shipOff))
-				if ship < lo || ship > hi {
+				d := ship.date(i)
+				if d < lo || d > hi {
 					continue
 				}
-				ext := (*decimal.Dec128)(unsafe.Add(base, extOff))
-				dsc := (*decimal.Dec128)(unsafe.Add(base, discOff))
 				var rev decimal.Dec128
-				decimal.MulAdd(&rev, ext, dsc)
-				*out = append(*out, Q6WindowHit{
-					OrderKey: *(*int64)(unsafe.Add(base, keyOff)),
-					ShipDate: ship,
-					Revenue:  rev,
-				})
+				decimal.MulAdd(&rev, ext.dec(i), disc.dec(i))
+				*out = append(*out, Q6WindowHit{OrderKey: key.i64(i), ShipDate: d, Revenue: rev})
 			}
 		},
 		sink)

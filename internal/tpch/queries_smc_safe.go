@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/decimal"
 	"repro/internal/mem"
+	"repro/internal/schema"
 	"repro/internal/types"
 )
 
@@ -21,6 +22,31 @@ import (
 // copies 16-byte operands, exactly like the compiled managed queries.
 // The unsafe variant (queries_smc.go) differs by passing direct pointers
 // into block memory to in-place decimal routines (§7).
+
+// The safe engine's per-row value accessors: every field read goes
+// through Block.FieldPtr, as managed code reads a field per object. The
+// compiled kernels resolve a column view per block instead (column,
+// queries_smc.go).
+
+func strAt(b *mem.Block, slot int, f *schema.Field) []byte {
+	return (*(*types.StrRef)(b.FieldPtr(slot, f))).Bytes()
+}
+
+func decAt(b *mem.Block, slot int, f *schema.Field) *decimal.Dec128 {
+	return (*decimal.Dec128)(b.FieldPtr(slot, f))
+}
+
+func dateAt(b *mem.Block, slot int, f *schema.Field) types.Date {
+	return *(*types.Date)(b.FieldPtr(slot, f))
+}
+
+func i32At(b *mem.Block, slot int, f *schema.Field) int32 {
+	return *(*int32)(b.FieldPtr(slot, f))
+}
+
+func i64At(b *mem.Block, slot int, f *schema.Field) int64 {
+	return *(*int64)(b.FieldPtr(slot, f))
+}
 
 // SMCSafeQ1 runs Q1 with value-semantics field access.
 func SMCSafeQ1(db *SMCDB, s *core.Session, p Params) []Q1Row {
@@ -79,7 +105,7 @@ func SMCSafeQ2(db *SMCDB, s *core.Session, p Params) []Q2Row {
 
 	qualifies := func(blk *mem.Block, i int) (pobj, sobj, nobj mem.Obj, pk int64, ok bool) {
 		ps := mem.Obj{Blk: blk, Slot: i}
-		pobj, err := q.deref(s, &q.frPSPart, ps)
+		pobj, err := q.Deref(s, &q.frPSPart, ps)
 		if err != nil {
 			return
 		}
@@ -89,15 +115,15 @@ func SMCSafeQ2(db *SMCDB, s *core.Session, p Params) []Q2Row {
 		if !bytes.HasSuffix(objStr(pobj, q.pType), typeSuffix) {
 			return
 		}
-		sobj, err = q.deref(s, &q.frPSSupp, ps)
+		sobj, err = q.Deref(s, &q.frPSSupp, ps)
 		if err != nil {
 			return
 		}
-		nobj, err = q.deref(s, &q.frSNation, sobj)
+		nobj, err = q.Deref(s, &q.frSNation, sobj)
 		if err != nil {
 			return
 		}
-		robj, err := q.deref(s, &q.frNRegion, nobj)
+		robj, err := q.Deref(s, &q.frNRegion, nobj)
 		if err != nil {
 			return
 		}
@@ -194,7 +220,7 @@ func SMCSafeQ3(db *SMCDB, s *core.Session, p Params) []Q3Row {
 				continue
 			}
 			l := mem.Obj{Blk: blk, Slot: i}
-			oobj, err := q.deref(s, &q.frLOrder, l)
+			oobj, err := q.Deref(s, &q.frLOrder, l)
 			if err != nil {
 				continue
 			}
@@ -202,7 +228,7 @@ func SMCSafeQ3(db *SMCDB, s *core.Session, p Params) []Q3Row {
 			if odate >= p.Q3Date {
 				continue
 			}
-			cobj, err := q.deref(s, &q.frOCust, oobj)
+			cobj, err := q.Deref(s, &q.frOCust, oobj)
 			if err != nil {
 				continue
 			}
@@ -313,7 +339,7 @@ func SMCSafeQ5(db *SMCDB, s *core.Session, p Params) []Q5Row {
 				continue
 			}
 			l := mem.Obj{Blk: blk, Slot: i}
-			oobj, err := q.deref(s, &q.frLOrder, l)
+			oobj, err := q.Deref(s, &q.frLOrder, l)
 			if err != nil {
 				continue
 			}
@@ -321,26 +347,26 @@ func SMCSafeQ5(db *SMCDB, s *core.Session, p Params) []Q5Row {
 			if od < p.Q5Date || od >= hi {
 				continue
 			}
-			sobj, err := q.deref(s, &q.frLSupp, l)
+			sobj, err := q.Deref(s, &q.frLSupp, l)
 			if err != nil {
 				continue
 			}
-			snobj, err := q.deref(s, &q.frSNation, sobj)
+			snobj, err := q.Deref(s, &q.frSNation, sobj)
 			if err != nil {
 				continue
 			}
-			robj, err := q.deref(s, &q.frNRegion, snobj)
+			robj, err := q.Deref(s, &q.frNRegion, snobj)
 			if err != nil {
 				continue
 			}
 			if !bytes.Equal(objStr(robj, q.rName), region) {
 				continue
 			}
-			cobj, err := q.deref(s, &q.frOCust, oobj)
+			cobj, err := q.Deref(s, &q.frOCust, oobj)
 			if err != nil {
 				continue
 			}
-			cnobj, err := q.deref(s, &q.frCNation, cobj)
+			cnobj, err := q.Deref(s, &q.frCNation, cobj)
 			if err != nil {
 				continue
 			}

@@ -39,11 +39,11 @@ func SMCSafeQ7(db *SMCDB, s *core.Session, p Params) []Q7Row {
 				continue
 			}
 			l := mem.Obj{Blk: blk, Slot: i}
-			sobj, err := q.deref(s, &q.frLSupp, l)
+			sobj, err := q.Deref(s, &q.frLSupp, l)
 			if err != nil {
 				continue
 			}
-			snobj, err := q.deref(s, &q.frSNation, sobj)
+			snobj, err := q.Deref(s, &q.frSNation, sobj)
 			if err != nil {
 				continue
 			}
@@ -52,15 +52,15 @@ func SMCSafeQ7(db *SMCDB, s *core.Session, p Params) []Q7Row {
 			if !is1 && !is2 {
 				continue
 			}
-			oobj, err := q.deref(s, &q.frLOrder, l)
+			oobj, err := q.Deref(s, &q.frLOrder, l)
 			if err != nil {
 				continue
 			}
-			cobj, err := q.deref(s, &q.frOCust, oobj)
+			cobj, err := q.Deref(s, &q.frOCust, oobj)
 			if err != nil {
 				continue
 			}
-			cnobj, err := q.deref(s, &q.frCNation, cobj)
+			cnobj, err := q.Deref(s, &q.frCNation, cobj)
 			if err != nil {
 				continue
 			}
@@ -114,7 +114,7 @@ func SMCSafeQ8(db *SMCDB, s *core.Session, p Params) []Q8Row {
 				continue
 			}
 			l := mem.Obj{Blk: blk, Slot: i}
-			oobj, err := q.deref(s, &q.frLOrder, l)
+			oobj, err := q.Deref(s, &q.frLOrder, l)
 			if err != nil {
 				continue
 			}
@@ -122,22 +122,22 @@ func SMCSafeQ8(db *SMCDB, s *core.Session, p Params) []Q8Row {
 			if od < q7DateLo || od > q7DateHi {
 				continue
 			}
-			pobj, err := q.deref(s, &q.frLPart, l)
+			pobj, err := q.Deref(s, &q.frLPart, l)
 			if err != nil {
 				continue
 			}
 			if !bytes.Equal(objStr(pobj, q.pType), ptype) {
 				continue
 			}
-			cobj, err := q.deref(s, &q.frOCust, oobj)
+			cobj, err := q.Deref(s, &q.frOCust, oobj)
 			if err != nil {
 				continue
 			}
-			cnobj, err := q.deref(s, &q.frCNation, cobj)
+			cnobj, err := q.Deref(s, &q.frCNation, cobj)
 			if err != nil {
 				continue
 			}
-			crobj, err := q.deref(s, &q.frNRegion, cnobj)
+			crobj, err := q.Deref(s, &q.frNRegion, cnobj)
 			if err != nil {
 				continue
 			}
@@ -154,11 +154,11 @@ func SMCSafeQ8(db *SMCDB, s *core.Session, p Params) []Q8Row {
 			dsc := *decAt(blk, i, q.lDisc)
 			vol := ext.Mul(one.Sub(dsc))
 			a.total = a.total.Add(vol)
-			sobj, err := q.deref(s, &q.frLSupp, l)
+			sobj, err := q.Deref(s, &q.frLSupp, l)
 			if err != nil {
 				continue
 			}
-			snobj, err := q.deref(s, &q.frSNation, sobj)
+			snobj, err := q.Deref(s, &q.frSNation, sobj)
 			if err != nil {
 				continue
 			}
@@ -192,11 +192,11 @@ func SMCSafeQ9(db *SMCDB, s *core.Session, p Params) []Q9Row {
 				continue
 			}
 			ps := mem.Obj{Blk: blk, Slot: i}
-			pobj, err := q.deref(s, &q.frPSPart, ps)
+			pobj, err := q.Deref(s, &q.frPSPart, ps)
 			if err != nil {
 				continue
 			}
-			sobj, err := q.deref(s, &q.frPSSupp, ps)
+			sobj, err := q.Deref(s, &q.frPSSupp, ps)
 			if err != nil {
 				continue
 			}
@@ -225,14 +225,14 @@ func SMCSafeQ9(db *SMCDB, s *core.Session, p Params) []Q9Row {
 				continue
 			}
 			l := mem.Obj{Blk: blk, Slot: i}
-			pobj, err := q.deref(s, &q.frLPart, l)
+			pobj, err := q.Deref(s, &q.frLPart, l)
 			if err != nil {
 				continue
 			}
 			if !bytes.Contains(objStr(pobj, q.pName), color) {
 				continue
 			}
-			sobj, err := q.deref(s, &q.frLSupp, l)
+			sobj, err := q.Deref(s, &q.frLSupp, l)
 			if err != nil {
 				continue
 			}
@@ -244,11 +244,11 @@ func SMCSafeQ9(db *SMCDB, s *core.Session, p Params) []Q9Row {
 			if !ok {
 				continue
 			}
-			oobj, err := q.deref(s, &q.frLOrder, l)
+			oobj, err := q.Deref(s, &q.frLOrder, l)
 			if err != nil {
 				continue
 			}
-			snobj, err := q.deref(s, &q.frSNation, sobj)
+			snobj, err := q.Deref(s, &q.frSNation, sobj)
 			if err != nil {
 				continue
 			}
@@ -298,7 +298,7 @@ func SMCSafeQ10(db *SMCDB, s *core.Session, p Params) []Q10Row {
 				continue
 			}
 			l := mem.Obj{Blk: blk, Slot: i}
-			oobj, err := q.deref(s, &q.frLOrder, l)
+			oobj, err := q.Deref(s, &q.frLOrder, l)
 			if err != nil {
 				continue
 			}
@@ -306,7 +306,7 @@ func SMCSafeQ10(db *SMCDB, s *core.Session, p Params) []Q10Row {
 			if od < p.Q10Date || od >= hi {
 				continue
 			}
-			cobj, err := q.deref(s, &q.frOCust, oobj)
+			cobj, err := q.Deref(s, &q.frOCust, oobj)
 			if err != nil {
 				continue
 			}
@@ -321,7 +321,7 @@ func SMCSafeQ10(db *SMCDB, s *core.Session, p Params) []Q10Row {
 					Phone:   string(objStr(cobj, q.cPhone)),
 					Comment: string(objStr(cobj, q.cCmnt)),
 				}
-				if cnobj, err := q.deref(s, &q.frCNation, cobj); err == nil {
+				if cnobj, err := q.Deref(s, &q.frCNation, cobj); err == nil {
 					row.Nation = string(objStr(cnobj, q.nName))
 				}
 				rev[ck] = row
