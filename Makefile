@@ -50,7 +50,7 @@ lint: fmt
 # figure harnesses that measure from concurrent goroutines, under the
 # race detector.
 race-stress:
-	$(GO) test -race -run 'Parallel|Maintainer|Compact|Pruned|Fault|Cancel|Budget|Cluster|Serve|Govern|Figure9' \
+	$(GO) test -race -run 'Parallel|Maintainer|Compact|Pruned|Fault|Cancel|Budget|Cluster|Serve|Govern|RuntimeStats|Figure9' \
 		./internal/mem ./internal/core ./internal/query ./internal/tpch ./internal/region ./internal/serve \
 		./internal/bench
 

@@ -258,7 +258,7 @@
 // deadlines cancel at block-claim granularity. Admission is a
 // bounded-wait slot gate in front of the session pool: a full server
 // answers 429 (Retry-After) after Config.AdmitWait instead of piling
-// goroutines onto LeaseSession, and mem.Budget.Admit fails typed
+// goroutines onto LeaseSession, and mem.Governor.Admit fails typed
 // within its bounded wait even under a long request deadline. The
 // error model maps engine outcomes to statuses: serve.ErrSaturated →
 // 429, mem.ErrBudgetExceeded → 503 (both with Retry-After),
@@ -278,11 +278,12 @@
 // Runtime.SetMemoryBudget had a narrow meaning — a cap on block-heap
 // reservations — while three other consumers grew beside it: parked
 // arenas in the region pools, idle pooled sessions pinning their
-// allocation blocks, and per-block synopses. mem.Governor makes the
+// allocation blocks, and per-block synopses. mem.Governor, the one type
+// that holds the budget and the one registry of arena pools, makes the
 // budget mean one thing process-wide: the governed total is heap +
 // retained arenas + synopses (pinned session bytes are reported, not
 // double counted — they live inside the heap term), and admission
-// (query.NewCtx via Budget.Admit) is charged against that total.
+// (query.NewCtx via Governor.Admit) is charged against that total.
 //
 // Pressure is a level, not a flag: healthy below 75% of the limit,
 // tight at 75%, critical at 90%. Under pressure a rebalance pass —
@@ -300,7 +301,7 @@
 //     trimmed sessions abandon blocks, new compaction candidates), so
 //     compaction-for-reclamation starts without waiting out a poll
 //     tick.
-//  4. Queue admissions: Budget.Admit's bounded wait scales with the
+//  4. Queue admissions: Governor.Admit's bounded wait scales with the
 //     level (1x/2x/4x AdmitWait), buying the ladder time to reclaim
 //     before anyone is refused.
 //  5. Only then fail typed: mem.ErrBudgetExceeded, never an OOM.

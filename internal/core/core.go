@@ -47,7 +47,6 @@ type Runtime struct {
 
 	mu      sync.Mutex
 	colls   []namedColl
-	pools   []namedPool   // arena pools registered for stats (stats.go)
 	server  ServeMetrics  // front-door admission counters (stats.go)
 	pending []*refBinding // ref fields awaiting their target collection
 }
@@ -55,11 +54,6 @@ type Runtime struct {
 type namedColl struct {
 	name string
 	ctx  *mem.Context
-}
-
-type namedPool struct {
-	name string
-	p    PoolMetrics
 }
 
 // Options configures a Runtime; zero values select the defaults
@@ -192,7 +186,7 @@ func (rt *Runtime) StartMaintainerCtx(ctx context.Context, cfg mem.MaintainerCon
 // unlimited). Lowering it below current usage does not evict memory; it
 // backpressures future allocations and admissions until reclamation
 // catches up.
-func (rt *Runtime) SetMemoryBudget(limit int64) { rt.mgr.Budget().SetLimit(limit) }
+func (rt *Runtime) SetMemoryBudget(limit int64) { rt.mgr.Governor().SetLimit(limit) }
 
 // FragmentationSnapshot surveys the heap's compactable blocks.
 func (rt *Runtime) FragmentationSnapshot() mem.Fragmentation {

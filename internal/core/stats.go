@@ -2,28 +2,11 @@ package core
 
 // Production observability for the query-memory subsystem: the runtime
 // aggregates its memory manager's counters with the lease/retained-
-// footprint metrics of every registered arena pool into one snapshot,
-// so a serving process can export a single stats struct instead of
-// crawling per-query-object pools.
+// footprint metrics of every arena pool registered with the memory
+// governor into one snapshot, so a serving process can export a single
+// stats struct instead of crawling per-query-object pools.
 
 import "repro/internal/mem"
-
-// PoolMetrics is the metrics surface an arena pool exposes to the
-// runtime (region.ArenaPool implements it; the interface keeps core free
-// of a region dependency).
-type PoolMetrics interface {
-	// Stats reports lifetime lease and reuse counts.
-	Stats() (leases, reuses int64)
-	// RetainedBytes reports the chunk footprint currently parked idle.
-	RetainedBytes() int64
-}
-
-// poolReturns is the optional extension a pool may implement to report
-// lifetime Return counts (region.ArenaPool does). Kept out of
-// PoolMetrics so existing PoolMetrics implementations stay valid.
-type poolReturns interface {
-	Returns() int64
-}
 
 // ServeCounters is the admission-control activity of a serving front
 // door (internal/serve implements it; the interface keeps core free of
@@ -54,22 +37,6 @@ type ServeCounters struct {
 // ServeMetrics is the surface a front door registers with the runtime.
 type ServeMetrics interface {
 	ServeCounters() ServeCounters
-}
-
-// ArenaPoolStats is one registered pool's point-in-time metrics.
-type ArenaPoolStats struct {
-	// Name identifies the pool (e.g. "tpch.SMCQueries").
-	Name string
-	// Leases counts lifetime Lease calls; Reuses counts how many of them
-	// were served from the idle set rather than a fresh arena.
-	Leases, Reuses int64
-	// Returns counts lifetime Return calls (0 when the pool does not
-	// report them). Leases == Returns whenever no query holds a leased
-	// arena — the robustness suites assert this after cancel/fault
-	// cycles.
-	Returns int64
-	// RetainedBytes is the idle footprint currently held for reuse.
-	RetainedBytes int64
 }
 
 // RuntimeStats is a point-in-time snapshot of the runtime's query-memory
@@ -128,7 +95,7 @@ type RuntimeStats struct {
 	// no server is registered).
 	Serve ServeCounters
 	// Per-registered-pool arena lease metrics, in registration order.
-	ArenaPools []ArenaPoolStats
+	ArenaPools []mem.ArenaPoolStats
 }
 
 // ArenaLeases sums lease counts across all registered pools.
@@ -150,20 +117,14 @@ func (s *RuntimeStats) ArenaRetainedBytes() int64 {
 	return n
 }
 
-// RegisterArenaPool adds a pool to the runtime's stats surface. Query
-// objects register the pools they lease intermediates from at
-// construction; registration is append-only (pools live as long as
-// their query objects, which live as long as the runtime in practice).
-func (rt *Runtime) RegisterArenaPool(name string, p PoolMetrics) {
-	rt.mu.Lock()
-	rt.pools = append(rt.pools, namedPool{name, p})
-	rt.mu.Unlock()
-	// Pools that expose retain-bound control join the memory governor's
-	// degradation ladder: their retained footprint counts against the
-	// governed total and is the first thing trimmed under pressure.
-	if gp, ok := p.(mem.GovernedPool); ok {
-		rt.mgr.Governor().RegisterPool(name, gp)
-	}
+// RegisterArenaPool registers a pool with the memory governor, the one
+// registry of arena pools. Query objects register the pools they lease
+// intermediates from at construction. A registered pool's metrics
+// appear in StatsSnapshot, its retained footprint counts against the
+// governed total, and its retention is the first thing the degradation
+// ladder trims under pressure.
+func (rt *Runtime) RegisterArenaPool(name string, p mem.GovernedPool) {
+	rt.mgr.Governor().RegisterPool(name, p)
 }
 
 // RegisterServer points the runtime's stats surface at a serving front
@@ -181,7 +142,8 @@ func (rt *Runtime) RegisterServer(m ServeMetrics) {
 // metrics and the registered front door's admission activity.
 func (rt *Runtime) StatsSnapshot() RuntimeStats {
 	ms := rt.mgr.Stats()
-	bc := rt.mgr.Budget().Counters()
+	g := rt.mgr.Governor()
+	bc := g.Counters()
 	out := RuntimeStats{
 		SessionsLeased:   ms.SessionsLeased.Load(),
 		SessionsReused:   ms.SessionsReused.Load(),
@@ -213,29 +175,14 @@ func (rt *Runtime) StatsSnapshot() RuntimeStats {
 		KeySetPruned:     ms.KeySetPruned.Load(),
 		SynopsisOverlap:  ms.SynopsisOverlap.Load(),
 
-		Governor: rt.mgr.Governor().Snapshot(),
+		Governor:   g.Snapshot(),
+		ArenaPools: g.ArenaPools(),
 	}
 	rt.mu.Lock()
-	pools := make([]namedPool, len(rt.pools))
-	copy(pools, rt.pools)
 	server := rt.server
 	rt.mu.Unlock()
 	if server != nil {
 		out.Serve = server.ServeCounters()
-	}
-	out.ArenaPools = make([]ArenaPoolStats, 0, len(pools))
-	for _, np := range pools {
-		leases, reuses := np.p.Stats()
-		ps := ArenaPoolStats{
-			Name:          np.name,
-			Leases:        leases,
-			Reuses:        reuses,
-			RetainedBytes: np.p.RetainedBytes(),
-		}
-		if r, ok := np.p.(poolReturns); ok {
-			ps.Returns = r.Returns()
-		}
-		out.ArenaPools = append(out.ArenaPools, ps)
 	}
 	return out
 }

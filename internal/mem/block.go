@@ -202,13 +202,13 @@ func newBlockBudgeted(ctx *Context, forced bool) (*Block, error) {
 	}
 	bs := int64(m.cfg.BlockSize)
 	if forced {
-		m.budget.forceReserve(bs)
-	} else if err := m.budget.reserveBlock(bs); err != nil {
+		m.governor.forceReserve(bs)
+	} else if err := m.governor.reserveBlock(bs); err != nil {
 		return nil, err
 	}
 	r, err := m.alloc.Alloc(m.cfg.BlockSize, m.cfg.BlockSize)
 	if err != nil {
-		m.budget.release(bs)
+		m.governor.release(bs)
 		return nil, err
 	}
 	g := ctx.geo

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -8,14 +10,18 @@ import (
 	"repro/internal/fault"
 )
 
-// Adaptive memory governance. The process has four memory consumers —
-// the block heap (Budget), every registered arena pool's retained idle
-// set, the parked worker-session pool (whose sessions pin allocation
-// blocks against compaction), and the per-block synopses — and one byte
-// budget. A static split between them loses as soon as the workload
-// shifts, so the Governor rebalances instead: it accounts all four
-// against the one limit and, under rising pressure, walks a degradation
-// ladder that gives bytes back before any admission fails:
+// Memory governance: admission control, backpressure and adaptive
+// rebalancing under one byte budget per Manager. The heap used to grow
+// until the OS killed the process; the Governor turns memory into a
+// governed resource — degrade, then refuse, never OOM.
+//
+// The process has four memory consumers — the block heap, every
+// registered arena pool's retained idle set, the parked worker-session
+// pool (whose sessions pin allocation blocks against compaction), and
+// the per-block synopses. A static split between them loses as soon as
+// the workload shifts, so the Governor accounts all four against the one
+// limit and, under rising pressure, walks a degradation ladder that
+// gives bytes back before any admission fails:
 //
 //  1. Shrink arena-pool retention: every registered pool's retain bound
 //     is lowered (half at Tight, zero at Critical) and already-parked
@@ -24,10 +30,11 @@ import (
 //     abandons their allocation blocks — turning pinned slack into
 //     compaction candidates.
 //  3. Wake the Maintainer for a compaction-for-reclamation pass.
-//  4. Queue admissions (Budget.Admit) with pressure-derived bounded
-//     waits instead of the flat default.
+//  4. Queue admissions (Governor.Admit) and block allocations with
+//     bounded waits; the admission bound is pressure-derived.
 //  5. Only when all of that cannot bring the governed total under the
-//     limit does an admission fail with the typed ErrBudgetExceeded.
+//     limit does an admission or allocation fail with the typed
+//     ErrBudgetExceeded.
 //
 // When pressure clears the ladder unwinds: bounds are restored to their
 // registered bases and the pools refill on demand. Every transition is
@@ -38,7 +45,13 @@ import (
 //
 // The session pool's pinned bytes are reported but not added to the
 // governed total: its allocation blocks are already charged to the
-// block-heap Budget, and double counting would manufacture pressure.
+// block-heap ledger, and double counting would manufacture pressure.
+
+// ErrBudgetExceeded is returned when an allocation or query admission
+// cannot proceed within the manager's memory budget and reclamation
+// could not free enough within the bounded wait. It is a typed, permanent
+// answer for this attempt — callers may retry after load drops.
+var ErrBudgetExceeded = errors.New("mem: memory budget exceeded")
 
 // PressureLevel classifies how close the governed total is to the
 // limit: Healthy below governTightFrac, Tight from there, Critical from
@@ -84,11 +97,21 @@ const (
 	// governRateSample is the minimum interval between reclaim-rate
 	// samples folded into the EWMA.
 	governRateSample = 50 * time.Millisecond
+
+	// budgetAllocWait bounds how long one block allocation backpressures
+	// before returning ErrBudgetExceeded. Reclamation that can help (the
+	// maintainer pass plus graveyard ripening) completes well inside this
+	// on any healthy heap.
+	budgetAllocWait = 100 * time.Millisecond
+
+	// budgetAdmitWait bounds how long Admit backpressures while Healthy
+	// when the caller's context carries no deadline of its own.
+	budgetAdmitWait = 250 * time.Millisecond
 )
 
-// GovernedPool is the surface an arena pool exposes to the governor
-// (region.ArenaPool implements it; the interface keeps mem free of a
-// region dependency).
+// GovernedPool is the surface an arena pool exposes to the governor:
+// retain-bound control for the ladder and lease metrics for
+// core.RuntimeStats. region.ArenaPool implements it.
 type GovernedPool interface {
 	// RetainedBytes reports the idle footprint currently parked.
 	RetainedBytes() int64
@@ -99,6 +122,10 @@ type GovernedPool interface {
 	// TrimTo releases parked arenas down to target bytes, returning the
 	// bytes freed.
 	TrimTo(target int64) int64
+	// Stats reports lifetime lease and reuse counts.
+	Stats() (leases, reuses int64)
+	// Returns reports lifetime Return counts.
+	Returns() int64
 }
 
 // governedPool is one registered pool plus the base bound restored when
@@ -109,20 +136,31 @@ type governedPool struct {
 	base int64
 }
 
-// Governor is a Manager's adaptive memory-governance control loop; see
-// the package-level comment above. Always non-nil (Manager.Governor);
-// with an unlimited budget it is a passive accountant.
+// Governor is a Manager's memory budget and its adaptive control loop;
+// see the package-level comment above. Always non-nil (Manager.Governor).
+// The zero limit means "unlimited": accounting still runs (Used stays
+// accurate) but nothing waits or fails, and the ladder stays idle. All
+// methods are safe for concurrent use.
 type Governor struct {
 	m *Manager
 
-	mu    sync.Mutex
-	pools []governedPool
+	limit atomic.Int64 // bytes; 0 = unlimited
+	used  atomic.Int64 // block bytes currently reserved
+
+	// gen is a broadcast channel replaced (and the old one closed) on
+	// every release, limit change and arena trim, so waiters can block on
+	// "something changed" without a lock-held condition variable.
+	genMu sync.Mutex
+	gen   chan struct{}
+
+	poolMu sync.Mutex
+	pools  []governedPool
 
 	level    atomic.Int32 // PressureLevel last published
 	degraded atomic.Bool  // ladder engaged; bounds below base
 	inflight atomic.Bool  // single-flight rebalance gate
 
-	// Reclaim-rate estimator: lifetime bytes given back (budget releases
+	// Reclaim-rate estimator: lifetime bytes given back (block releases
 	// plus governor arena trims), sampled into an EWMA of bytes/second.
 	released   atomic.Int64
 	rateMu     sync.Mutex
@@ -130,6 +168,14 @@ type Governor struct {
 	rateBase   int64
 	rateBytesS float64
 
+	// Admission and backpressure counters.
+	admitted     atomic.Int64 // query admissions allowed
+	rejected     atomic.Int64 // query admissions refused (budget, not ctx)
+	allocWaits   atomic.Int64 // block allocations that had to wait
+	allocRejects atomic.Int64 // block allocations refused
+	waitNanos    atomic.Int64 // cumulative reclamation-wait time
+
+	// Ladder counters.
 	rebalances     atomic.Int64
 	rebalanceFails atomic.Int64
 	restores       atomic.Int64
@@ -138,26 +184,80 @@ type Governor struct {
 	sessTrimmed    atomic.Int64
 }
 
-func newGovernor(m *Manager) *Governor { return &Governor{m: m} }
+func newGovernor(m *Manager, limit int64) *Governor {
+	g := &Governor{m: m, gen: make(chan struct{})}
+	g.limit.Store(limit) // NewManager rejects a negative MemoryBudget
+	return g
+}
 
-// Governor returns the manager's memory governor.
+// Governor returns the manager's memory governor (unlimited unless
+// Config.MemoryBudget or SetLimit set a cap).
 func (m *Manager) Governor() *Governor { return m.governor }
+
+// SetLimit replaces the byte limit; 0 disables enforcement. Lowering the
+// limit below current use does not evict anything — it backpressures
+// future allocations and admissions until reclamation catches up. Every
+// change wakes the waiters, so lifting the limit releases them at once.
+func (g *Governor) SetLimit(limit int64) {
+	g.limit.Store(max(limit, 0))
+	g.broadcast()
+}
+
+// Limit returns the configured byte limit (0 = unlimited).
+func (g *Governor) Limit() int64 { return g.limit.Load() }
+
+// Used returns the block bytes currently reserved against the budget.
+func (g *Governor) Used() int64 { return g.used.Load() }
 
 // RegisterPool adds an arena pool to the governed set, recording its
 // current retain bound as the base restored when pressure clears.
-// Registration is append-only, mirroring core.RegisterArenaPool.
+// Registration is append-only: pools live as long as their query
+// objects, which live as long as the runtime in practice.
 func (g *Governor) RegisterPool(name string, p GovernedPool) {
-	g.mu.Lock()
+	g.poolMu.Lock()
 	g.pools = append(g.pools, governedPool{name: name, pool: p, base: p.RetainBound()})
-	g.mu.Unlock()
+	g.poolMu.Unlock()
 }
 
 // snapshotPools copies the registered set.
 func (g *Governor) snapshotPools() []governedPool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.poolMu.Lock()
+	defer g.poolMu.Unlock()
 	out := make([]governedPool, len(g.pools))
 	copy(out, g.pools)
+	return out
+}
+
+// ArenaPoolStats is one registered pool's point-in-time metrics.
+type ArenaPoolStats struct {
+	// Name identifies the pool (e.g. "tpch.SMCQueries").
+	Name string
+	// Leases counts lifetime Lease calls; Reuses counts how many of them
+	// were served from the idle set rather than a fresh arena.
+	Leases, Reuses int64
+	// Returns counts lifetime Return calls. Leases == Returns whenever no
+	// query holds a leased arena — the robustness suites assert this
+	// after cancel/fault cycles.
+	Returns int64
+	// RetainedBytes is the idle footprint currently held for reuse.
+	RetainedBytes int64
+}
+
+// ArenaPools reports every registered pool's metrics, in registration
+// order.
+func (g *Governor) ArenaPools() []ArenaPoolStats {
+	pools := g.snapshotPools()
+	out := make([]ArenaPoolStats, 0, len(pools))
+	for _, gp := range pools {
+		leases, reuses := gp.pool.Stats()
+		out = append(out, ArenaPoolStats{
+			Name:          gp.name,
+			Leases:        leases,
+			Reuses:        reuses,
+			Returns:       gp.pool.Returns(),
+			RetainedBytes: gp.pool.RetainedBytes(),
+		})
+	}
 	return out
 }
 
@@ -174,12 +274,198 @@ func (g *Governor) ArenaRetained() int64 {
 // block heap + arena retention + synopses. Session-pinned blocks are
 // inside the heap term already (see the package comment).
 func (g *Governor) GovernedUsed() int64 {
-	return g.m.budget.Used() + g.ArenaRetained() + g.m.synopsisFootprint()
+	return g.Used() + g.ArenaRetained() + g.m.synopsisFootprint()
+}
+
+// overGoverned reports whether the governed total has reached the
+// limit. Admission gates on this wider total so that shrinking retained
+// pools genuinely relieves admission pressure: a budget sized below
+// heap+slack rebalances the slack away instead of rejecting queries
+// forever.
+func (g *Governor) overGoverned() bool {
+	l := g.limit.Load()
+	return l > 0 && (g.used.Load() >= l || g.GovernedUsed() >= l)
+}
+
+// waitChan returns the current broadcast generation.
+func (g *Governor) waitChan() <-chan struct{} {
+	g.genMu.Lock()
+	ch := g.gen
+	g.genMu.Unlock()
+	return ch
+}
+
+// broadcast wakes every waiter to re-check the budget.
+func (g *Governor) broadcast() {
+	g.genMu.Lock()
+	close(g.gen)
+	g.gen = make(chan struct{})
+	g.genMu.Unlock()
+}
+
+// tryReserve reserves n bytes iff they fit under the limit. Block
+// reservations stay heap-vs-limit; only admission sees the governed
+// total.
+func (g *Governor) tryReserve(n int64) bool {
+	l := g.limit.Load()
+	if l <= 0 {
+		g.used.Add(n)
+		return true
+	}
+	for {
+		u := g.used.Load()
+		if u+n > l {
+			return false
+		}
+		if g.used.CompareAndSwap(u, u+n) {
+			return true
+		}
+	}
+}
+
+// forceReserve reserves n bytes even past the limit. Compaction targets
+// use it: a target block is the reclamation vehicle itself (it frees at
+// least two source blocks), so refusing it under pressure would deadlock
+// the budget against its own remedy.
+func (g *Governor) forceReserve(n int64) { g.used.Add(n) }
+
+// release returns n bytes to the budget, feeds the reclaim-rate
+// estimator, and wakes waiters.
+func (g *Governor) release(n int64) {
+	g.used.Add(-n)
+	g.released.Add(n)
+	if g.limit.Load() > 0 {
+		g.broadcast()
+	}
+}
+
+// reclaim nudges every reclamation path that can run off the allocator's
+// foot: wake the Maintainer for a compaction-for-reclamation pass, try a
+// lazy epoch advance, drain ripe graves now, and run the rebalance
+// ladder (arena-retention and session-pool trims) — so the cheaper
+// consumers shrink before any admission fails.
+func (g *Governor) reclaim() {
+	g.m.signalAllocPressure()
+	g.m.TryAdvanceEpoch()
+	g.m.drainGraveyard()
+	_ = g.Rebalance()
+}
+
+// reserveBlock reserves one block's bytes for allocation, applying the
+// pressure protocol on failure: trigger reclamation, then backpressure
+// (bounded) for released bytes, and only then fail with
+// ErrBudgetExceeded.
+func (g *Governor) reserveBlock(n int64) error {
+	if g.tryReserve(n) {
+		return nil
+	}
+	g.allocWaits.Add(1)
+	start := time.Now()
+	defer func() { g.waitNanos.Add(time.Since(start).Nanoseconds()) }()
+	deadline := time.NewTimer(budgetAllocWait)
+	defer deadline.Stop()
+	for {
+		ch := g.waitChan()
+		g.reclaim()
+		if g.tryReserve(n) {
+			return nil
+		}
+		select {
+		case <-ch:
+			// Bytes were released (or the limit moved): retry.
+		case <-deadline.C:
+			g.allocRejects.Add(1)
+			return ErrBudgetExceeded
+		}
+	}
+}
+
+// Admit gates one new query admission on the governed byte total (heap
+// plus arena retention plus synopses — see overGoverned): free when
+// under the limit, otherwise it triggers reclamation (including the
+// rebalance ladder) and blocks — at most AdmitWait, or less when the
+// context expires first — until the governed total drops under the
+// limit. It returns ctx's error when the caller gave up first and
+// ErrBudgetExceeded when the bounded wait elapsed, so an over-budget
+// admission fails typed and promptly even under a long request deadline
+// (the serve layer maps it to a retryable 503 with a reclaim-rate-derived
+// Retry-After rather than queueing the request for its whole timeout);
+// admission holds no resource, so there is nothing to release. The
+// reclaim inside the wait loop runs before the bound can expire, so the
+// ladder's trims always precede a typed admission failure.
+func (g *Governor) Admit(ctx context.Context) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := context.Cause(ctx); err != nil {
+		return err
+	}
+	if !g.overGoverned() {
+		g.admitted.Add(1)
+		return nil
+	}
+	start := time.Now()
+	defer func() { g.waitNanos.Add(time.Since(start).Nanoseconds()) }()
+	t := time.NewTimer(g.AdmitWait())
+	defer t.Stop()
+	for {
+		ch := g.waitChan()
+		g.reclaim()
+		if !g.overGoverned() {
+			g.admitted.Add(1)
+			return nil
+		}
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			g.rejected.Add(1)
+			return context.Cause(ctx)
+		case <-t.C:
+			g.rejected.Add(1)
+			return ErrBudgetExceeded
+		}
+	}
+}
+
+// AdmitWait is the pressure-derived bound on how long one admission may
+// queue before failing typed: the flat default while Healthy, stretched
+// under pressure so admissions queue through a reclamation cycle instead
+// of failing into a retry storm.
+func (g *Governor) AdmitWait() time.Duration {
+	switch PressureLevel(g.level.Load()) {
+	case Critical:
+		return 4 * budgetAdmitWait
+	case Tight:
+		return 2 * budgetAdmitWait
+	}
+	return budgetAdmitWait
+}
+
+// GovernorCounters is a point-in-time view of the budget's admission
+// and backpressure activity.
+type GovernorCounters struct {
+	Limit, Used              int64
+	Admitted, Rejected       int64
+	AllocWaits, AllocRejects int64
+	ReclamationWaitNanos     int64
+}
+
+// Counters snapshots the admission/rejection/wait counters.
+func (g *Governor) Counters() GovernorCounters {
+	return GovernorCounters{
+		Limit:                g.limit.Load(),
+		Used:                 g.used.Load(),
+		Admitted:             g.admitted.Load(),
+		Rejected:             g.rejected.Load(),
+		AllocWaits:           g.allocWaits.Load(),
+		AllocRejects:         g.allocRejects.Load(),
+		ReclamationWaitNanos: g.waitNanos.Load(),
+	}
 }
 
 // computeLevel classifies the current governed total.
 func (g *Governor) computeLevel() PressureLevel {
-	l := g.m.budget.Limit()
+	l := g.Limit()
 	if l <= 0 {
 		return Healthy
 	}
@@ -207,10 +493,6 @@ func (g *Governor) refreshLevel() PressureLevel {
 // Level recomputes and returns the current pressure level.
 func (g *Governor) Level() PressureLevel { return g.refreshLevel() }
 
-// noteReleased feeds the reclaim-rate estimator; Budget.release and the
-// governor's own arena trims call it.
-func (g *Governor) noteReleased(n int64) { g.released.Add(n) }
-
 // reclaimRate returns the EWMA bytes/second the system has been giving
 // back, folding in a fresh sample when enough time has passed.
 func (g *Governor) reclaimRate() float64 {
@@ -235,7 +517,7 @@ func (g *Governor) reclaimRate() float64 {
 // deficit the system is draining fast earns a short retry, a stalled
 // reclaim path earns the max.
 func (g *Governor) RetryAfter() time.Duration {
-	l := g.m.budget.Limit()
+	l := g.Limit()
 	if l <= 0 {
 		return minRetryAfter
 	}
@@ -251,30 +533,14 @@ func (g *Governor) RetryAfter() time.Duration {
 	return min(max(d, minRetryAfter), maxRetryAfter)
 }
 
-// AdmitWait is the pressure-derived bound on how long one admission may
-// queue before failing typed: the flat default while Healthy, stretched
-// under pressure so admissions queue through a reclamation cycle instead
-// of failing into a retry storm.
-func (g *Governor) AdmitWait() time.Duration {
-	switch PressureLevel(g.level.Load()) {
-	case Critical:
-		return 4 * budgetAdmitWait
-	case Tight:
-		return 2 * budgetAdmitWait
-	}
-	return budgetAdmitWait
-}
-
 // Rebalance runs one ladder pass: reclassify pressure, shrink or
 // restore the governed consumers accordingly, and wake the Maintainer.
 // Single-flight (concurrent callers return immediately) and cheap when
-// Healthy and not degraded, so the budget's reclaim path can call it on
-// every pressure event. The fault.PointGovernRebalance Err rule aborts
-// the pass before it touches any consumer — counted, retried on the
-// next pressure signal, never inconsistent.
-func (g *Governor) Rebalance() error { return g.rebalance() }
-
-func (g *Governor) rebalance() error {
+// Healthy and not degraded, so the reclaim path can call it on every
+// pressure event. The fault.PointGovernRebalance Err rule aborts the
+// pass before it touches any consumer — counted, retried on the next
+// pressure signal, never inconsistent.
+func (g *Governor) Rebalance() error {
 	if !g.inflight.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -315,10 +581,10 @@ func (g *Governor) rebalance() error {
 	}
 	if freed > 0 {
 		g.arenaFreed.Add(freed)
-		g.noteReleased(freed)
-		// The governed total just dropped without a budget release;
+		g.released.Add(freed)
+		// The governed total just dropped without a block release;
 		// admission waiters must re-check against the new total.
-		g.m.budget.broadcast()
+		g.broadcast()
 	}
 	return nil
 }
@@ -343,14 +609,14 @@ func (g *Governor) shrinkPools(div int64) int64 {
 // bounds) once pressure clears — including after the limit itself was
 // raised or removed.
 func (g *Governor) tick() {
-	if g.m.budget.Limit() <= 0 {
+	if g.Limit() <= 0 {
 		if g.degraded.Load() {
-			_ = g.rebalance()
+			_ = g.Rebalance()
 		}
 		return
 	}
 	if g.refreshLevel() != Healthy || g.degraded.Load() {
-		_ = g.rebalance()
+		_ = g.Rebalance()
 	}
 }
 
@@ -385,13 +651,13 @@ type GovernorSnapshot struct {
 // Snapshot captures the governor's accounting and counters, refreshing
 // the pressure level as a side effect.
 func (g *Governor) Snapshot() GovernorSnapshot {
-	heap := g.m.budget.Used()
+	heap := g.Used()
 	arena := g.ArenaRetained()
 	syn := g.m.synopsisFootprint()
 	sessions, pinned := g.m.sessionPoolFootprint()
 	return GovernorSnapshot{
 		Level:              g.refreshLevel().String(),
-		Limit:              g.m.budget.Limit(),
+		Limit:              g.Limit(),
 		GovernedUsed:       heap + arena + syn,
 		HeapUsed:           heap,
 		ArenaRetained:      arena,

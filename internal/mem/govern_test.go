@@ -17,9 +17,11 @@ import (
 // shrink-before-fail ordering, reclaim-rate-derived Retry-After clamps,
 // rebalance fault isolation, and the 1000-cycle pressure storm.
 
-// fakePool is an in-package GovernedPool stand-in (mem cannot import
-// region): a mutable retained footprint behind a mutex, with fill()
-// standing in for queries parking arenas back into the idle set.
+// fakePool is a GovernedPool whose retained footprint the test sets
+// directly, which a real region.ArenaPool does not allow: a mutable
+// retained footprint behind a mutex, with fill() standing in for
+// queries parking arenas back into the idle set. The core suite drives
+// a real pool through core.RegisterArenaPool.
 type fakePool struct {
 	mu       sync.Mutex
 	retained int64
@@ -73,6 +75,11 @@ func (p *fakePool) fill(target int64) {
 	}
 }
 
+// Stats and Returns complete GovernedPool; the fake leases nothing.
+func (p *fakePool) Stats() (leases, reuses int64) { return 0, 0 }
+
+func (p *fakePool) Returns() int64 { return 0 }
+
 func (p *fakePool) trimCount() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -102,7 +109,7 @@ func pumpSessionPool(t *testing.T, m *Manager, n int) {
 func TestGovernorPressureLevels(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
 	g := h.m.Governor()
-	b := h.m.Budget()
+	b := h.m.Governor()
 	defer fault.Enable(map[string]*fault.Rule{
 		fault.PointGovernPressure: {At: 1 << 40}, // never fires, counts hits
 	})()
@@ -142,7 +149,7 @@ func TestGovernorPressureLevels(t *testing.T) {
 func TestGovernorLadderShrinkRestore(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
 	g := h.m.Governor()
-	b := h.m.Budget()
+	b := h.m.Governor()
 	const base = 1 << 20
 	fp := &fakePool{bound: base, retained: base}
 	g.RegisterPool("fake", fp)
@@ -208,7 +215,7 @@ func TestGovernorLadderShrinkRestore(t *testing.T) {
 func TestGovernorAdmitShrinksBeforeFail(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
 	g := h.m.Governor()
-	b := h.m.Budget()
+	b := h.m.Governor()
 	const base = 1 << 20
 	fp := &fakePool{bound: base, retained: base}
 	g.RegisterPool("fake", fp)
@@ -252,7 +259,7 @@ func TestGovernorAdmitShrinksBeforeFail(t *testing.T) {
 func TestGovernorAdmitWaitScales(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
 	g := h.m.Governor()
-	b := h.m.Budget()
+	b := h.m.Governor()
 	if got := g.AdmitWait(); got != budgetAdmitWait {
 		t.Errorf("healthy AdmitWait = %v, want %v", got, budgetAdmitWait)
 	}
@@ -276,7 +283,7 @@ func TestGovernorAdmitWaitScales(t *testing.T) {
 func TestGovernorRetryAfterClamps(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
 	g := h.m.Governor()
-	b := h.m.Budget()
+	b := h.m.Governor()
 
 	if got := g.RetryAfter(); got != minRetryAfter {
 		t.Errorf("unlimited RetryAfter = %v, want %v", got, minRetryAfter)
@@ -322,7 +329,7 @@ func TestGovernorRetryAfterClamps(t *testing.T) {
 func TestGovernorRebalanceFaultAborts(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
 	g := h.m.Governor()
-	b := h.m.Budget()
+	b := h.m.Governor()
 	const base = 1 << 20
 	fp := &fakePool{bound: base, retained: base}
 	g.RegisterPool("fake", fp)
@@ -378,8 +385,8 @@ func TestGovernorSnapshotAccounting(t *testing.T) {
 	h.m.ReturnSession(s)
 
 	snap := g.Snapshot()
-	if snap.HeapUsed != h.m.Budget().Used() {
-		t.Errorf("HeapUsed = %d, want %d", snap.HeapUsed, h.m.Budget().Used())
+	if snap.HeapUsed != h.m.Governor().Used() {
+		t.Errorf("HeapUsed = %d, want %d", snap.HeapUsed, h.m.Governor().Used())
 	}
 	if snap.ArenaRetained != 3<<10 {
 		t.Errorf("ArenaRetained = %d, want %d", snap.ArenaRetained, 3<<10)
@@ -439,7 +446,7 @@ func churnAdd(h *harness, s *Session, id int64) (types.Ref, error) {
 func TestGovernorStormLeakFree(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
 	g := h.m.Governor()
-	b := h.m.Budget()
+	b := h.m.Governor()
 	_, want := populateBlocks(t, h, 4)
 
 	heap := b.Used()

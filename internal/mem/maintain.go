@@ -243,7 +243,7 @@ func (mt *Maintainer) maintain() {
 	// Governance first: reclassify memory pressure, keep the degradation
 	// ladder engaged while it lasts, and restore pool bounds once it
 	// clears — the periodic safety net behind the event-driven rebalance
-	// on the budget's reclaim path.
+	// on the allocation and admission reclaim path.
 	mt.m.governor.tick()
 	if mt.shouldCompact(mt.m.FragmentationSnapshot()) {
 		if _, err := mt.m.CompactNowWorkersCtx(mt.ctx, mt.cfg.Workers); err == nil {

@@ -38,8 +38,8 @@
 //     serial Enumerator is the uncancellable oracle walk.
 //
 //   - Backpressure. ErrBudgetExceeded reports that the process-level
-//     memory Budget could not admit a query (Budget.Admit) or reserve a
-//     block. Allocation failure is not immediate: the budget first
+//     memory budget could not admit a query (Governor.Admit) or reserve
+//     a block. Allocation failure is not immediate: the governor first
 //     triggers reclamation (Maintainer wake-up, lazy epoch advance,
 //     graveyard drain) and waits — bounded — for released bytes.
 //     Compaction target blocks bypass admission (forceReserve) so the
@@ -169,7 +169,7 @@ type Config struct {
 	// MemoryBudget caps the manager's block-heap footprint in bytes
 	// (0 = unlimited). When exceeded, allocations and new query
 	// admissions backpressure through the reclamation machinery before
-	// failing with ErrBudgetExceeded; see Budget.
+	// failing with ErrBudgetExceeded; see Governor.
 	MemoryBudget int64
 }
 
@@ -228,7 +228,8 @@ type Manager struct {
 	// sessPool parks idle worker sessions between parallel scans so a
 	// small scan does not pay N session registrations (epoch slot churn,
 	// cache map allocation) per invocation. Pooled sessions stay
-	// registered; the pool is bounded and drained on Close.
+	// registered; the pool is bounded and drained on Close, which sets
+	// sessPoolOff so late returns close their session instead of parking.
 	sessMu      sync.Mutex
 	sessPool    []*Session
 	sessPoolOff bool
@@ -239,12 +240,10 @@ type Manager struct {
 	// threshold, so reclamation starts without waiting out a poll tick.
 	maintWake atomic.Pointer[maintWakeReg]
 
-	// budget governs the block-heap footprint (admission control and
-	// allocation backpressure); always non-nil, unlimited by default.
-	budget *Budget
-
-	// governor is the adaptive memory-governance control loop over the
-	// budget and the registered arena pools (govern.go); always non-nil.
+	// governor holds the byte budget (admission control, allocation
+	// backpressure) and the registered arena pools, and runs the
+	// degradation ladder over them (govern.go); always non-nil,
+	// unlimited by default.
 	governor *Governor
 
 	stats Stats
@@ -348,8 +347,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		alloc: offheap.New(opts...),
 		ep:    epoch.NewManager(),
 	}
-	m.budget = newBudget(m, c.MemoryBudget)
-	m.governor = newGovernor(m)
+	m.governor = newGovernor(m, c.MemoryBudget)
 	empty := make([]*Block, 0)
 	m.blocks.Store(&empty)
 	t, err := newIndirectTable(m.alloc)
@@ -365,10 +363,6 @@ func (m *Manager) Epoch() *epoch.Manager { return m.ep }
 
 // Stats returns the manager's counters.
 func (m *Manager) Stats() *Stats { return &m.stats }
-
-// Budget returns the manager's memory budget (unlimited unless
-// Config.MemoryBudget or SetLimit set a cap).
-func (m *Manager) Budget() *Budget { return m.budget }
 
 // BlockSize returns the configured block size.
 func (m *Manager) BlockSize() int { return m.cfg.BlockSize }
@@ -487,7 +481,7 @@ func (m *Manager) releaseBlockMemory(b *Block) {
 	if b.region != nil && b.region.Valid() {
 		_ = m.alloc.Free(b.region)
 		m.stats.BlocksReleased.Add(1)
-		m.budget.release(int64(m.cfg.BlockSize))
+		m.governor.release(int64(m.cfg.BlockSize))
 	}
 }
 
@@ -634,23 +628,6 @@ func (m *Manager) sessionPoolFootprint() (sessions int, pinnedBytes int64) {
 	return len(m.sessPool), pinnedBytes
 }
 
-// SetSessionPooling toggles worker-session pooling (on by default); when
-// turned off the current pool is drained. Benchmarks use it to measure
-// the register-per-scan cost the pool removes.
-func (m *Manager) SetSessionPooling(on bool) {
-	m.sessMu.Lock()
-	m.sessPoolOff = !on
-	var drain []*Session
-	if !on {
-		drain = m.sessPool
-		m.sessPool = nil
-	}
-	m.sessMu.Unlock()
-	for _, s := range drain {
-		_ = s.Close()
-	}
-}
-
 // Close unregisters the session, returning its caches to global pools.
 func (s *Session) Close() error {
 	for ctxID, b := range s.allocBlocks {
@@ -679,5 +656,5 @@ func (s *Session) InCritical() bool { return s.ep.InCritical() }
 func (s *Session) EpochSession() *epoch.Session { return s.ep }
 
 // Manager returns the manager this session is registered with; the query
-// layer uses it to reach the memory budget for admission control.
+// layer uses it to reach the memory governor for admission control.
 func (s *Session) Manager() *Manager { return s.mgr }

@@ -231,7 +231,7 @@ func TestBudgetAllocBackpressure(t *testing.T) {
 	if !errors.Is(allocErr, ErrBudgetExceeded) {
 		t.Fatalf("alloc failed with %v, want ErrBudgetExceeded", allocErr)
 	}
-	b := h.m.Budget()
+	b := h.m.Governor()
 	c := b.Counters()
 	if c.AllocWaits == 0 || c.AllocRejects == 0 {
 		t.Fatalf("pressure counters did not advance: %+v", c)
@@ -253,7 +253,7 @@ func TestBudgetAllocBackpressure(t *testing.T) {
 // with ErrBudgetExceeded after the bounded deadline-free wait.
 func TestBudgetAdmitGate(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
-	b := h.m.Budget()
+	b := h.m.Governor()
 	if err := b.Admit(context.Background()); err != nil {
 		t.Fatalf("unlimited Admit: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestBudgetAdmitGate(t *testing.T) {
 	}
 
 	// A release while a waiter blocks lets the admission through
-	// (overLimit is used >= limit, so drop strictly below it).
+	// (the gate trips at used >= limit, so drop strictly below it).
 	done := make(chan error, 1)
 	go func() { done <- b.Admit(context.Background()) }()
 	time.Sleep(10 * time.Millisecond)
@@ -316,7 +316,7 @@ func TestBudgetCompactionTargetForced(t *testing.T) {
 	survivors := churnToLowOccupancy(t, h, 4)
 	// Clamp the budget to current use: an ordinary allocation would wait
 	// and fail, but the pass's target block must go through.
-	h.m.Budget().SetLimit(h.m.Budget().Used())
+	h.m.Governor().SetLimit(h.m.Governor().Used())
 	moved, err := h.m.CompactNowWorkers(2)
 	if err != nil {
 		t.Fatalf("CompactNowWorkers under a clamped budget: %v", err)
@@ -325,6 +325,66 @@ func TestBudgetCompactionTargetForced(t *testing.T) {
 		t.Fatal("clamped budget starved the compaction pass")
 	}
 	verifySurvivors(t, h, survivors)
+}
+
+// TestBudgetLimitLiftWakesWaiters: removing the limit (SetLimit(0))
+// must wake an admission and a block allocation that are already
+// waiting, so both succeed at once instead of sleeping out their bound
+// and failing with ErrBudgetExceeded.
+func TestBudgetLimitLiftWakesWaiters(t *testing.T) {
+	t.Run("admit", func(t *testing.T) {
+		h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
+		g := h.m.Governor()
+		g.SetLimit(1 << 13)
+		g.forceReserve(2 << 13)
+		defer g.release(2 << 13)
+		bound := g.AdmitWait()
+		done := make(chan error, 1)
+		go func() { done <- g.Admit(context.Background()) }()
+		time.Sleep(10 * time.Millisecond)
+		lifted := time.Now()
+		g.SetLimit(0)
+		if err := <-done; err != nil {
+			t.Fatalf("Admit after the limit was lifted = %v, want nil", err)
+		}
+		if d := time.Since(lifted); d >= bound {
+			t.Fatalf("Admit returned %v after the lift, not inside its %v bound", d, bound)
+		}
+	})
+	t.Run("alloc", func(t *testing.T) {
+		h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
+		g := h.m.Governor()
+		h.add(t, h.s, 0, "x")
+		g.SetLimit(g.Used()) // the next block reservation must wait
+		n := h.ctx.BlockCapacity()
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < n; i++ {
+				_, obj, err := h.ctx.Alloc(h.s)
+				if err != nil {
+					done <- err
+					return
+				}
+				h.ctx.Publish(h.s, obj)
+			}
+			done <- nil
+		}()
+		deadline := time.Now().Add(2 * time.Second)
+		for g.Counters().AllocWaits == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("no block allocation waited on the clamped budget")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		lifted := time.Now()
+		g.SetLimit(0)
+		if err := <-done; err != nil {
+			t.Fatalf("alloc after the limit was lifted = %v, want nil", err)
+		}
+		if d := time.Since(lifted); d >= budgetAllocWait {
+			t.Fatalf("alloc returned %v after the lift, not inside its %v bound", d, budgetAllocWait)
+		}
+	})
 }
 
 // TestCompactCancelAbortsUnmovedGroups: a pass canceled before its

@@ -33,12 +33,12 @@ func TestParallelScanSessionPoolReuse(t *testing.T) {
 	}
 }
 
-// TestParallelScanSessionPoolDisabled: with pooling off, every scan
-// registers and closes its own sessions (the pre-pool behavior), and the
-// pool holds nothing.
-func TestParallelScanSessionPoolDisabled(t *testing.T) {
+// TestParallelScanSessionPoolTrimNoSlotLeak: with the pool trimmed to
+// empty between scans (what the governor's Critical rung does), every
+// scan registers fresh sessions and the trimmed ones give their epoch
+// slots back.
+func TestParallelScanSessionPoolTrimNoSlotLeak(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{BlockSize: 1 << 13, HeapBackend: true})
-	h.m.SetSessionPooling(false)
 	n := h.ctx.BlockCapacity()*6 + 3
 	for i := 0; i < n; i++ {
 		h.add(t, h.s, int64(i), "x")
@@ -48,12 +48,13 @@ func TestParallelScanSessionPoolDisabled(t *testing.T) {
 		if err := h.ctx.ScanParallelPredCtx(context.Background(), h.s, workers, nil, func(int, *Session, *Block) error { return nil }); err != nil {
 			t.Fatalf("scan %d: %v", i, err)
 		}
+		h.m.TrimSessionPool(0)
 	}
 	if reused := h.m.stats.SessionsReused.Load(); reused != 0 {
-		t.Fatalf("reused %d sessions with pooling disabled", reused)
+		t.Fatalf("reused %d sessions from a pool trimmed between scans", reused)
 	}
 	// Epoch slots must not leak: a fresh registration still succeeds
-	// after scans*workers unpooled sessions came and went.
+	// after scans*workers trimmed sessions came and went.
 	s, err := h.m.NewSession()
 	if err != nil {
 		t.Fatalf("session slots leaked: %v", err)
@@ -63,7 +64,7 @@ func TestParallelScanSessionPoolDisabled(t *testing.T) {
 
 // BenchmarkParallelScanSmall measures a small parallel scan end to end —
 // the regime where per-scan session registration dominates — with the
-// session pool on and off.
+// session pool kept, and trimmed to empty after every scan.
 func BenchmarkParallelScanSmall(b *testing.B) {
 	for _, pooled := range []bool{true, false} {
 		name := "pooled"
@@ -95,7 +96,6 @@ func BenchmarkParallelScanSmall(b *testing.B) {
 				*(*int64)(obj.Blk.FieldPtr(obj.Slot, idF)) = int64(i)
 				ctx.Publish(s, obj)
 			}
-			m.SetSessionPooling(pooled)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var sums [4]struct {
@@ -112,6 +112,9 @@ func BenchmarkParallelScanSmall(b *testing.B) {
 				})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if !pooled {
+					m.TrimSessionPool(0)
 				}
 			}
 		})

@@ -156,14 +156,14 @@ func New(s *core.Session, pool *region.ArenaPool, workers int) *Pipeline {
 	return &Pipeline{s: s, pool: pool, workers: workers, ctx: context.Background()}
 }
 
-// NewCtx is New bound to a context, with budget admission control: when
-// the runtime's governed memory total (block heap plus arena retention
-// plus synopses) is over its limit the call queues — bounded by the
-// context deadline, or by the governor's pressure-derived wait when
-// there is none — while the degradation ladder (arena trims, session-
-// pool trims, compaction-for-reclamation) makes room, returning
-// mem.ErrBudgetExceeded only when all of that could not — load-shedding
-// happens before the query leases anything.
+// NewCtx is New bound to a context, with admission control through
+// mem.Governor.Admit: when the runtime's governed memory total (block
+// heap plus arena retention plus synopses) is over its limit the call
+// queues — bounded by the context deadline, or by the governor's
+// pressure-derived wait when there is none — while the degradation
+// ladder (arena trims, session-pool trims, compaction-for-reclamation)
+// makes room, returning mem.ErrBudgetExceeded only when all of that
+// could not — load-shedding happens before the query leases anything.
 // Every stage of the returned pipeline observes ctx at block-claim
 // granularity; a canceled stage returns the cancellation cause after
 // all its workers unwind, and Close still returns every leased arena.
@@ -171,7 +171,7 @@ func NewCtx(ctx context.Context, s *core.Session, pool *region.ArenaPool, worker
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := s.Mem().Manager().Budget().Admit(ctx); err != nil {
+	if err := s.Mem().Manager().Governor().Admit(ctx); err != nil {
 		return nil, err
 	}
 	p := New(s, pool, workers)

@@ -225,42 +225,18 @@ func (s *Server) admit(ctx context.Context, class string) (release func(), err e
 	s.requests.Add(1)
 	start := time.Now()
 	defer func() { s.admitWaitNanos.Add(time.Since(start).Nanoseconds()) }()
-	if q := s.classSem[class]; q != nil {
+	q := s.classSem[class]
+	if q != nil {
 		if err := s.acquire(ctx, q); err != nil {
 			if errors.Is(err, ErrSaturated) {
 				s.classLimited.Add(1)
-				s.saturated.Add(1)
-			} else {
-				s.canceled.Add(1)
 			}
 			return nil, err
 		}
-		defer func() {
-			if release == nil {
-				<-q // global gate refused: give the class slot back
-			}
-		}()
-		if err := s.acquire(ctx, s.sem); err != nil {
-			if errors.Is(err, ErrSaturated) {
-				s.saturated.Add(1)
-			} else {
-				s.canceled.Add(1)
-			}
-			return nil, err
-		}
-		s.admitted.Add(1)
-		s.inFlight.Add(1)
-		return func() {
-			s.inFlight.Add(-1)
-			<-s.sem
-			<-q
-		}, nil
 	}
 	if err := s.acquire(ctx, s.sem); err != nil {
-		if errors.Is(err, ErrSaturated) {
-			s.saturated.Add(1)
-		} else {
-			s.canceled.Add(1)
+		if q != nil {
+			<-q // global gate refused: give the class slot back
 		}
 		return nil, err
 	}
@@ -269,11 +245,15 @@ func (s *Server) admit(ctx context.Context, class string) (release func(), err e
 	return func() {
 		s.inFlight.Add(-1)
 		<-s.sem
+		if q != nil {
+			<-q
+		}
 	}, nil
 }
 
 // acquire takes one slot from sem within cfg.AdmitWait, or reports
-// ErrSaturated / the context's cause.
+// ErrSaturated / the context's cause, counting the refusal as saturated
+// or canceled.
 func (s *Server) acquire(ctx context.Context, sem chan struct{}) error {
 	select {
 	case sem <- struct{}{}:
@@ -286,8 +266,10 @@ func (s *Server) acquire(ctx context.Context, sem chan struct{}) error {
 	case sem <- struct{}{}:
 		return nil
 	case <-ctx.Done():
+		s.canceled.Add(1)
 		return context.Cause(ctx)
 	case <-t.C:
+		s.saturated.Add(1)
 		return ErrSaturated
 	}
 }
