@@ -81,9 +81,6 @@ func TestDivMatchesBig(t *testing.T) {
 
 func TestInt64AndFloat64Reporting(t *testing.T) {
 	d := MustParse("-1234.5678")
-	if d.Int64() != -1234 {
-		t.Fatalf("Int64 = %d", d.Int64())
-	}
 	f := d.Float64()
 	if f > -1234.5 || f < -1234.6 {
 		t.Fatalf("Float64 = %v", f)
@@ -92,7 +89,7 @@ func TestInt64AndFloat64Reporting(t *testing.T) {
 	if huge.Float64() < 9e19 {
 		t.Fatalf("huge Float64 = %v", huge.Float64())
 	}
-	if huge.Int64() != 99999999999999999999%1 && huge.String() != "99999999999999999999.5000" {
+	if huge.String() != "99999999999999999999.5000" {
 		t.Fatalf("huge String = %v", huge.String())
 	}
 }

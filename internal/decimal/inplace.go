@@ -46,8 +46,3 @@ func MulAdd(acc, a, b *Dec128) {
 	p := a.Mul(*b)
 	AddAssign(acc, &p)
 }
-
-// MulPair multiplies *a and *b into *dst (dst may alias a or b).
-func MulPair(dst, a, b *Dec128) {
-	*dst = a.Mul(*b)
-}

@@ -194,6 +194,10 @@ func TestServeErrorModel(t *testing.T) {
 	if code := e.post(t, "/query/q6window", `{"lo":"not-a-date"}`, &env); code != http.StatusBadRequest || env.Error.Code != "bad_request" {
 		t.Errorf("bad date: status %d code %q", code, env.Error.Code)
 	}
+	env = serve.ErrorEnvelope{}
+	if code := e.post(t, "/query/q6", `{"discount":"--0.06"}`, &env); code != http.StatusBadRequest || env.Error.Code != "bad_request" {
+		t.Errorf("stray-sign decimal: status %d code %q", code, env.Error.Code)
+	}
 	if code := e.post(t, "/query/q6?workers=zap", `{}`, nil); code != http.StatusBadRequest {
 		t.Errorf("bad workers knob: status %d", code)
 	}
