@@ -211,19 +211,26 @@
 //     churn cycle after the first pass would erase the guarantee while
 //     the planner saw no work. PackSize (first-fit decreasing) stays the
 //     default packing (Options.CompactionPacking).
-//   - Cross-edge semi-join pruning: a pipeline's first Table stage
-//     already computes which dimension keys qualify (e.g. Q3's
-//     qualifying orders); a query.Keys stage distills them into
-//     a mem.KeySetPredicate (sorted coalesced key ranges), and the
+//   - Cross-edge semi-join pruning: the build side's date predicate
+//     already decides, block by block, where qualifying dimension rows
+//     can live (e.g. Q3's orders before the cut). A query.KeyRanges
+//     stage reads no rows: it takes the Key synopsis bounds of exactly
+//     the orders blocks that predicate admits and merges them into a
+//     mem.KeySetPredicate (sorted disjoint key ranges), and the
 //     probe-side scan evaluates it per block against the foreign-key
-//     column's bounds — blocks whose key range misses every qualifying
-//     run are pruned before any worker touches them. Q3ParCtx/Q4ParCtx/
-//     Q10ParCtx ride it; kernels keep their residual probes, so rows stay
-//     byte-identical to the serial oracles. Effectiveness tracks
-//     key-date correlation (auto-increment OLTP feeds prune, dbgen's
-//     random orderkey mapping does not), which the cluster figure
-//     models by re-keying orders in date order. StatsSnapshot surfaces
-//     SynopsisOverlap (key-set admissions) and KeySetPruned.
+//     column's bounds — blocks whose key range misses every surviving
+//     range are pruned before any worker touches them. It is sound
+//     because a pruned orders block holds no qualifying order and an
+//     admitted block's bounds cover every key in it (widen-on-insert);
+//     it is coarser than the qualifying keys, and costs O(blocks) where
+//     nothing prunes. Q3ParCtx/Q10ParCtx ride it, and Q4ParCtx feeds its
+//     late-lineitem keys in as single-key ranges; kernels keep their
+//     residual probes, so rows stay byte-identical to the serial
+//     oracles. Effectiveness tracks key-date correlation (auto-increment
+//     OLTP feeds prune, dbgen's random orderkey mapping does not), which
+//     the cluster figure models by re-keying orders in date order.
+//     StatsSnapshot surfaces SynopsisOverlap (key-set admissions) and
+//     KeySetPruned.
 //
 // The `cluster` figure of cmd/smcbench runs churn cycles against
 // clustered vs size-only maintenance — pruned fraction of a

@@ -36,12 +36,15 @@ import (
 // re-derived from the live rows each cycle so selectivity stays honest
 // as retention shrinks the heap.
 //
-// Part two — cross-edge pruning. On a fresh (unchurned) heap the
-// pipeline drivers distill the order-side key set of Q3/Q10 (and Q4's
-// late-lineitem key set) into a mem.KeySetPredicate over the next edge's
-// key synopses; the figure reports the pruned parallel latency against
-// the serial unpruned oracle plus the KeySetPruned/SynopsisOverlap
-// decision counts, with results asserted identical.
+// Part two — cross-edge pruning. On a fresh (unchurned) heap the Q3/Q10
+// pipeline drivers take the order-side key set from the Key synopsis
+// bounds of the orders blocks their date predicate admits (Q4 from its
+// late-lineitem keys) as a mem.KeySetPredicate over the next edge's key
+// synopses; the figure reports the pruned parallel latency against the
+// serial unpruned oracle plus the KeySetPruned/SynopsisOverlap decision
+// counts, with results asserted identical. Block-granular key ranges are
+// coarser than the qualifying keys, so a block at a date-window edge
+// can survive where a row-level key set would have pruned it.
 
 // ClusterPoint is one (packing, cycle, selectivity) measurement of the
 // churn → maintenance sweep.
@@ -72,7 +75,7 @@ type ClusterJoinPoint struct {
 	SerialMs float64
 	Speedup  float64
 	// One instrumented run's key-set decisions: blocks pruned because no
-	// distilled key range overlapped their key synopsis, and blocks
+	// key-set range overlapped their key synopsis, and blocks
 	// admitted with at least one overlapping key-set constraint.
 	KeySetPruned    int64
 	SynopsisOverlap int64
@@ -364,7 +367,7 @@ func FigureCluster(o Options) (*ClusterResult, error) {
 // their order's new key. dbgen's random orderkey↔date mapping makes
 // every lineitem block span the whole key domain, so no key set could
 // ever prune; under date-correlated keys the blocks hold contiguous key
-// runs and the distilled key sets cut real block ranges. The serial
+// runs and the key-range sets cut real block ranges. The serial
 // oracles run on the same re-keyed collections, so the row-identity
 // assertion still covers the pruning paths exactly.
 func clusterJoins(o Options, data *tpch.Dataset) ([]ClusterJoinPoint, error) {

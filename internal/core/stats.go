@@ -77,7 +77,7 @@ type RuntimeStats struct {
 	BlocksPruned, BlocksScanned int64
 	SynopsisRebuilds            int64
 	// Cross-edge semi-join pruning (mem.KeySetPredicate): blocks pruned
-	// because no key range of a distilled key set overlapped their
+	// because no range of a pipeline stage's key set overlapped their
 	// synopsis bounds (a subset of BlocksPruned), and blocks admitted
 	// with at least one overlapping key-set constraint.
 	KeySetPruned, SynopsisOverlap int64

@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -264,63 +266,64 @@ type predCon struct {
 	ks *KeySetPredicate
 }
 
-// KeySetPredicate is a set of int64 synopsis keys distilled from an
-// earlier pipeline stage (e.g. the order keys surviving a date cut),
-// stored as sorted disjoint inclusive ranges with adjacent keys
-// coalesced. Attached to a ScanPredicate via InKeySet, it prunes the
-// next stage's blocks across a reference edge: a block whose key-column
-// bounds contain no surviving range provably holds no row that can join,
-// so the coordinator never claims it. Like every synopsis check it is
-// sound, never exact — kernels keep evaluating the real join per row.
+// KeySetPredicate is a set of int64 synopsis keys produced by an earlier
+// pipeline stage (e.g. the key ranges of the order blocks surviving a
+// date cut), stored as sorted disjoint inclusive ranges with overlapping
+// and adjacent ranges coalesced. Attached to a ScanPredicate via
+// InKeySet, it prunes the next stage's blocks across a reference edge: a
+// block whose key-column bounds overlap no range provably holds no row
+// that can join, so the coordinator never claims it. Like every synopsis
+// check it is sound, never exact — kernels keep evaluating the real join
+// per row.
 //
 // The structure is immutable after construction and safe for concurrent
 // use by any number of scans.
 type KeySetPredicate struct {
-	lo, hi []int64 // parallel slices of inclusive range bounds
-	keys   int     // distinct keys folded in
+	ranges []KeyRange // sorted by Lo, disjoint, non-adjacent
 }
 
-// NewKeySetPredicate builds a key-set predicate from the (unsorted,
-// possibly duplicated) keys of a completed stage. An empty key set is
-// valid and matches no block — the stage it came from produced nothing,
-// so the next stage has nothing to find.
-func NewKeySetPredicate(keys []int64) *KeySetPredicate {
-	ks := &KeySetPredicate{}
-	if len(keys) == 0 {
-		return ks
-	}
-	sorted := append([]int64(nil), keys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, k := range sorted {
-		if i > 0 && k == sorted[i-1] {
+// KeyRange is one inclusive interval [Lo, Hi] of synopsis keys; a single
+// key k is {k, k}.
+type KeyRange struct {
+	Lo, Hi int64
+}
+
+// NewKeyRangePredicate builds a key-set predicate from the (unsorted,
+// possibly overlapping, nested or adjacent) inclusive ranges of a
+// completed stage; ranges with Lo > Hi are empty and dropped. It sorts
+// and coalesces in place, so the predicate takes ownership of ranges.
+// An empty input is valid and matches no block — the stage it came from
+// produced nothing, so the next stage has nothing to find.
+func NewKeyRangePredicate(ranges []KeyRange) *KeySetPredicate {
+	slices.SortFunc(ranges, func(a, b KeyRange) int { return cmp.Compare(a.Lo, b.Lo) })
+	out := ranges[:0]
+	for _, r := range ranges {
+		if r.Lo > r.Hi {
 			continue
 		}
-		ks.keys++
-		if n := len(ks.hi); n > 0 && k == ks.hi[n-1]+1 {
-			ks.hi[n-1] = k // extend the open range over the adjacent key
-			continue
+		if n := len(out); n > 0 {
+			last := &out[n-1]
+			// Overlapping or adjacent. Test overlap first: when last.Hi
+			// is MaxInt64, last.Hi+1 wraps, but r.Lo <= last.Hi holds.
+			if r.Lo <= last.Hi || r.Lo == last.Hi+1 {
+				last.Hi = max(last.Hi, r.Hi)
+				continue
+			}
 		}
-		ks.lo = append(ks.lo, k)
-		ks.hi = append(ks.hi, k)
+		out = append(out, r)
 	}
-	return ks
+	return &KeySetPredicate{ranges: out}
 }
 
 // Empty reports whether the set holds no keys (matches no block).
-func (ks *KeySetPredicate) Empty() bool { return len(ks.lo) == 0 }
-
-// Keys returns the number of distinct keys in the set.
-func (ks *KeySetPredicate) Keys() int { return ks.keys }
-
-// Ranges returns the number of coalesced ranges the set stores.
-func (ks *KeySetPredicate) Ranges() int { return len(ks.lo) }
+func (ks *KeySetPredicate) Empty() bool { return len(ks.ranges) == 0 }
 
 // Overlaps reports whether any range intersects [lo, hi]. O(log ranges):
 // binary-search the first range ending at or after lo, then check it
 // starts at or before hi.
 func (ks *KeySetPredicate) Overlaps(lo, hi int64) bool {
-	i := sort.Search(len(ks.hi), func(i int) bool { return ks.hi[i] >= lo })
-	return i < len(ks.lo) && ks.lo[i] <= hi
+	i := sort.Search(len(ks.ranges), func(i int) bool { return ks.ranges[i].Hi >= lo })
+	return i < len(ks.ranges) && ks.ranges[i].Lo <= hi
 }
 
 // Contains reports whether k is in the set.
@@ -367,15 +370,15 @@ func (p *ScanPredicate) DecimalRange(name string, lo, hi decimal.Dec128) *ScanPr
 	return p.addCon(name, decimalKey(lo), decimalKey(hi))
 }
 
-// InKeySet constrains an int64/int32/date column to a key set distilled
-// from an earlier pipeline stage (cross-edge semi-join pruning; see
+// InKeySet constrains an int64/int32/date column to a key set produced
+// by an earlier pipeline stage (cross-edge semi-join pruning; see
 // KeySetPredicate). The interval envelope [first, last] is checked
 // first, then the set's ranges. An empty set matches no block: the
 // producing stage found nothing, so neither can this one.
 func (p *ScanPredicate) InKeySet(name string, ks *KeySetPredicate) *ScanPredicate {
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64) // empty envelope
 	if !ks.Empty() {
-		lo, hi = ks.lo[0], ks.hi[len(ks.hi)-1]
+		lo, hi = ks.ranges[0].Lo, ks.ranges[len(ks.ranges)-1].Hi
 	}
 	p.addCon(name, lo, hi)
 	p.cons[len(p.cons)-1].ks = ks

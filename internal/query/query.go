@@ -31,6 +31,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -84,50 +85,31 @@ func (w *whereSource) ParallelBlocksPredCtx(ctx context.Context, s *core.Session
 	return w.src.ParallelBlocksPredCtx(ctx, s, workers, w.pred, fn)
 }
 
-// Len reports the unpruned element count: adaptive table hints stay an
-// upper bound (over-estimating under a selective predicate is exactly
-// what AdaptiveSparseHint's discount is for).
+// Len reports the unpruned element count: AdaptiveHint stays an upper
+// bound.
 func (w *whereSource) Len() int { return w.src.Len() }
 
-// AdaptiveHint and AdaptiveSparseHint, passed as Table's capHint, size
-// each worker's table from the source's live element count instead of a
-// static guess — growth is the expensive case for region tables, which
-// retain the old arrays as arena garbage until the arena resets.
+// AdaptiveHint, passed as Table's capHint, sizes each worker's table
+// from the source's live element count instead of a static guess, at
+// Len()/workers: the upper bound on distinct keys one worker can
+// accumulate (work stealing aside). Use it when nearly every row
+// contributes its own key (Q9's per-partsupp cost table) — growth is the
+// expensive case for region tables, which retain the old arrays as arena
+// garbage until the arena resets.
 //
-// AdaptiveHint sizes at Len()/workers: the upper bound on distinct keys
-// one worker can accumulate (work stealing aside). Use it when nearly
-// every row contributes its own key (Q9's per-partsupp cost table).
-//
-// AdaptiveSparseHint sizes at Len()/(16*workers): for stages whose
-// predicate and grouping collapse rows well below the bound (Q3's
-// filtered per-order state, Q10's one-quarter per-customer state), the
-// full bound would eagerly allocate tens of times more arena than the
-// groups need — and the pool retains that footprint. The tables still
-// scale with the input, just with a selectivity discount; a skewed
-// worker simply grows once or twice.
-//
-// Keep a small static hint when cardinality does not scale with the
-// input at all (per-nation, per-year).
-const (
-	AdaptiveHint       = 0
-	AdaptiveSparseHint = -1
-)
+// Keep a small static hint whenever a predicate or the grouping collapses
+// rows well below that bound: an oversized table costs more than a few
+// doublings, because value arrays past the arena's chunk size take a
+// dedicated mapping that every Reset unmaps again.
+const AdaptiveHint = 0
 
 // adaptiveHintFloor keeps adaptive hints from collapsing on tiny
 // collections.
 const adaptiveHintFloor = 64
 
-// adaptiveHint resolves the adaptive capHint sentinels against the
-// source's live count.
-func adaptiveHint(capHint int, src Source, workers int) int {
-	n := src.Len() / workers
-	if capHint == AdaptiveSparseHint {
-		n /= 16
-	}
-	if n < adaptiveHintFloor {
-		n = adaptiveHintFloor
-	}
-	return n
+// adaptiveHint resolves AdaptiveHint against the source's live count.
+func adaptiveHint(src Source, workers int) int {
+	return max(src.Len()/workers, adaptiveHintFloor)
 }
 
 // Pipeline carries one parallel query's execution state: the
@@ -242,7 +224,7 @@ func Table[V any](p *Pipeline, src Source, capHint int,
 	merge func(dst, src *V),
 ) (merged *region.PartitionedTable[V], err error) {
 	if capHint <= 0 {
-		capHint = adaptiveHint(capHint, src, p.workers)
+		capHint = adaptiveHint(src, p.workers)
 	}
 	// Every worker table (and the merge destination) uses the same parts
 	// argument, so NewPartitionedTable's power-of-two rounding keeps the
@@ -362,24 +344,37 @@ func Rows[R any](p *Pipeline, src Source,
 	return out, nil
 }
 
-// Keys runs a key-distillation stage for cross-edge semi-join pruning:
-// the source's blocks shard across the pipeline's workers, each emitting
-// the synopsis-domain keys of its qualifying rows into a private buffer,
-// and the union compiles into a mem.KeySetPredicate (sorted, deduped,
-// adjacent keys coalesced into ranges). Combine the result with the next
-// edge's predicate via ScanPredicate.InKeySet so blocks whose synopsis
-// bounds overlap no surviving key range are never claimed. The returned
-// predicate is never nil; when no worker emitted a key it is Empty (and
-// InKeySet over it prunes every block, matching semi-join semantics).
-// emit runs inside the worker's critical section.
-func Keys(p *Pipeline, src Source,
-	emit func(ws *core.Session, blk *mem.Block, out *[]int64),
-) (*mem.KeySetPredicate, error) {
-	keys, err := Rows[int64](p, src, emit)
+// KeyRanges runs a key-range stage for cross-edge semi-join pruning. It
+// reads no rows: over src's admitted blocks (one worker; under a Where
+// source, exactly the blocks its predicate admits) it takes each block's
+// synopsis bounds on column and merges them into a mem.KeySetPredicate
+// of sorted disjoint ranges. Combine the result with the next edge's
+// predicate via ScanPredicate.InKeySet so blocks whose synopsis bounds
+// overlap no range are never claimed.
+//
+// The set is sound under the synopsis invariants: a pruned block holds
+// no qualifying row, and an admitted block's bounds cover every key it
+// holds (insert widens). It is coarser than the qualifying keys — a
+// whole admitted block's key span survives — so the next stage's kernel
+// keeps its full residual join. A block without bounds on column (the
+// column has no registered synopsis) contributes the whole key domain.
+// The returned predicate is never nil; when no block is admitted it is
+// Empty (and InKeySet over it prunes every block, matching semi-join
+// semantics).
+func KeyRanges(p *Pipeline, src Source, column string) (*mem.KeySetPredicate, error) {
+	var ranges []mem.KeyRange
+	err := src.ParallelBlocksPredCtx(p.ctx, p.s, 1, nil, func(_ int, _ *core.Session, blk *mem.Block) error {
+		lo, hi, ok := blk.SynopsisBounds(column)
+		if !ok {
+			lo, hi = math.MinInt64, math.MaxInt64
+		}
+		ranges = append(ranges, mem.KeyRange{Lo: lo, Hi: hi})
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return mem.NewKeySetPredicate(keys), nil
+	return mem.NewKeyRangePredicate(ranges), nil
 }
 
 // RowsUnordered runs a streaming finishing stage: like Rows, the

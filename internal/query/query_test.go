@@ -1,7 +1,9 @@
 package query_test
 
 import (
+	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,7 +132,7 @@ func TestParallelPipelineTable(t *testing.T) {
 
 // TestParallelPipelineTableAdaptiveHint: AdaptiveHint sizes worker
 // tables from the source's Len()/workers and must be invisible to the
-// result — same merged sums as a static hint at every worker count.
+// result — the exact per-key sums at every worker count.
 func TestParallelPipelineTableAdaptiveHint(t *testing.T) {
 	rt := testRuntime(t)
 	s := rt.MustSession()
@@ -147,24 +149,22 @@ func TestParallelPipelineTableAdaptiveHint(t *testing.T) {
 	defer pool.Close()
 	sch := coll.Schema()
 	kernel := sumKernel(sch.MustField("Key"), sch.MustField("Val"))
-	for _, hint := range []int{query.AdaptiveHint, query.AdaptiveSparseHint} {
-		for _, workers := range []int{1, 2, 4} {
-			p := query.New(s, pool, workers)
-			merged, err := query.Table(p, coll, hint, kernel, addI64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := tableToMap(merged)
-			if len(got) != len(want) {
-				t.Fatalf("hint=%d workers=%d: %d keys, want %d", hint, workers, len(got), len(want))
-			}
-			for k, v := range want {
-				if got[k] != v {
-					t.Fatalf("hint=%d workers=%d: key %d = %d, want %d", hint, workers, k, got[k], v)
-				}
-			}
-			p.Close()
+	for _, workers := range []int{1, 2, 4} {
+		p := query.New(s, pool, workers)
+		merged, err := query.Table(p, coll, query.AdaptiveHint, kernel, addI64)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got := tableToMap(merged)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d keys, want %d", workers, len(got), len(want))
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("workers=%d: key %d = %d, want %d", workers, k, got[k], v)
+			}
+		}
+		p.Close()
 	}
 }
 
@@ -288,61 +288,100 @@ func TestParallelPipelineRows(t *testing.T) {
 	}
 }
 
-// TestParallelPipelineKeys: the key-distillation stage must return a
-// key-set predicate containing exactly the emitted keys — the semi-join
-// edge Q3/Q4/Q10 thread between pipeline stages. An empty distillation
-// must yield the never-overlapping (prune-everything) set, not nil.
+// TestParallelPipelineKeys: the key-range stage builds the semi-join
+// edge Q3/Q10 thread between pipeline stages from block synopses alone.
+// Its contract is soundness, not exactness: every key of every row in a
+// block the build-side predicate admits must be in the set (the
+// row-level distillation below is the oracle), keys living only in
+// predicate-pruned blocks must be excluded when the key correlates with
+// the predicate column, and an empty source must yield the non-nil
+// prune-everything set.
 func TestParallelPipelineKeys(t *testing.T) {
 	rt := testRuntime(t)
 	s := rt.MustSession()
 	defer s.Close()
 	coll := core.MustCollection[row](rt, "keys", core.RowIndirect)
-	const n = 2500
+	coll.MustRegisterSynopses("Key", "Val")
+	// Key and Val both rise with insertion order, so blocks hold
+	// near-disjoint key spans and a Val window prunes whole key spans.
+	const n = 5000
 	for i := 0; i < n; i++ {
-		coll.MustAdd(s, &row{Key: int64(i), Val: int64(i * 2)})
+		coll.MustAdd(s, &row{Key: int64(i), Val: int64(i / 10)})
 	}
-	sch := coll.Schema()
-	key := sch.MustField("Key")
-	pool := region.NewArenaPool(nil, 0, 0)
-	defer pool.Close()
-	for _, workers := range []int{1, 3} {
-		p := query.New(s, pool, workers)
-		ks, err := query.Keys(p, coll, func(_ *core.Session, blk *mem.Block, out *[]int64) {
-			for i := 0; i < blk.Capacity(); i++ {
-				if !blk.SlotIsValid(i) {
-					continue
-				}
-				// Runs of four adjacent keys with gaps: coalescable but
-				// not one interval.
-				if k := *(*int64)(blk.FieldPtr(i, key)); k%5 != 4 {
-					*out = append(*out, k)
-				}
+	key := coll.Schema().MustField("Key")
+	blockKeys := func(blk *mem.Block) []int64 {
+		var ks []int64
+		for i := 0; i < blk.Capacity(); i++ {
+			if blk.SlotIsValid(i) {
+				ks = append(ks, *(*int64)(blk.FieldPtr(i, key)))
 			}
+		}
+		return ks
+	}
+	// blocksOf maps each block src's scan visits under pred to its keys.
+	blocksOf := func(pred *mem.ScanPredicate) map[*mem.Block][]int64 {
+		out := make(map[*mem.Block][]int64)
+		err := coll.ParallelBlocksPredCtx(context.Background(), s, 1, pred, func(_ int, _ *core.Session, blk *mem.Block) error {
+			out[blk] = blockKeys(blk)
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := n - n/5; ks.Keys() != want {
-			t.Fatalf("workers=%d: distilled %d keys, want %d", workers, ks.Keys(), want)
+		return out
+	}
+	all := blocksOf(nil)
+	if len(all) < 4 {
+		t.Fatalf("%d blocks: too few to prune", len(all))
+	}
+	const vlo, vhi = 200, 299 // keys 2000..2999
+	window := func() *mem.ScanPredicate { return coll.Predicate().Int64Range("Val", vlo, vhi) }
+	admitted := blocksOf(window())
+	pool := region.NewArenaPool(nil, 0, 0)
+	defer pool.Close()
+	for _, workers := range []int{1, 3} {
+		p := query.New(s, pool, workers)
+		ks, err := query.KeyRanges(p, query.Where(coll, window()), "Key")
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if got := ks.Contains(int64(i)); got != (i%5 != 4) {
-				t.Fatalf("workers=%d: Contains(%d) = %v", workers, i, got)
+		// Soundness: the row-level distillation of the admitted blocks.
+		for _, keys := range admitted {
+			for _, k := range keys {
+				if !ks.Contains(k) {
+					t.Fatalf("workers=%d: key %d of an admitted block missing", workers, k)
+				}
 			}
 		}
-		// Adjacent multiples-of-5 coalesce into far fewer ranges than keys.
-		if ks.Ranges() >= ks.Keys() {
-			t.Fatalf("workers=%d: %d ranges for %d keys (no coalescing)", workers, ks.Ranges(), ks.Keys())
+		// Pruning: keys living only in predicate-pruned blocks are out.
+		excluded := 0
+		for blk, keys := range all {
+			if _, ok := admitted[blk]; ok {
+				continue
+			}
+			for _, k := range keys {
+				if ks.Contains(k) {
+					t.Fatalf("workers=%d: key %d of a pruned block kept", workers, k)
+				}
+				excluded++
+			}
 		}
-		empty, err := query.Keys(p, coll, func(*core.Session, *mem.Block, *[]int64) {})
+		if excluded == 0 {
+			t.Fatalf("workers=%d: the window pruned no block", workers)
+		}
+		// An empty source (a window no block admits) prunes everything.
+		empty, err := query.KeyRanges(p, query.Where(coll, coll.Predicate().Int64Range("Val", n, n)), "Key")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if empty == nil || !empty.Empty() {
-			t.Fatalf("workers=%d: empty distillation returned %v", workers, empty)
+			t.Fatalf("workers=%d: empty source returned %v", workers, empty)
 		}
-		if empty.Overlaps(0, n) {
+		if empty.Overlaps(math.MinInt64, math.MaxInt64) {
 			t.Fatalf("workers=%d: empty key set overlaps", workers)
+		}
+		if got := blocksOf(coll.Predicate().InKeySet("Key", empty)); len(got) != 0 {
+			t.Fatalf("workers=%d: an empty key set admitted %d blocks", workers, len(got))
 		}
 		p.Close()
 	}

@@ -35,7 +35,10 @@ import (
 // Each query has exactly two paths: the serial oracle (Qn) and its
 // pipeline driver (QnParCtx), whose errors reach the caller.
 
-// joinTableHint sizes a worker's partitioned group table.
+// joinTableHint sizes a worker's partitioned group table. Tables grow on
+// demand; starting small keeps every value array inside one arena chunk,
+// where a table sized from the input would take a dedicated mapping that
+// each arena reset unmaps again.
 const joinTableHint = 1024
 
 // mergeDec accumulates one worker's revenue partial into the merged
@@ -174,7 +177,7 @@ func (q *SMCQueries) Q2ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	defer pl.Close()
 	typeSuffix := []byte(p.Q2Type)
 	regionName := []byte(p.Q2Region)
-	minCost, err := query.Table(pl, q.db.PartSupps, query.AdaptiveSparseHint,
+	minCost, err := query.Table(pl, q.db.PartSupps, joinTableHint,
 		func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[q2Min]) {
 			q.q2MinBlock(ws, blk, p.Q2Size, typeSuffix, regionName, t)
 		}, mergeQ2Min)
@@ -463,12 +466,17 @@ func (q *SMCQueries) q10FinishBlock(s *core.Session, blk *mem.Block, rev *region
 }
 
 // Q3ParCtx is Q3 fanned out over `workers` block-sharded scan workers on
-// the pipeline layer: per-worker leased arenas, parallel per-partition
-// merge, partition-sharded row emission. Results are identical to Q3 on
-// a quiesced collection; under concurrent mutation both have the
-// enumerator's bag semantics. The query is admission-gated by the
-// runtime's memory budget and cancelable at block-claim granularity;
-// budget rejection, cancellation and worker faults surface as the error.
+// the pipeline layer: a row-free key-range stage over the admitted
+// orders blocks prunes lineitem blocks (query.KeyRanges), then per-worker
+// leased arenas, parallel per-partition merge and partition-sharded row
+// emission. At one worker it costs what Q3 costs: the key stage is
+// O(orders blocks), and the group tables start at joinTableHint and
+// grow on demand instead of being sized from the input. Results are
+// identical to Q3 on a quiesced collection; under concurrent mutation
+// both have the enumerator's bag semantics. The query is admission-gated
+// by the runtime's memory budget and cancelable at block-claim
+// granularity; budget rejection, cancellation and worker faults surface
+// as the error.
 func (q *SMCQueries) Q3ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q3Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
 	if err != nil {
@@ -476,38 +484,24 @@ func (q *SMCQueries) Q3ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	}
 	defer pl.Close()
 	segment := []byte(p.Q3Segment)
-	// Cross-edge semi-join pruning: distill the keys of orders passing
-	// the order-date cut (the join's build side) into a key-set predicate
-	// over the lineitem blocks' OrderKey synopses. The orders scan itself
-	// skips blocks via the OrderDate pushdown; lineitem blocks whose
-	// order-key bounds miss every surviving key range are never claimed.
-	// The kernel keeps its full residuals, so rows stay byte-identical to
-	// the unpruned oracle.
+	// Cross-edge semi-join pruning: the orders blocks the order-date cut
+	// admits (the join's build side) give their Key synopsis ranges as a
+	// key-set predicate over the lineitem blocks' OrderKey synopses. The
+	// stage reads no rows; lineitem blocks whose order-key bounds miss
+	// every surviving range are never claimed. The kernel keeps its full
+	// residuals, so rows stay byte-identical to the unpruned oracle.
 	opred := q.db.Orders.Predicate().DateRange("OrderDate", dateMin, p.Q3Date-1)
-	oks, err := query.Keys(pl, query.Where(q.db.Orders, opred),
-		func(_ *core.Session, blk *mem.Block, out *[]int64) {
-			date, key := colOf(blk, q.oDate), colOf(blk, q.oKey)
-			n := blk.Capacity()
-			for i := 0; i < n; i++ {
-				if blk.SlotIsValid(i) && date.date(i) < p.Q3Date {
-					*out = append(*out, key.i64(i))
-				}
-			}
-		})
+	oks, err := query.KeyRanges(pl, query.Where(q.db.Orders, opred), "Key")
 	if err != nil {
 		return nil, err
 	}
 	// Pushdown: shipdate > date (the join-side order-date cut stays a
 	// residual — it lives on a referenced object, not this scan's block —
-	// but its distilled key set prunes at block granularity).
+	// but the key ranges it admits prune at block granularity).
 	pred := q.db.Lineitems.Predicate().
 		DateRange("ShipDate", p.Q3Date+1, dateMax).
 		InKeySet("OrderKey", oks)
-	// Group state is per-order: cardinality scales with the input, so the
-	// worker tables take an adaptive hint over the static one — the
-	// sparse variant, since the segment/date predicate qualifies a small
-	// fraction of lineitems.
-	merged, err := query.Table(pl, query.Where(q.db.Lineitems, pred), query.AdaptiveSparseHint,
+	merged, err := query.Table(pl, query.Where(q.db.Lineitems, pred), joinTableHint,
 		func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[q3Acc]) {
 			q.q3Block(ws, blk, p.Q3Date, segment, t)
 		}, mergeQ3Acc)
@@ -540,9 +534,7 @@ func (q *SMCQueries) Q4ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	}
 	defer pl.Close()
 	hi := p.Q4Date.AddMonths(3)
-	// Late-key cardinality scales with the input behind a selective
-	// window: sparse adaptive hint, as in Q3ParCtx.
-	late, err := query.Table(pl, q.db.Lineitems, query.AdaptiveSparseHint,
+	late, err := query.Table(pl, q.db.Lineitems, joinTableHint,
 		func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[struct{}]) {
 			q.q4LateBlock(ws, blk, p.Q4Date, hi, t)
 		},
@@ -556,15 +548,15 @@ func (q *SMCQueries) Q4ParCtx(ctx context.Context, s *core.Session, p Params, wo
 		// semi-join's probe domain, so orders blocks whose Key bounds miss
 		// every late-key range are never claimed — on top of the order-date
 		// window pushdown.
-		lateKeys := make([]int64, 0, late.Len())
+		lateKeys := make([]mem.KeyRange, 0, late.Len())
 		late.Range(func(k int64, _ *struct{}) bool {
-			lateKeys = append(lateKeys, k)
+			lateKeys = append(lateKeys, mem.KeyRange{Lo: k, Hi: k})
 			return true
 		})
 		// Pushdown: orderdate in [Q4Date, hi) onto the orders scan.
 		pred := q.db.Orders.Predicate().
 			DateRange("OrderDate", p.Q4Date, hi-1).
-			InKeySet("Key", mem.NewKeySetPredicate(lateKeys))
+			InKeySet("Key", mem.NewKeyRangePredicate(lateKeys))
 		merged, err := query.Accum(pl, query.Where(q.db.Orders, pred),
 			func(_ int, _ *core.Session, blk *mem.Block, acc *map[string]int64) {
 				if *acc == nil {
@@ -619,8 +611,9 @@ func (q *SMCQueries) Q5ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	return rows, nil
 }
 
-// Q10ParCtx is Q10 fanned out over `workers` block-sharded scan workers;
-// the customer-resolution finishing pass shards over the customer
+// Q10ParCtx is Q10 fanned out over `workers` block-sharded scan workers
+// behind the same row-free key-range stage as Q3ParCtx; the
+// customer-resolution finishing pass shards over the customer
 // collection's blocks (see Q3ParCtx for the contract).
 func (q *SMCQueries) Q10ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q10Row, error) {
 	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
@@ -629,35 +622,21 @@ func (q *SMCQueries) Q10ParCtx(ctx context.Context, s *core.Session, p Params, w
 	}
 	defer pl.Close()
 	lo, hi := p.Q10Date, p.Q10Date.AddMonths(3)
-	// Cross-edge semi-join pruning, as in Q3ParCtx: the keys of orders
-	// inside the one-quarter window prune lineitem blocks by their
-	// OrderKey synopsis bounds.
+	// Cross-edge semi-join pruning, as in Q3ParCtx: the Key ranges of the
+	// orders blocks the one-quarter window admits prune lineitem blocks by
+	// their OrderKey synopsis bounds.
 	opred := q.db.Orders.Predicate().DateRange("OrderDate", lo, hi-1)
-	oks, err := query.Keys(pl, query.Where(q.db.Orders, opred),
-		func(_ *core.Session, blk *mem.Block, out *[]int64) {
-			date, key := colOf(blk, q.oDate), colOf(blk, q.oKey)
-			n := blk.Capacity()
-			for i := 0; i < n; i++ {
-				if !blk.SlotIsValid(i) {
-					continue
-				}
-				if od := date.date(i); od >= lo && od < hi {
-					*out = append(*out, key.i64(i))
-				}
-			}
-		})
+	oks, err := query.KeyRanges(pl, query.Where(q.db.Orders, opred), "Key")
 	if err != nil {
 		return nil, err
 	}
 	// Pushdown: returnflag == 'R' as a one-point interval (the order-date
-	// window is join-side, so it stays residual — but its distilled key
-	// set prunes at block granularity).
+	// window is join-side, so it stays residual — but the key ranges it
+	// admits prune at block granularity).
 	pred := q.db.Lineitems.Predicate().
 		Int32Range("ReturnFlag", 'R', 'R').
 		InKeySet("OrderKey", oks)
-	// Per-customer group state behind a one-quarter window: sparse
-	// adaptive hint, as in Q3ParCtx.
-	merged, err := query.Table(pl, query.Where(q.db.Lineitems, pred), query.AdaptiveSparseHint,
+	merged, err := query.Table(pl, query.Where(q.db.Lineitems, pred), joinTableHint,
 		func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[decimal.Dec128]) {
 			q.q10Block(ws, blk, lo, hi, t)
 		}, mergeDec)

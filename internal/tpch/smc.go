@@ -153,8 +153,9 @@ func NewSMCDB(rt *core.Runtime, layout core.Layout) (*SMCDB, error) {
 	if err = db.Orders.RegisterSynopses("OrderDate", "Key"); err != nil {
 		return nil, err
 	}
-	// OrderKey/Key synopses serve cross-edge semi-join pruning: Q3/Q4/Q10
-	// distill an order-key set from their first pipeline stage and skip
+	// OrderKey/Key synopses serve cross-edge semi-join pruning: Q3/Q10
+	// take an order-key range set from the Key bounds of the orders blocks
+	// their date cut admits (Q4 from its late-lineitem keys) and skip
 	// lineitem (resp. orders) blocks whose key bounds miss it entirely.
 	//
 	// Cluster keys steer synopsis-aware compaction (inert unless the
