@@ -19,7 +19,7 @@ WORKLOADS ?=
 # Per-target budget of `make fuzz-smoke`.
 FUZZTIME ?= 10s
 
-.PHONY: build vet fmt test lint race-stress serve-smoke bench-check fuzz-smoke perf-gate clean
+.PHONY: build vet fmt test lint race-stress serve-smoke bench-check examples fuzz-smoke perf-gate clean
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,18 @@ serve-smoke:
 # vets it and runs its own tests against the working tree.
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# Builds every examples/* program into a temporary directory and runs
+# it at its built-in scale factor; a non-zero exit fails the target
+# (each example log.Fatals when a result diverges from its oracle).
+examples:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	for ex in examples/*/; do \
+		name="$$(basename "$$ex")"; \
+		echo "examples: $$name"; \
+		$(GO) build -o "$$dir/$$name" "./$$ex" || exit 1; \
+		"$$dir/$$name" || { echo "examples: $$name exited non-zero"; exit 1; }; \
+	done
 
 # Every native fuzz target in the module, FUZZTIME each (a target's seed
 # corpus already runs in `make test`; this lets the fuzzer mutate it).

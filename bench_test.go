@@ -118,17 +118,6 @@ func BenchmarkLinqVsCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkFigureExt_Q7toQ10 runs the beyond-paper extension: TPC-H
-// Q7–Q10 across every engine (the Figure 11–13 series on the
-// join-heaviest queries).
-func BenchmarkFigureExt_Q7toQ10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.FigureExt(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFigureAblation runs the design-choice ablations from DESIGN.md:
 // critical-section granularity, deref fast path, coalesced marshalling,
 // block-size sweep.

@@ -6,7 +6,7 @@
 //
 //	profq -q 3,5 -layout direct -sf 0.05 -dur 5s -o /tmp/q.prof
 //
-// Queries 1–10 are available; the layout is one of indirect, direct,
+// Queries 1–6 and 10 are available; the layout is one of indirect, direct,
 // columnar.
 package main
 
@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		qs     = flag.String("q", "3,5", "comma-separated query numbers (1-10)")
+		qs     = flag.String("q", "3,5", "comma-separated query numbers (1-6, 10)")
 		layout = flag.String("layout", "indirect", "collection layout: indirect, direct, columnar")
 		sf     = flag.Float64("sf", 0.02, "TPC-H scale factor")
 		dur    = flag.Duration("dur", 3*time.Second, "profiling duration")
@@ -64,9 +64,6 @@ func main() {
 		"4":  func() { q.Q4(s, p) },
 		"5":  func() { q.Q5(s, p) },
 		"6":  func() { q.Q6(s, p) },
-		"7":  func() { q.Q7(s, p) },
-		"8":  func() { q.Q8(s, p) },
-		"9":  func() { q.Q9(s, p) },
 		"10": func() { q.Q10(s, p) },
 	}
 	var selected []func()
@@ -74,7 +71,7 @@ func main() {
 		name = strings.TrimSpace(name)
 		fn, ok := runners[name]
 		if !ok {
-			log.Fatalf("profq: unknown query %q (want 1-10)", name)
+			log.Fatalf("profq: unknown query %q (want 1-6 or 10)", name)
 		}
 		selected = append(selected, fn)
 	}

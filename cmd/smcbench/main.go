@@ -11,14 +11,13 @@
 // Paper figures: 6 (reclamation threshold), 7 (allocation throughput),
 // 8 (refresh streams), 9 (GC timeouts), 10 (enumeration), 11 (TPC-H vs
 // managed), 12 (direct/columnar), 13 (vs column store), linq (LINQ vs
-// compiled). Beyond the paper: ext (TPC-H Q7–Q10 across all engines),
-// ablation (design-choice ablations), joins (parallel Q3/Q5/Q7/Q8/Q9/Q10
-// over worker counts), compact (parallel compaction: reclamation
-// throughput and Q1/Q6 interference over move workers), cluster
-// (clustered vs size-only packing over churn → maintenance cycles, plus
-// cross-edge key-set pruning), govern (the served q6window path under
-// budgets swept down to 0.9x the working set). -workers sets the worker
-// sweep of joins and compact.
+// compiled). Beyond the paper: ablation (design-choice ablations), joins
+// (parallel Q3/Q5/Q10 over worker counts), compact (parallel compaction:
+// reclamation throughput and Q1/Q6 interference over move workers),
+// cluster (clustered vs size-only packing over churn → maintenance
+// cycles, plus cross-edge key-set pruning), govern (the served q6window
+// path under budgets swept down to 0.9x the working set). -workers sets
+// the worker sweep of joins and compact.
 //
 // A report's first line stamps the scale factor, seed, repetitions,
 // CPU count, GOMAXPROCS and Go version. Performance claims about the
@@ -70,7 +69,6 @@ var figures = []figure{
 	{name: "12", run: table(bench.Figure12)},
 	{name: "13", run: table(bench.Figure13)},
 	{name: "linq", run: table(bench.FigureLinq)},
-	{name: "ext", run: table(bench.FigureExt)},
 	{name: "ablation", run: func(o bench.Options) ([]*bench.Table, error) {
 		r, err := bench.FigureAblation(o)
 		if err != nil {

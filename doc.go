@@ -92,31 +92,28 @@
 //   - Composable stages: Table (fan-out scan building per-worker
 //     partitioned region tables), Accum (padded plain accumulators),
 //     Rows (block-sharded finishing scans over dimension collections)
-//     and ForEachPartition/PartitionRows (partition-sharded walks of
-//     merged state). Stages feed each other: Q9's partsupp cost table —
-//     a serial pre-pass before this layer — is a first Table stage whose
-//     merged result the main lineitem scan probes read-only.
+//     and PartitionRows (partition-sharded walks of merged state).
+//     Stages feed each other: Q4's late-lineitem key table is a first
+//     Table stage whose merged result the orders scan probes read-only.
 //   - Parallel merge: region.ParallelMergeInto folds worker tables per
 //     partition in parallel under a worker-order-deterministic schedule
 //     (shard goroutines own disjoint partition sets, each allocating
 //     from its own arena), with destination partitions pre-sized so the
 //     merge almost never grows. The finishing passes shard too.
 //
-// All parallel TPC-H drivers — Q1/Q6 (Accum), Q3/Q5/Q10 and the
-// pipeline-native Q7/Q8/Q9 (Table + parallel finish) — are kernel +
-// finish closures over this layer, sharing per-block kernels with the
-// serial queries, which remain the oracle: results are byte-identical
-// at every worker count. Each query has exactly two paths, the serial
+// All parallel TPC-H drivers — Q1/Q6 (Accum), Q3/Q4/Q5/Q10 (Table
+// stages + parallel finish) — are kernel + finish closures over this
+// layer, sharing per-block kernels with the serial queries, which
+// remain the oracle: results are byte-identical at every worker count. Each query has exactly two paths, the serial
 // oracle Qn and the pipeline driver QnParCtx; a driver's error
 // (cancellation, budget rejection, a worker panic as mem.ErrWorkerPanic)
-// reaches its caller and is never retried on the serial path. Q7–Q9's group state moved from Go-heap maps
-// into region tables keyed by packed integers to get there.
+// reaches its caller and is never retried on the serial path.
 // core.Runtime.StatsSnapshot surfaces the arena-pool lease/retained
 // metrics and the mem session-pool hit/miss counters for production
 // observability.
 //
-// The `joins` figure of cmd/smcbench sweeps Q3/Q5/Q7/Q8/Q9/Q10 over
-// 1..NumCPU workers. examples/query_pipeline shows a custom (non-TPC-H)
+// The `joins` figure of cmd/smcbench sweeps Q3/Q5/Q10 over 1..NumCPU
+// workers. examples/query_pipeline shows a custom (non-TPC-H)
 // aggregation on the pipeline.
 //
 // # Parallel compaction engine and maintenance scheduler

@@ -157,19 +157,6 @@ func TestFigure9Short(t *testing.T) {
 	renderOK(t, r.Render())
 }
 
-func TestFigureExt(t *testing.T) {
-	r, err := FigureExt(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if r.List[i] <= 0 || r.SMCUnsafe[i] <= 0 || r.ColStore[i] <= 0 {
-			t.Fatalf("extended query %d degenerate", i+7)
-		}
-	}
-	renderOK(t, r.Render())
-}
-
 func TestFigureAblation(t *testing.T) {
 	r, err := FigureAblation(tinyOpts())
 	if err != nil {
@@ -217,9 +204,6 @@ func TestFigureJoins(t *testing.T) {
 	for _, pt := range r.Points {
 		if pt.Q3IndMs <= 0 || pt.Q5DirMs <= 0 || pt.Q10IndMs <= 0 {
 			t.Fatalf("degenerate point %+v", pt)
-		}
-		if pt.Q7IndMs <= 0 || pt.Q8DirMs <= 0 || pt.Q9IndMs <= 0 {
-			t.Fatalf("degenerate Q7–Q9 point %+v", pt)
 		}
 	}
 	renderOK(t, r.Render())

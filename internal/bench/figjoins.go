@@ -17,12 +17,6 @@ type JoinsPoint struct {
 	Q3DirMs  float64
 	Q5IndMs  float64
 	Q5DirMs  float64
-	Q7IndMs  float64
-	Q7DirMs  float64
-	Q8IndMs  float64
-	Q8DirMs  float64
-	Q9IndMs  float64
-	Q9DirMs  float64
 	Q10IndMs float64
 	Q10DirMs float64
 }
@@ -30,7 +24,7 @@ type JoinsPoint struct {
 // JoinsResult is the parallel-join scaling figure (beyond-paper): the
 // unified query pipeline — arena leases, partitioned region tables,
 // parallel per-partition merge, parallel finish — swept over worker
-// counts on the reference-join queries Q3, Q5, Q7, Q8, Q9 and Q10.
+// counts on the reference-join queries Q3, Q5 and Q10.
 type JoinsResult struct {
 	SF     float64
 	CPUs   int
@@ -38,10 +32,9 @@ type JoinsResult struct {
 	Points []JoinsPoint
 }
 
-// FigureJoins measures the parallel join drivers Q3ParCtx, Q5ParCtx,
-// Q7ParCtx, Q8ParCtx, Q9ParCtx and Q10ParCtx (row-indirect and row-direct
-// layouts — the join-heavy queries are where §6 direct pointers matter)
-// swept over worker counts. The 1-worker point runs the scan inline on
+// FigureJoins measures the parallel join drivers Q3ParCtx, Q5ParCtx and
+// Q10ParCtx (row-indirect and row-direct layouts — the join-heavy
+// queries are where §6 direct pointers matter) swept over worker counts. The 1-worker point runs the scan inline on
 // the coordinator session with the same shared per-block kernels as the
 // serial queries, so it is an honest serial baseline for the pipeline
 // refactor.
@@ -92,12 +85,6 @@ func FigureJoins(o Options) (*JoinsResult, error) {
 			{"Q3 dir", &pt.Q3DirMs, func() (err error) { sinkAny, err = qDir.Q3ParCtx(ctx, sDir, p, w); return }},
 			{"Q5 ind", &pt.Q5IndMs, func() (err error) { sinkAny, err = qInd.Q5ParCtx(ctx, sInd, p, w); return }},
 			{"Q5 dir", &pt.Q5DirMs, func() (err error) { sinkAny, err = qDir.Q5ParCtx(ctx, sDir, p, w); return }},
-			{"Q7 ind", &pt.Q7IndMs, func() (err error) { sinkAny, err = qInd.Q7ParCtx(ctx, sInd, p, w); return }},
-			{"Q7 dir", &pt.Q7DirMs, func() (err error) { sinkAny, err = qDir.Q7ParCtx(ctx, sDir, p, w); return }},
-			{"Q8 ind", &pt.Q8IndMs, func() (err error) { sinkAny, err = qInd.Q8ParCtx(ctx, sInd, p, w); return }},
-			{"Q8 dir", &pt.Q8DirMs, func() (err error) { sinkAny, err = qDir.Q8ParCtx(ctx, sDir, p, w); return }},
-			{"Q9 ind", &pt.Q9IndMs, func() (err error) { sinkAny, err = qInd.Q9ParCtx(ctx, sInd, p, w); return }},
-			{"Q9 dir", &pt.Q9DirMs, func() (err error) { sinkAny, err = qDir.Q9ParCtx(ctx, sDir, p, w); return }},
 			{"Q10 ind", &pt.Q10IndMs, func() (err error) { sinkAny, err = qInd.Q10ParCtx(ctx, sInd, p, w); return }},
 			{"Q10 dir", &pt.Q10DirMs, func() (err error) { sinkAny, err = qDir.Q10ParCtx(ctx, sDir, p, w); return }},
 		} {
@@ -126,7 +113,7 @@ func (r *JoinsResult) Render() *Table {
 	}
 	t := &Table{
 		Title:   fmt.Sprintf("Parallel join scaling — SF=%v, %d CPUs (ms, ×=speedup vs %d worker(s))", r.SF, r.CPUs, base.Workers),
-		Columns: []string{"workers", "Q3 ind", "×", "Q3 dir", "×", "Q5 ind", "×", "Q5 dir", "×", "Q7 ind", "×", "Q7 dir", "×", "Q8 ind", "×", "Q8 dir", "×", "Q9 ind", "×", "Q9 dir", "×", "Q10 ind", "×", "Q10 dir", "×"},
+		Columns: []string{"workers", "Q3 ind", "×", "Q3 dir", "×", "Q5 ind", "×", "Q5 dir", "×", "Q10 ind", "×", "Q10 dir", "×"},
 		Notes: []string{
 			"unified pipeline: per-worker leased arenas + partitioned tables, parallel per-partition merge + finish",
 			fmt.Sprintf("speedup requires free cores: GOMAXPROCS=%d, %s", runtime.GOMAXPROCS(0), runtime.Version()),
@@ -145,12 +132,6 @@ func (r *JoinsResult) Render() *Table {
 			fmtMs(pt.Q3DirMs), sp(base.Q3DirMs, pt.Q3DirMs),
 			fmtMs(pt.Q5IndMs), sp(base.Q5IndMs, pt.Q5IndMs),
 			fmtMs(pt.Q5DirMs), sp(base.Q5DirMs, pt.Q5DirMs),
-			fmtMs(pt.Q7IndMs), sp(base.Q7IndMs, pt.Q7IndMs),
-			fmtMs(pt.Q7DirMs), sp(base.Q7DirMs, pt.Q7DirMs),
-			fmtMs(pt.Q8IndMs), sp(base.Q8IndMs, pt.Q8IndMs),
-			fmtMs(pt.Q8DirMs), sp(base.Q8DirMs, pt.Q8DirMs),
-			fmtMs(pt.Q9IndMs), sp(base.Q9IndMs, pt.Q9IndMs),
-			fmtMs(pt.Q9DirMs), sp(base.Q9DirMs, pt.Q9DirMs),
 			fmtMs(pt.Q10IndMs), sp(base.Q10IndMs, pt.Q10IndMs),
 			fmtMs(pt.Q10DirMs), sp(base.Q10DirMs, pt.Q10DirMs),
 		})

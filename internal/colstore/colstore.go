@@ -88,7 +88,6 @@ type OrdersCols struct {
 	OrderDate []types.Date // sorted ascending (clustered index)
 	Priority  *Dict
 	ShipPrio  []int32
-	keyToRow  map[int64]int32
 }
 
 // CustomerCols is the CUSTOMER column set.
@@ -120,13 +119,12 @@ type SupplierCols struct {
 
 // PartCols is the PART column set.
 type PartCols struct {
-	N        int
-	Key      []int64
-	Name     []string
-	Mfgr     []string
-	Type     []string
-	Size     []int32
-	keyToRow map[int64]int32
+	N    int
+	Key  []int64
+	Name []string
+	Mfgr []string
+	Type []string
+	Size []int32
 }
 
 // PartSuppCols is the PARTSUPP column set.
@@ -135,18 +133,6 @@ type PartSuppCols struct {
 	PartKey []int64
 	SuppKey []int64
 	Cost    []decimal.Dec128
-	// costByKey is the (partkey, suppkey) hash index Q9's cost lookup
-	// probes — the columnar executor's equivalent of a join index.
-	costByKey map[psKey]decimal.Dec128
-}
-
-// psKey identifies one PARTSUPP row.
-type psKey struct{ part, supp int64 }
-
-// CostOf returns the supply cost for (partkey, suppkey).
-func (ps *PartSuppCols) CostOf(part, supp int64) (decimal.Dec128, bool) {
-	c, ok := ps.costByKey[psKey{part, supp}]
-	return c, ok
 }
 
 // NationCols is the NATION column set.
@@ -228,8 +214,7 @@ func Load(d *tpch.Dataset) *DB {
 	oc := &db.Orders
 	oc.N = len(operm)
 	oc.Priority = newDict()
-	oc.keyToRow = make(map[int64]int32, oc.N)
-	for row, i := range operm {
+	for _, i := range operm {
 		o := &d.Orders[i]
 		oc.Key = append(oc.Key, o.Key)
 		oc.CustKey = append(oc.CustKey, o.CustomerKey)
@@ -238,7 +223,6 @@ func Load(d *tpch.Dataset) *DB {
 		oc.OrderDate = append(oc.OrderDate, o.OrderDate)
 		oc.Priority.append(o.OrderPriority)
 		oc.ShipPrio = append(oc.ShipPrio, o.ShipPriority)
-		oc.keyToRow[o.Key] = int32(row)
 	}
 
 	cc := &db.Customer
@@ -275,7 +259,6 @@ func Load(d *tpch.Dataset) *DB {
 
 	pc := &db.Part
 	pc.N = len(d.Parts)
-	pc.keyToRow = make(map[int64]int32, pc.N)
 	for i := range d.Parts {
 		p := &d.Parts[i]
 		pc.Key = append(pc.Key, p.Key)
@@ -283,18 +266,15 @@ func Load(d *tpch.Dataset) *DB {
 		pc.Mfgr = append(pc.Mfgr, p.Mfgr)
 		pc.Type = append(pc.Type, p.Type)
 		pc.Size = append(pc.Size, p.Size)
-		pc.keyToRow[p.Key] = int32(i)
 	}
 
 	psc := &db.PartSupp
 	psc.N = len(d.PartSupps)
-	psc.costByKey = make(map[psKey]decimal.Dec128, psc.N)
 	for i := range d.PartSupps {
 		ps := &d.PartSupps[i]
 		psc.PartKey = append(psc.PartKey, ps.PartKey)
 		psc.SuppKey = append(psc.SuppKey, ps.SupplierKey)
 		psc.Cost = append(psc.Cost, ps.SupplyCost)
-		psc.costByKey[psKey{ps.PartKey, ps.SupplierKey}] = ps.SupplyCost
 	}
 
 	nc := &db.Nation

@@ -17,22 +17,6 @@ func TestColstoreAgreesWithList(t *testing.T) {
 	}
 }
 
-func TestColstoreExtendedAgreesWithList(t *testing.T) {
-	// SF chosen so the selective Q7/Q8 predicates are non-empty (matches
-	// the tpch package's extended-agreement test).
-	d := tpch.Generate(0.004, 42)
-	p := tpch.DefaultParams()
-	gold := tpch.ListAllX(tpch.LoadManaged(d), p)
-	if len(gold.Q7) == 0 || len(gold.Q8) == 0 || len(gold.Q9) == 0 || len(gold.Q10) == 0 {
-		t.Fatalf("gold extended result suspiciously empty: %d/%d/%d/%d",
-			len(gold.Q7), len(gold.Q8), len(gold.Q9), len(gold.Q10))
-	}
-	db := Load(d)
-	if diff := gold.Diff(db.AllX(p)); diff != "" {
-		t.Fatal(diff)
-	}
-}
-
 func TestClusteredOrder(t *testing.T) {
 	d := tpch.Generate(0.0005, 1)
 	db := Load(d)

@@ -18,14 +18,14 @@
 //     stays in region tables — it never spills back into Go-heap maps.
 //   - Finish: dimension-resolution passes shard over the dimension
 //     collection's blocks (Rows) or over the merged table's partitions
-//     (ForEachPartition / PartitionRows), both parallel.
+//     (PartitionRows), both parallel.
 //
 // A Pipeline owns the memory lifecycle: every arena any stage leases
 // from the region.ArenaPool is tracked and returned by Close, so a
 // driver is "lease-free": build a pipeline, compose stages, defer
 // Close. Stages may feed each other (a merged table from one Table
-// stage can be probed read-only by the next stage's kernel — Q9's
-// partsupp cost table feeding its lineitem scan is the canonical use).
+// stage can be probed read-only by the next stage's kernel — Q4's
+// late-lineitem key table feeding its orders scan is the canonical use).
 package query
 
 import (
@@ -40,18 +40,15 @@ import (
 )
 
 // Source is the scan side of a pipeline stage: anything that can shard
-// its resolved block list across workers and report its element count.
-// *core.Collection[T] implements it for every element type. Stages pass
-// a nil predicate; Where supplies one.
+// its resolved block list across workers. *core.Collection[T]
+// implements it for every element type. Stages pass a nil predicate;
+// Where supplies one.
 type Source interface {
 	// ParallelBlocksPredCtx is core.Collection.ParallelBlocksPredCtx:
 	// pred is pushed into the block-resolution pass (synopsis pruning),
 	// and workers observe ctx at block-claim granularity, the scan
 	// returning the cancellation cause once every worker has unwound.
 	ParallelBlocksPredCtx(ctx context.Context, s *core.Session, workers int, pred *mem.ScanPredicate, fn func(worker int, ws *core.Session, b *mem.Block) error) error
-	// Len reports the source's current element count; Table uses it to
-	// size adaptive worker-table hints.
-	Len() int
 }
 
 // PredSource is Source under the name benchmark/ imports.
@@ -83,33 +80,6 @@ func (w *whereSource) ParallelBlocksPredCtx(ctx context.Context, s *core.Session
 		panic("query: Where source scanned with a second predicate")
 	}
 	return w.src.ParallelBlocksPredCtx(ctx, s, workers, w.pred, fn)
-}
-
-// Len reports the unpruned element count: AdaptiveHint stays an upper
-// bound.
-func (w *whereSource) Len() int { return w.src.Len() }
-
-// AdaptiveHint, passed as Table's capHint, sizes each worker's table
-// from the source's live element count instead of a static guess, at
-// Len()/workers: the upper bound on distinct keys one worker can
-// accumulate (work stealing aside). Use it when nearly every row
-// contributes its own key (Q9's per-partsupp cost table) — growth is the
-// expensive case for region tables, which retain the old arrays as arena
-// garbage until the arena resets.
-//
-// Keep a small static hint whenever a predicate or the grouping collapses
-// rows well below that bound: an oversized table costs more than a few
-// doublings, because value arrays past the arena's chunk size take a
-// dedicated mapping that every Reset unmaps again.
-const AdaptiveHint = 0
-
-// adaptiveHintFloor keeps adaptive hints from collapsing on tiny
-// collections.
-const adaptiveHintFloor = 64
-
-// adaptiveHint resolves AdaptiveHint against the source's live count.
-func adaptiveHint(src Source, workers int) int {
-	return max(src.Len()/workers, adaptiveHintFloor)
 }
 
 // Pipeline carries one parallel query's execution state: the
@@ -223,9 +193,6 @@ func Table[V any](p *Pipeline, src Source, capHint int,
 	kernel func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[V]),
 	merge func(dst, src *V),
 ) (merged *region.PartitionedTable[V], err error) {
-	if capHint <= 0 {
-		capHint = adaptiveHint(src, p.workers)
-	}
 	// Every worker table (and the merge destination) uses the same parts
 	// argument, so NewPartitionedTable's power-of-two rounding keeps the
 	// equal-partition-count invariant for free.
@@ -409,7 +376,7 @@ func RowsUnordered[R any](p *Pipeline, src Source,
 	})
 }
 
-// ForEachPartition walks the merged table's partitions sharded across
+// forEachPartition walks the merged table's partitions sharded across
 // the pipeline's workers: fn(i, partition) runs exactly once per
 // partition, concurrently across shards. fn must treat the table as
 // read-only (partitions are disjoint, so per-partition reads race with
@@ -418,7 +385,7 @@ func RowsUnordered[R any](p *Pipeline, src Source,
 // and comes back as a query-scoped error wrapping mem.ErrWorkerPanic
 // (remaining partitions of the panicking shard are skipped; other
 // shards finish their walk).
-func ForEachPartition[V any](p *Pipeline, t *region.PartitionedTable[V], fn func(part int, pt *region.Table[V])) error {
+func forEachPartition[V any](p *Pipeline, t *region.PartitionedTable[V], fn func(part int, pt *region.Table[V])) error {
 	if t == nil {
 		return nil
 	}
@@ -470,7 +437,7 @@ func ForEachPartition[V any](p *Pipeline, t *region.PartitionedTable[V], fn func
 // buffer per partition in parallel, concatenated in partition order —
 // deterministic given the merged table, unlike a Rows scan. The result
 // is always non-nil when err is nil; a panic in emit surfaces as a
-// query-scoped error (see ForEachPartition).
+// query-scoped error (see forEachPartition).
 func PartitionRows[V, R any](p *Pipeline, t *region.PartitionedTable[V],
 	emit func(pt *region.Table[V], out *[]R),
 ) ([]R, error) {
@@ -479,7 +446,7 @@ func PartitionRows[V, R any](p *Pipeline, t *region.PartitionedTable[V],
 		return out, nil
 	}
 	bufs := make([]padded[[]R], t.Parts())
-	if err := ForEachPartition(p, t, func(i int, pt *region.Table[V]) {
+	if err := forEachPartition(p, t, func(i int, pt *region.Table[V]) {
 		emit(pt, &bufs[i].v)
 	}); err != nil {
 		return nil, err

@@ -130,44 +130,6 @@ func TestParallelPipelineTable(t *testing.T) {
 	}
 }
 
-// TestParallelPipelineTableAdaptiveHint: AdaptiveHint sizes worker
-// tables from the source's Len()/workers and must be invisible to the
-// result — the exact per-key sums at every worker count.
-func TestParallelPipelineTableAdaptiveHint(t *testing.T) {
-	rt := testRuntime(t)
-	s := rt.MustSession()
-	defer s.Close()
-	coll := core.MustCollection[row](rt, "rows", core.RowIndirect)
-	const n = 6000
-	want := make(map[int64]int64)
-	for i := 0; i < n; i++ {
-		k := int64(i % 997)
-		coll.MustAdd(s, &row{Key: k, Val: int64(i)})
-		want[k] += int64(i)
-	}
-	pool := region.NewArenaPool(nil, 0, 0)
-	defer pool.Close()
-	sch := coll.Schema()
-	kernel := sumKernel(sch.MustField("Key"), sch.MustField("Val"))
-	for _, workers := range []int{1, 2, 4} {
-		p := query.New(s, pool, workers)
-		merged, err := query.Table(p, coll, query.AdaptiveHint, kernel, addI64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := tableToMap(merged)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d keys, want %d", workers, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("workers=%d: key %d = %d, want %d", workers, k, got[k], v)
-			}
-		}
-		p.Close()
-	}
-}
-
 // TestParallelPipelineTableEmpty: no qualifying rows → nil table, and
 // the pipeline still closes cleanly.
 func TestParallelPipelineTableEmpty(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/types"
 )
 
-// Params carries the substitution parameters of queries Q1–Q6, defaulted
-// to the TPC-H validation values.
+// Params carries the substitution parameters of queries Q1–Q6 and Q10,
+// defaulted to the TPC-H validation values.
 type Params struct {
 	// Q1: shipdate <= 1998-12-01 - Delta days.
 	Q1Delta int
@@ -30,16 +30,6 @@ type Params struct {
 	Q6Date     types.Date
 	Q6Discount decimal.Dec128
 	Q6Quantity decimal.Dec128
-	// Q7: the two trading nations.
-	Q7Nation1 string
-	Q7Nation2 string
-	// Q8: the nation whose market share is measured, the customers'
-	// region, and the exact part type.
-	Q8Nation string
-	Q8Region string
-	Q8Type   string
-	// Q9: part-name color fragment (p_name LIKE '%color%').
-	Q9Color string
 	// Q10: quarter start for the returned-item report.
 	Q10Date types.Date
 }
@@ -59,12 +49,6 @@ func DefaultParams() Params {
 		Q6Date:     types.MustDate("1994-01-01"),
 		Q6Discount: decimal.MustParse("0.06"),
 		Q6Quantity: decimal.FromInt64(24),
-		Q7Nation1:  "FRANCE",
-		Q7Nation2:  "GERMANY",
-		Q8Nation:   "BRAZIL",
-		Q8Region:   "AMERICA",
-		Q8Type:     "ECONOMY ANODIZED STEEL",
-		Q9Color:    "green",
 		Q10Date:    types.MustDate("1993-10-01"),
 	}
 }
@@ -210,6 +194,48 @@ func SortQ5(rows []Q5Row) {
 		}
 		return rows[i].Nation < rows[j].Nation
 	})
+}
+
+// Q10Row is one row of the returned-item report.
+type Q10Row struct {
+	CustKey int64
+	Name    string
+	Revenue decimal.Dec128
+	AcctBal decimal.Dec128
+	Nation  string
+	Address string
+	Phone   string
+	Comment string
+}
+
+// q10Limit is the returned-item report's row cap.
+const q10Limit = 20
+
+// q10Entry is one customer group of the report: what its order needs.
+type q10Entry struct {
+	key int64
+	rev decimal.Dec128
+}
+
+// before is the report's order: revenue descending, custkey ascending
+// on ties.
+func (a q10Entry) before(b q10Entry) bool {
+	if c := a.rev.Cmp(b.rev); c != 0 {
+		return c > 0
+	}
+	return a.key < b.key
+}
+
+// SortQ10 orders by revenue descending (custkey ascending on ties) and
+// caps at 20 rows.
+func SortQ10(rows []Q10Row) []Q10Row {
+	sort.Slice(rows, func(i, j int) bool {
+		return q10Entry{rows[i].CustKey, rows[i].Revenue}.before(q10Entry{rows[j].CustKey, rows[j].Revenue})
+	})
+	if len(rows) > q10Limit {
+		rows = rows[:q10Limit]
+	}
+	return rows
 }
 
 // Result bundles all six query outputs for cross-engine comparison.

@@ -37,14 +37,10 @@ func TestParallelDriversSurfaceWorkerPanic(t *testing.T) {
 		run  func(workers int) error
 	}{
 		{"Q1ParCtx", func(w int) error { _, err := q.Q1ParCtx(ctx, s, p, w); return err }},
-		{"Q2ParCtx", func(w int) error { _, err := q.Q2ParCtx(ctx, s, p, w); return err }},
 		{"Q3ParCtx", func(w int) error { _, err := q.Q3ParCtx(ctx, s, p, w); return err }},
 		{"Q4ParCtx", func(w int) error { _, err := q.Q4ParCtx(ctx, s, p, w); return err }},
 		{"Q5ParCtx", func(w int) error { _, err := q.Q5ParCtx(ctx, s, p, w); return err }},
 		{"Q6ParCtx", func(w int) error { _, err := q.Q6ParCtx(ctx, s, p, w); return err }},
-		{"Q7ParCtx", func(w int) error { _, err := q.Q7ParCtx(ctx, s, p, w); return err }},
-		{"Q8ParCtx", func(w int) error { _, err := q.Q8ParCtx(ctx, s, p, w); return err }},
-		{"Q9ParCtx", func(w int) error { _, err := q.Q9ParCtx(ctx, s, p, w); return err }},
 		{"Q10ParCtx", func(w int) error { _, err := q.Q10ParCtx(ctx, s, p, w); return err }},
 		{"Q6WindowParCtx", func(w int) error { _, err := q.Q6WindowParCtx(ctx, s, lo, hi, w, true); return err }},
 		{"Q6WindowRowsCtx", func(w int) error { return q.Q6WindowRowsCtx(ctx, s, lo, hi, w, true, discard) }},

@@ -68,7 +68,7 @@ func allocPerCall(tb testing.TB, n int, fn func() error) uint64 {
 // qualifying row. (Kept out of the race-stress selection: -race inflates
 // allocations.)
 func TestJoinDriverGoHeapBytes(t *testing.T) {
-	q, s := loadJoinAllocDB(t, extDataset(t))
+	q, s := loadJoinAllocDB(t, joinDataset(t))
 	p := DefaultParams()
 	const calls = 20
 	const slack = 64 << 10

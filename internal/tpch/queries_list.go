@@ -183,6 +183,38 @@ func ListQ6(db *ManagedDB, p Params) decimal.Dec128 {
 	return sum
 }
 
+// ListQ10 runs the returned-item report via reference joins.
+func ListQ10(db *ManagedDB, p Params) []Q10Row {
+	hi := p.Q10Date.AddMonths(3)
+	one := decimal.FromInt64(1)
+	rev := make(map[*MCustomer]*decimal.Dec128)
+	for _, l := range db.Lineitems.Items() {
+		if l.ReturnFlag != 'R' {
+			continue
+		}
+		o := l.Order
+		if o.OrderDate < p.Q10Date || o.OrderDate >= hi {
+			continue
+		}
+		c := o.Customer
+		a := rev[c]
+		if a == nil {
+			a = &decimal.Dec128{}
+			rev[c] = a
+		}
+		*a = a.Add(l.ExtendedPrice.Mul(one.Sub(l.Discount)))
+	}
+	rows := make([]Q10Row, 0, len(rev))
+	for c, v := range rev {
+		rows = append(rows, Q10Row{
+			CustKey: c.Key, Name: c.Name, Revenue: *v, AcctBal: c.AcctBal,
+			Nation: c.Nation.Name, Address: c.Address, Phone: c.Phone,
+			Comment: c.Comment,
+		})
+	}
+	return SortQ10(rows)
+}
+
 // ListAll runs Q1–Q6 over the managed lists.
 func ListAll(db *ManagedDB, p Params) *Result {
 	return &Result{

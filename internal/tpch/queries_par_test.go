@@ -69,14 +69,22 @@ func joinWorkerCounts() []int {
 	return ws
 }
 
-// TestParallelJoinQueriesMatchSerial: the Q2–Q5 and Q7–Q10 pipeline
+// joinSF is larger than testSF so the join tests' serial baselines are
+// non-empty and their scans span many blocks.
+const joinSF = 0.004
+
+func joinDataset(t *testing.T) *Dataset {
+	t.Helper()
+	return Generate(joinSF, 42)
+}
+
+// TestParallelJoinQueriesMatchSerial: the Q3, Q4, Q5 and Q10 pipeline
 // drivers (QnParCtx) must produce exactly the serial rows
 // at every worker count and layout — the join kernels are shared, the
 // parallel drivers only change who scans which block, where the group
-// state lives and how it merges. Uses the ext dataset so the extended
-// queries' selective predicates produce non-empty baselines.
+// state lives and how it merges.
 func TestParallelJoinQueriesMatchSerial(t *testing.T) {
-	d := extDataset(t)
+	d := joinDataset(t)
 	p := DefaultParams()
 	for _, layout := range []core.Layout{core.RowIndirect, core.RowDirect, core.Columnar} {
 		layout := layout
@@ -90,29 +98,15 @@ func TestParallelJoinQueriesMatchSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := NewSMCQueries(sdb)
-			wantQ2 := q.Q2(s, p)
 			wantQ3 := q.Q3(s, p)
 			wantQ4 := q.Q4(s, p)
 			wantQ5 := q.Q5(s, p)
 			wantQ10 := q.Q10(s, p)
-			wantQ7 := q.Q7(s, p)
-			wantQ8 := q.Q8(s, p)
-			wantQ9 := q.Q9(s, p)
 			if len(wantQ3) == 0 || len(wantQ5) == 0 || len(wantQ10) == 0 {
 				t.Fatalf("serial baselines empty (Q3=%d Q5=%d Q10=%d rows): dataset too small to exercise the joins",
 					len(wantQ3), len(wantQ5), len(wantQ10))
 			}
-			if len(wantQ7) == 0 || len(wantQ8) == 0 || len(wantQ9) == 0 {
-				t.Fatalf("serial baselines empty (Q7=%d Q8=%d Q9=%d rows): dataset too small to exercise the extended joins",
-					len(wantQ7), len(wantQ8), len(wantQ9))
-			}
-			if len(wantQ2) == 0 {
-				t.Fatalf("serial baseline empty (Q2=0 rows): dataset too small to exercise the join")
-			}
 			for _, workers := range joinWorkerCounts() {
-				if got := mustPar(t, q.Q2ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ2) {
-					t.Fatalf("Q2ParCtx(workers=%d) diverges from Q2:\n got %+v\nwant %+v", workers, got, wantQ2)
-				}
 				if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
 					t.Fatalf("Q3ParCtx(workers=%d) diverges from Q3:\n got %+v\nwant %+v", workers, got, wantQ3)
 				}
@@ -125,15 +119,6 @@ func TestParallelJoinQueriesMatchSerial(t *testing.T) {
 				if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
 					t.Fatalf("Q10ParCtx(workers=%d) diverges from Q10:\n got %+v\nwant %+v", workers, got, wantQ10)
 				}
-				if got := mustPar(t, q.Q7ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ7) {
-					t.Fatalf("Q7ParCtx(workers=%d) diverges from Q7:\n got %+v\nwant %+v", workers, got, wantQ7)
-				}
-				if got := mustPar(t, q.Q8ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ8) {
-					t.Fatalf("Q8ParCtx(workers=%d) diverges from Q8:\n got %+v\nwant %+v", workers, got, wantQ8)
-				}
-				if got := mustPar(t, q.Q9ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ9) {
-					t.Fatalf("Q9ParCtx(workers=%d) diverges from Q9:\n got %+v\nwant %+v", workers, got, wantQ9)
-				}
 			}
 		})
 	}
@@ -141,12 +126,12 @@ func TestParallelJoinQueriesMatchSerial(t *testing.T) {
 
 // TestParallelJoinMergeDeterminism: the parallel per-partition merge
 // and the partition-sharded finishing passes must be invisible in the
-// output — for Q3, Q5 and Q9 every worker count produces byte-identical
+// output — for Q3, Q5 and Q10 every worker count produces byte-identical
 // result rows to the serial worker-order merge, and repeated runs at
 // one worker count are identical to each other (the nondeterministic
 // block-to-worker assignment must never leak into row order or values).
 func TestParallelJoinMergeDeterminism(t *testing.T) {
-	d := extDataset(t)
+	d := joinDataset(t)
 	p := DefaultParams()
 	rt := core.MustRuntime(core.Options{HeapBackend: true})
 	defer rt.Close()
@@ -157,7 +142,7 @@ func TestParallelJoinMergeDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewSMCQueries(sdb)
-	wantQ3, wantQ5, wantQ9 := q.Q3(s, p), q.Q5(s, p), q.Q9(s, p)
+	wantQ3, wantQ5, wantQ10 := q.Q3(s, p), q.Q5(s, p), q.Q10(s, p)
 	for _, workers := range joinWorkerCounts() {
 		for rep := 0; rep < 3; rep++ {
 			if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
@@ -166,8 +151,8 @@ func TestParallelJoinMergeDeterminism(t *testing.T) {
 			if got := mustPar(t, q.Q5ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ5) {
 				t.Fatalf("Q5ParCtx(workers=%d) rep %d not byte-identical to serial merge", workers, rep)
 			}
-			if got := mustPar(t, q.Q9ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ9) {
-				t.Fatalf("Q9ParCtx(workers=%d) rep %d not byte-identical to serial merge", workers, rep)
+			if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
+				t.Fatalf("Q10ParCtx(workers=%d) rep %d not byte-identical to serial merge", workers, rep)
 			}
 		}
 	}
@@ -204,7 +189,7 @@ func TestParallelJoinConcurrentSerialQueries(t *testing.T) {
 	}
 	q := NewSMCQueries(sdb)
 	wantQ3, wantQ4 := q.Q3(s, p), q.Q4(s, p)
-	wantQ5, wantQ9, wantQ10 := q.Q5(s, p), q.Q9(s, p), q.Q10(s, p)
+	wantQ5, wantQ10 := q.Q5(s, p), q.Q10(s, p)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -213,7 +198,7 @@ func TestParallelJoinConcurrentSerialQueries(t *testing.T) {
 			gs := rt.MustSession()
 			defer gs.Close()
 			for i := 0; i < 3; i++ {
-				switch (g + i) % 5 {
+				switch (g + i) % 4 {
 				case 0:
 					if got := q.Q3(gs, p); !reflect.DeepEqual(got, wantQ3) {
 						t.Errorf("concurrent Q3 diverged")
@@ -226,10 +211,6 @@ func TestParallelJoinConcurrentSerialQueries(t *testing.T) {
 					if got := q.Q5(gs, p); !reflect.DeepEqual(got, wantQ5) {
 						t.Errorf("concurrent Q5 diverged")
 					}
-				case 3:
-					if got := q.Q9(gs, p); !reflect.DeepEqual(got, wantQ9) {
-						t.Errorf("concurrent Q9 diverged")
-					}
 				default:
 					if got := q.Q10(gs, p); !reflect.DeepEqual(got, wantQ10) {
 						t.Errorf("concurrent Q10 diverged")
@@ -241,9 +222,9 @@ func TestParallelJoinConcurrentSerialQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelJoinStress runs the parallel join queries — including the
-// pipeline-native Q7/Q8/Q9 with their parallel merges and finishing
-// passes — against concurrent add/remove churn and an active compactor.
+// TestParallelJoinStress runs the parallel join queries — with their
+// parallel merges and finishing passes — against concurrent add/remove
+// churn and an active compactor.
 // The churned lineitems are crafted to fail every query's filters (null
 // order/part/supplier references, zero ship dates, non-'R' return
 // flags), so the stable rows fully determine the answers: every parallel
@@ -262,7 +243,6 @@ func TestParallelJoinStress(t *testing.T) {
 	}
 	q := NewSMCQueries(sdb)
 	wantQ3, wantQ5, wantQ10 := q.Q3(s, p), q.Q5(s, p), q.Q10(s, p)
-	wantQ7, wantQ8, wantQ9 := q.Q7(s, p), q.Q8(s, p), q.Q9(s, p)
 
 	stop := make(chan struct{})
 	var fail atomic.Value
@@ -339,15 +319,6 @@ func TestParallelJoinStress(t *testing.T) {
 		}
 		if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
 			t.Fatalf("run %d: Q10ParCtx(workers=%d) diverged under churn", runs, workers)
-		}
-		if got := mustPar(t, q.Q7ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ7) {
-			t.Fatalf("run %d: Q7ParCtx(workers=%d) diverged under churn", runs, workers)
-		}
-		if got := mustPar(t, q.Q8ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ8) {
-			t.Fatalf("run %d: Q8ParCtx(workers=%d) diverged under churn", runs, workers)
-		}
-		if got := mustPar(t, q.Q9ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ9) {
-			t.Fatalf("run %d: Q9ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
 		runs++
 	}

@@ -44,11 +44,11 @@ type SMCQueries struct {
 	rowFast bool
 
 	// lineitem fields
-	lShip, lCommit, lRecv      *schema.Field
-	lQty, lExt, lDisc, lTax    *schema.Field
-	lRet, lStat                *schema.Field
-	lOrderKey                  *schema.Field
-	frLOrder, frLSupp, frLPart core.FieldRef
+	lShip, lCommit, lRecv   *schema.Field
+	lQty, lExt, lDisc, lTax *schema.Field
+	lRet, lStat             *schema.Field
+	lOrderKey               *schema.Field
+	frLOrder, frLSupp       core.FieldRef
 	// orders fields
 	oKey, oDate, oPrio, oSprio *schema.Field
 	frOCust                    core.FieldRef
@@ -58,7 +58,6 @@ type SMCQueries struct {
 	cBal, cCmnt                *schema.Field
 	frCNation                  core.FieldRef
 	// supplier fields
-	sKey                              *schema.Field
 	sName, sAddr, sPhone, sBal, sCmnt *schema.Field
 	frSNation                         core.FieldRef
 	// nation fields
@@ -67,7 +66,7 @@ type SMCQueries struct {
 	// region fields
 	rName *schema.Field
 	// part fields
-	pKey, pSize, pType, pMfgr, pName *schema.Field
+	pKey, pSize, pType, pMfgr *schema.Field
 	// partsupp fields
 	psCost             *schema.Field
 	frPSPart, frPSSupp core.FieldRef
@@ -102,7 +101,6 @@ func NewSMCQueries(db *SMCDB) *SMCQueries {
 		lOrderKey: l.MustField("OrderKey"),
 		frLOrder:  db.Lineitems.FieldRefByName("Order"),
 		frLSupp:   db.Lineitems.FieldRefByName("Supplier"),
-		frLPart:   db.Lineitems.FieldRefByName("Part"),
 		oKey:      o.MustField("Key"),
 		oDate:     o.MustField("OrderDate"),
 		oPrio:     o.MustField("OrderPriority"),
@@ -116,7 +114,6 @@ func NewSMCQueries(db *SMCDB) *SMCQueries {
 		cBal:      c.MustField("AcctBal"),
 		cCmnt:     c.MustField("Comment"),
 		frCNation: db.Customers.FieldRefByName("Nation"),
-		sKey:      s.MustField("Key"),
 		sName:     s.MustField("Name"),
 		sAddr:     s.MustField("Address"),
 		sPhone:    s.MustField("Phone"),
@@ -131,7 +128,6 @@ func NewSMCQueries(db *SMCDB) *SMCQueries {
 		pSize:     pt.MustField("Size"),
 		pType:     pt.MustField("Type"),
 		pMfgr:     pt.MustField("Mfgr"),
-		pName:     pt.MustField("Name"),
 		psCost:    ps.MustField("SupplyCost"),
 		frPSPart:  db.PartSupps.FieldRefByName("Part"),
 		frPSSupp:  db.PartSupps.FieldRefByName("Supplier"),
@@ -233,7 +229,7 @@ func (q *SMCQueries) Q1(s *core.Session, p Params) []Q1Row {
 
 // Q2 — minimum-cost supplier, reference joins through partsupp. The
 // per-part minimum-cost state lives in a leased region; both passes run
-// the per-block kernels shared with Q2ParCtx (queries_smc_joins.go).
+// the per-block kernels in queries_smc_joins.go.
 func (q *SMCQueries) Q2(s *core.Session, p Params) []Q2Row {
 	a := q.arenas.Lease()
 	defer q.arenas.Return(a)
@@ -490,6 +486,33 @@ func (q *SMCQueries) Q6(s *core.Session, p Params) decimal.Dec128 {
 	en.Close()
 	s.Exit()
 	return sum.sum
+}
+
+// Q10 — returned-item report: group returned lineitems of one quarter by
+// customer. Revenue accumulators live in a leased region keyed by
+// customer key (pointer-free, §7); the finishing pass joins the table
+// back to the customer collection and materializes the output rows
+// inside its critical section, as the paper's generated code
+// materializes result objects before returning control (§4). The
+// per-block kernel is shared with Q10ParCtx (queries_smc_joins.go).
+func (q *SMCQueries) Q10(s *core.Session, p Params) []Q10Row {
+	ar := q.arenas.Lease()
+	defer q.arenas.Return(ar)
+	rev := region.NewPartitionedTable[decimal.Dec128](ar, 1, joinTableHint)
+	lo, hi := p.Q10Date, p.Q10Date.AddMonths(3)
+
+	s.Enter()
+	en := q.db.Lineitems.Enumerate(s)
+	for {
+		blk, ok := en.NextBlock()
+		if !ok {
+			break
+		}
+		q.q10Block(s, blk, lo, hi, rev)
+	}
+	en.Close()
+	s.Exit()
+	return q.q10Finish(s, rev)
 }
 
 // All runs Q1–Q6.

@@ -62,18 +62,9 @@ type q2Min struct {
 	seen bool
 }
 
-// mergeQ2Min folds one worker's per-part minimum into the merged state:
-// the smaller cost wins, so merge order cannot change results.
-func mergeQ2Min(dst, src *q2Min) {
-	if src.seen && (!dst.seen || src.cost.Less(dst.cost)) {
-		*dst = *src
-	}
-}
-
 // q2MinBlock scans one partsupp block into a per-part minimum-cost
 // table: the compiled first-pass Q2 kernel (partsupp→part and
-// partsupp→supplier→nation→region reference joins), shared by the
-// serial Q2 and Q2ParCtx.
+// partsupp→supplier→nation→region reference joins).
 func (q *SMCQueries) q2MinBlock(s *core.Session, blk *mem.Block, size int32, typeSuffix, regionName []byte, minCost *region.PartitionedTable[q2Min]) {
 	part, supp, cost := colOf(blk, q.frPSPart.Field), colOf(blk, q.frPSSupp.Field), colOf(blk, q.psCost)
 	n := blk.Capacity()
@@ -123,9 +114,8 @@ func (q *SMCQueries) suppInRegion(s *core.Session, sobj mem.Obj, regionName []by
 }
 
 // q2EmitBlock scans one partsupp block for suppliers achieving their
-// part's minimum cost, probing the merged first-pass table read-only:
-// the compiled second-pass Q2 kernel, shared by the serial Q2 and
-// Q2ParCtx.
+// part's minimum cost, probing the first-pass table read-only: the
+// compiled second-pass Q2 kernel.
 func (q *SMCQueries) q2EmitBlock(s *core.Session, blk *mem.Block, regionName []byte, minCost *region.PartitionedTable[q2Min], out *[]Q2Row) {
 	part, supp, cost := colOf(blk, q.frPSPart.Field), colOf(blk, q.frPSSupp.Field), colOf(blk, q.psCost)
 	n := blk.Capacity()
@@ -162,38 +152,6 @@ func (q *SMCQueries) q2EmitBlock(s *core.Session, blk *mem.Block, regionName []b
 			Comment: string(objStr(sobj, q.sCmnt)),
 		})
 	}
-}
-
-// Q2ParCtx is Q2 over the query pipeline: a Table stage over partsupp
-// builds the per-part minimum-cost state, then a second partsupp scan
-// emits the suppliers achieving it, probing the merged table read-only.
-// Results are identical to Q2 on a quiesced collection (see Q3ParCtx
-// for the contract).
-func (q *SMCQueries) Q2ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q2Row, error) {
-	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
-	if err != nil {
-		return nil, err
-	}
-	defer pl.Close()
-	typeSuffix := []byte(p.Q2Type)
-	regionName := []byte(p.Q2Region)
-	minCost, err := query.Table(pl, q.db.PartSupps, joinTableHint,
-		func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[q2Min]) {
-			q.q2MinBlock(ws, blk, p.Q2Size, typeSuffix, regionName, t)
-		}, mergeQ2Min)
-	if err != nil {
-		return nil, err
-	}
-	if minCost == nil {
-		return SortQ2(nil), nil
-	}
-	rows, err := query.Rows(pl, q.db.PartSupps, func(ws *core.Session, blk *mem.Block, out *[]Q2Row) {
-		q.q2EmitBlock(ws, blk, regionName, minCost, out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return SortQ2(rows), nil
 }
 
 // q3Block scans one lineitem block into a Q3 group table: the compiled

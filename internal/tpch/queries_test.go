@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -80,17 +81,19 @@ func TestGenerateShape(t *testing.T) {
 
 // TestAllEnginesAgree is the gold test: List (compiled), Dictionary,
 // LINQ, SMC safe, SMC unsafe (all three layouts) and the column store
-// must produce byte-identical results for Q1–Q6.
+// must produce byte-identical results for Q1–Q6, and the SMC unsafe
+// engine the same Q10 as List.
 func TestAllEnginesAgree(t *testing.T) {
 	d := testDataset(t)
 	p := DefaultParams()
 
 	mdb := LoadManaged(d)
 	gold := ListAll(mdb, p)
+	gold10 := ListQ10(mdb, p)
 
-	if len(gold.Q1) == 0 || len(gold.Q3) == 0 || len(gold.Q4) == 0 || len(gold.Q5) == 0 || gold.Q6.IsZero() {
-		t.Fatalf("gold result suspiciously empty: %d/%d/%d/%d/%v",
-			len(gold.Q1), len(gold.Q3), len(gold.Q4), len(gold.Q5), gold.Q6)
+	if len(gold.Q1) == 0 || len(gold.Q3) == 0 || len(gold.Q4) == 0 || len(gold.Q5) == 0 || gold.Q6.IsZero() || len(gold10) == 0 {
+		t.Fatalf("gold result suspiciously empty: %d/%d/%d/%d/%v/%d",
+			len(gold.Q1), len(gold.Q3), len(gold.Q4), len(gold.Q5), gold.Q6, len(gold10))
 	}
 
 	t.Run("dict", func(t *testing.T) {
@@ -121,6 +124,9 @@ func TestAllEnginesAgree(t *testing.T) {
 			q := NewSMCQueries(sdb)
 			if diff := gold.Diff(q.All(s, p)); diff != "" {
 				t.Fatalf("unsafe: %s", diff)
+			}
+			if got := q.Q10(s, p); !slices.Equal(got, gold10) {
+				t.Fatalf("unsafe Q10:\n got %+v\nwant %+v", got, gold10)
 			}
 		})
 	}
@@ -166,6 +172,13 @@ func TestSMCQueriesSurviveChurnAndCompaction(t *testing.T) {
 	q := NewSMCQueries(sdb)
 	if diff := gold.Diff(q.All(s, p)); diff != "" {
 		t.Fatalf("after churn+compaction: %s", diff)
+	}
+	gold10 := ListQ10(mdb, p)
+	if len(gold10) == 0 {
+		t.Fatal("gold Q10 empty after churn")
+	}
+	if got := q.Q10(s, p); !slices.Equal(got, gold10) {
+		t.Fatalf("after churn+compaction Q10:\n got %+v\nwant %+v", got, gold10)
 	}
 }
 

@@ -1,6 +1,9 @@
 package tpch
 
 import (
+	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 
 	"repro/internal/decimal"
@@ -102,28 +105,6 @@ func TestQ10CutoffIsSortQ10sLastRow(t *testing.T) {
 	}
 }
 
-func TestSortQ7Q9Ordering(t *testing.T) {
-	q7 := []Q7Row{
-		{SuppNation: "B", CustNation: "A", Year: 1995},
-		{SuppNation: "A", CustNation: "B", Year: 1996},
-		{SuppNation: "A", CustNation: "B", Year: 1995},
-	}
-	SortQ7(q7)
-	if q7[0].SuppNation != "A" || q7[0].Year != 1995 || q7[2].SuppNation != "B" {
-		t.Fatalf("Q7 order: %+v", q7)
-	}
-	q9 := []Q9Row{
-		{Nation: "A", Year: 1995},
-		{Nation: "A", Year: 1998},
-		{Nation: "B", Year: 1992},
-	}
-	SortQ9(q9)
-	// Nation asc, year desc.
-	if q9[0].Year != 1998 || q9[1].Year != 1995 || q9[2].Nation != "B" {
-		t.Fatalf("Q9 order: %+v", q9)
-	}
-}
-
 func TestGenerateScalesLinearly(t *testing.T) {
 	small := Generate(0.001, 3)
 	large := Generate(0.004, 3)
@@ -141,6 +122,80 @@ func TestGenerateScalesLinearly(t *testing.T) {
 	// PARTSUPP is exactly 4 rows per part.
 	if len(large.PartSupps) != 4*len(large.Parts) {
 		t.Fatalf("partsupp = %d for %d parts", len(large.PartSupps), len(large.Parts))
+	}
+}
+
+// generateGolden is the FNV-64a checksum of every row of
+// Generate(testSF, 42), each row printed with %+v in table order. The
+// benchmark's dataset comes from the same generator, so a change that
+// moves this value changes every measured figure too.
+const generateGolden = 0x04327885ce473899
+
+// TestGenerateGolden pins the generator's output row for row: query
+// code may come and go, the data it is measured on may not move.
+func TestGenerateGolden(t *testing.T) {
+	d := testDataset(t)
+	h := fnv.New64a()
+	for _, r := range d.Regions {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	for _, r := range d.Nations {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	for _, r := range d.Suppliers {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	for _, r := range d.Customers {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	for _, r := range d.Parts {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	for _, r := range d.PartSupps {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	for _, r := range d.Orders {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	for _, r := range d.Lineitems {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	if got := h.Sum64(); got != generateGolden {
+		t.Fatalf("Generate(%v, 42) checksum = %#x, want %#x", testSF, got, uint64(generateGolden))
+	}
+}
+
+// TestGeneratePartSuppCoversLineitems checks that every lineitem's
+// (partkey, suppkey) has a PARTSUPP row, as in dbgen.
+func TestGeneratePartSuppCoversLineitems(t *testing.T) {
+	d := testDataset(t)
+	type psKey struct{ part, supp int64 }
+	have := make(map[psKey]bool, len(d.PartSupps))
+	for _, ps := range d.PartSupps {
+		have[psKey{ps.PartKey, ps.SupplierKey}] = true
+	}
+	for i, l := range d.Lineitems {
+		if !have[psKey{l.PartKey, l.SupplierKey}] {
+			t.Fatalf("lineitem %d: no partsupp row for (part %d, supp %d)",
+				i, l.PartKey, l.SupplierKey)
+		}
+	}
+}
+
+// TestGeneratePartNameColors checks that part names draw on the dbgen
+// color vocabulary at a dbgen-like rate: a LIKE '%green%' filter hits
+// about 1/17 of parts in TPC-H; ours uses a 20-color pool drawn twice.
+func TestGeneratePartNameColors(t *testing.T) {
+	d := testDataset(t)
+	hits := 0
+	for _, pt := range d.Parts {
+		if strings.Contains(pt.Name, "green") {
+			hits++
+		}
+	}
+	frac := float64(hits) / float64(len(d.Parts))
+	if frac < 0.02 || frac > 0.3 {
+		t.Fatalf("green-part fraction = %v, want a dbgen-like selectivity", frac)
 	}
 }
 
@@ -164,15 +219,6 @@ func TestLineKeyUnique(t *testing.T) {
 			seen[k] = true
 		}
 	}
-}
-
-func TestPackPSKeyPanicsOnOverflow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized supplier key should panic")
-		}
-	}()
-	packPSKey(1, 1<<24)
 }
 
 func TestOrderTotalsMatchLineitems(t *testing.T) {
