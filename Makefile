@@ -45,12 +45,12 @@ lint: fmt
 	"$$($(GO) env GOPATH)/bin/govulncheck" ./...
 
 # The parallel-scan, pipeline, parallel-join, parallel-compaction,
-# maintainer and HTTP-front-door stress tests (exactly-once and exact
+# maintainer, §3.1 overflow-rescue and HTTP-front-door stress tests (exactly-once and exact
 # serial results under churn + compaction + request storms), plus the
 # figure harnesses that measure from concurrent goroutines, under the
 # race detector.
 race-stress:
-	$(GO) test -race -run 'Parallel|Maintainer|Compact|Pruned|Fault|Cancel|Budget|Cluster|Serve|Govern|RuntimeStats|Figure9' \
+	$(GO) test -race -run 'Parallel|Maintainer|Compact|Rescue|Pruned|Fault|Cancel|Budget|Cluster|Serve|Govern|RuntimeStats|Figure9' \
 		./internal/mem ./internal/core ./internal/query ./internal/tpch ./internal/region ./internal/serve \
 		./internal/bench
 

@@ -133,14 +133,15 @@
 // (mem.CompactNowWorkers) as the oracle the parallel engine is tested
 // against.
 //
-// On top of it, mem.Maintainer is the §5 "dedicated compaction thread"
-// grown into a background maintenance scheduler: it polls
-// Manager.FragmentationSnapshot and triggers parallel passes once any
-// context can form a group (and, optionally, once a configurable
-// fraction of the heap is fragmented), replacing ad-hoc CompactNow
-// calls. core.Runtime.StatsSnapshot surfaces the engine's counters
-// (groups moved/aborted, helped moves, bail-outs, bytes reclaimed,
-// pass wall time) next to the session-pool and arena-pool metrics.
+// On top of it, mem.Maintainer is the runtime's one background thread:
+// the §5 "dedicated compaction thread" and the §3.1 overflow-rescue
+// thread in one loop. It polls Manager.FragmentationSnapshot and
+// triggers a parallel pass once any context can form a group, replacing
+// ad-hoc CompactNow calls, and runs the rescue scan once incarnation
+// overflow has retired entries or slots. core.Runtime.StatsSnapshot
+// surfaces the engine's counters (groups moved/aborted, helped moves,
+// bail-outs, bytes reclaimed, pass wall time) next to the session-pool
+// and arena-pool metrics.
 //
 // The `compact` figure of cmd/smcbench sweeps reclamation throughput and
 // Q1/Q6 interference over 1..NumCPU move workers.
@@ -317,9 +318,8 @@
 // reclaim rate feeds an EWMA whose deficit/rate quotient becomes the
 // Retry-After on 429/503 responses, clamped to [1s, 30s]. /healthz
 // stays 200 under pressure — degraded-but-serving, with the level in
-// the body — and 503 only when the Maintainer is down; serve admission
-// adds optional per-client-class quotas (X-Client-Class against
-// Config.ClassQuotas) so one class saturates before starving the rest.
+// the body — and 503 only when the Maintainer is down. Serve admission
+// is one global gate of Config.MaxConcurrent slots.
 // fault.PointGovernRebalance and PointGovernPressure let the
 // robustness suites abort rebalance passes and count transitions; the
 // storm test runs 1000 pressure/churn/trim cycles under -race and

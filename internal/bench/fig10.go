@@ -269,8 +269,6 @@ func Figure10(o Options) (*Figure10Result, error) {
 	return res, nil
 }
 
-func objPtrRow(b *mem.Block, slot int) unsafe.Pointer { return b.SlotData(slot) }
-
 func msF(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 func bagAddExisting(b *managed.ConcurrentBag[tpch.MLineitem], p *tpch.MLineitem) {

@@ -63,7 +63,6 @@ func (d *Dict) At(i int) string { return d.Values[d.Codes[i]] }
 type LineitemCols struct {
 	N          int
 	OrderKey   []int64
-	PartKey    []int64
 	SuppKey    []int64
 	Quantity   []decimal.Dec128
 	ExtPrice   []decimal.Dec128
@@ -74,8 +73,6 @@ type LineitemCols struct {
 	ShipDate   []types.Date // sorted ascending (clustered index)
 	CommitDate []types.Date
 	RecvDate   []types.Date
-	ShipMode   *Dict
-	Instruct   *Dict
 }
 
 // OrdersCols is the ORDERS column set, clustered by OrderDate.
@@ -83,8 +80,6 @@ type OrdersCols struct {
 	N         int
 	Key       []int64
 	CustKey   []int64
-	Status    []int32
-	Total     []decimal.Dec128
 	OrderDate []types.Date // sorted ascending (clustered index)
 	Priority  *Dict
 	ShipPrio  []int32
@@ -94,13 +89,8 @@ type OrdersCols struct {
 type CustomerCols struct {
 	N         int
 	Key       []int64
-	Name      []string
-	Address   []string
 	NationKey []int64
-	Phone     []string
 	Segment   *Dict
-	AcctBal   []decimal.Dec128
-	Comment   []string
 	keyToRow  map[int64]int32
 }
 
@@ -121,7 +111,6 @@ type SupplierCols struct {
 type PartCols struct {
 	N    int
 	Key  []int64
-	Name []string
 	Mfgr []string
 	Type []string
 	Size []int32
@@ -183,12 +172,9 @@ func Load(d *tpch.Dataset) *DB {
 	})
 	lc := &db.Lineitem
 	lc.N = len(perm)
-	lc.ShipMode = newDict()
-	lc.Instruct = newDict()
 	for _, i := range perm {
 		l := &d.Lineitems[i]
 		lc.OrderKey = append(lc.OrderKey, l.OrderKey)
-		lc.PartKey = append(lc.PartKey, l.PartKey)
 		lc.SuppKey = append(lc.SuppKey, l.SupplierKey)
 		lc.Quantity = append(lc.Quantity, l.Quantity)
 		lc.ExtPrice = append(lc.ExtPrice, l.ExtendedPrice)
@@ -199,8 +185,6 @@ func Load(d *tpch.Dataset) *DB {
 		lc.ShipDate = append(lc.ShipDate, l.ShipDate)
 		lc.CommitDate = append(lc.CommitDate, l.CommitDate)
 		lc.RecvDate = append(lc.RecvDate, l.ReceiptDate)
-		lc.ShipMode.append(l.ShipMode)
-		lc.Instruct.append(l.ShipInstruct)
 	}
 
 	// ORDERS, clustered by OrderDate.
@@ -218,8 +202,6 @@ func Load(d *tpch.Dataset) *DB {
 		o := &d.Orders[i]
 		oc.Key = append(oc.Key, o.Key)
 		oc.CustKey = append(oc.CustKey, o.CustomerKey)
-		oc.Status = append(oc.Status, o.OrderStatus)
-		oc.Total = append(oc.Total, o.TotalPrice)
 		oc.OrderDate = append(oc.OrderDate, o.OrderDate)
 		oc.Priority.append(o.OrderPriority)
 		oc.ShipPrio = append(oc.ShipPrio, o.ShipPriority)
@@ -232,13 +214,8 @@ func Load(d *tpch.Dataset) *DB {
 	for i := range d.Customers {
 		c := &d.Customers[i]
 		cc.Key = append(cc.Key, c.Key)
-		cc.Name = append(cc.Name, c.Name)
-		cc.Address = append(cc.Address, c.Address)
 		cc.NationKey = append(cc.NationKey, c.NationKey)
-		cc.Phone = append(cc.Phone, c.Phone)
 		cc.Segment.append(c.MktSegment)
-		cc.AcctBal = append(cc.AcctBal, c.AcctBal)
-		cc.Comment = append(cc.Comment, c.Comment)
 		cc.keyToRow[c.Key] = int32(i)
 	}
 
@@ -262,7 +239,6 @@ func Load(d *tpch.Dataset) *DB {
 	for i := range d.Parts {
 		p := &d.Parts[i]
 		pc.Key = append(pc.Key, p.Key)
-		pc.Name = append(pc.Name, p.Name)
 		pc.Mfgr = append(pc.Mfgr, p.Mfgr)
 		pc.Type = append(pc.Type, p.Type)
 		pc.Size = append(pc.Size, p.Size)

@@ -64,9 +64,9 @@ func TestEnumerateAndRefOf(t *testing.T) {
 						continue
 					}
 					seen++
-					r := persons.RefOf(blk, i)
+					r := persons.refOf(blk, i)
 					if r.IsNil() {
-						t.Fatal("RefOf returned nil for a valid slot")
+						t.Fatal("refOf returned nil for a valid slot")
 					}
 				}
 			}
@@ -173,31 +173,14 @@ func TestAmbiguousRefTargetRejected(t *testing.T) {
 	}
 }
 
-func TestRuntimeOverflowAPI(t *testing.T) {
-	rt := testRuntime(t)
-	st, err := rt.RescueOverflowed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EntriesRescued != 0 || st.SlotsRescued != 0 {
-		t.Fatalf("rescue on empty runtime = %+v", st)
-	}
-	stop := rt.StartOverflowScanner(time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	stop() // idempotent
-}
-
-// TestConcurrentChurnWithBackgroundThreads is the integration smoke test:
-// several sessions churn two linked collections while the compactor and
-// the overflow scanner run; every surviving reference must resolve to its
-// exact object afterwards.
-func TestConcurrentChurnWithBackgroundThreads(t *testing.T) {
+// TestMaintainerConcurrentChurn is the integration smoke test: several
+// sessions churn two linked collections while the Maintainer (compaction
+// and the §3.1 rescue check) runs; every surviving reference must resolve
+// to its exact object afterwards.
+func TestMaintainerConcurrentChurn(t *testing.T) {
 	rt := testRuntime(t)
 	stopC := rt.StartMaintainer(mem.MaintainerConfig{Interval: 2 * time.Millisecond}).Stop
 	defer stopC()
-	stopS := rt.StartOverflowScanner(5 * time.Millisecond)
-	defer stopS()
 
 	persons := MustCollection[Person](rt, "persons", RowDirect)
 	orders := MustCollection[Order](rt, "orders", RowIndirect)

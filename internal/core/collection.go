@@ -286,13 +286,6 @@ func (c *Collection[T]) RegisterClusterKey(name string) error {
 	return c.ctx.RegisterClusterKey(name)
 }
 
-// MustRegisterClusterKey is RegisterClusterKey, panicking on error.
-func (c *Collection[T]) MustRegisterClusterKey(name string) {
-	if err := c.ctx.RegisterClusterKey(name); err != nil {
-		panic(err)
-	}
-}
-
 // Predicate starts a scan predicate over the collection's registered
 // synopsis columns; chain the *Range methods and pass it to the *Pred
 // scan variants (or query.Where).
@@ -485,8 +478,8 @@ func (fr FieldRef) Deref(s *Session, obj mem.Obj) (mem.Obj, error) {
 	return mem.Obj{Ptr: p}, nil
 }
 
-// RefOf reconstructs a typed reference from an enumeration position.
-func (c *Collection[T]) RefOf(b *mem.Block, slot int) Ref[T] {
+// refOf reconstructs a typed reference from an enumeration position.
+func (c *Collection[T]) refOf(b *mem.Block, slot int) Ref[T] {
 	return Ref[T]{R: c.ctx.MakeRef(b, slot)}
 }
 

@@ -25,11 +25,8 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"reflect"
 	"sync"
-	"time"
 
 	"repro/internal/mem"
 	"repro/internal/types"
@@ -67,9 +64,6 @@ type Options struct {
 	// CompactionThreshold is the occupancy below which blocks join
 	// compaction groups (default 30%, §5.2).
 	CompactionThreshold float64
-	// CompactionWorkers is the default move-phase worker count for
-	// compaction passes (default GOMAXPROCS; 1 = serial oracle path).
-	CompactionWorkers int
 	// CompactionPacking selects how compaction candidates are binned
 	// into groups: PackSize (default, first-fit decreasing) or PackCluster
 	// (synopsis-clustered compaction; pair with
@@ -91,7 +85,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		BlockSize:           opts.BlockSize,
 		ReclaimThreshold:    opts.ReclaimThreshold,
 		CompactionThreshold: opts.CompactionThreshold,
-		CompactionWorkers:   opts.CompactionWorkers,
 		CompactionPacking:   opts.CompactionPacking,
 		MemoryBudget:        opts.MemoryBudget,
 		HeapBackend:         opts.HeapBackend,
@@ -158,28 +151,22 @@ func (rt *Runtime) MustSession() *Session {
 	return s
 }
 
-// CompactNow synchronously runs one compaction pass (§5) with the
-// runtime's configured worker count.
+// CompactNow synchronously runs one compaction pass (§5) with
+// GOMAXPROCS move-phase workers.
 func (rt *Runtime) CompactNow() (moved int, err error) { return rt.mgr.CompactNow() }
 
 // CompactNowWorkers runs one compaction pass with an explicit move-phase
-// worker count (<= 0 selects the configured default; 1 is the serial
-// oracle path).
+// worker count (<= 0 selects GOMAXPROCS; 1 is the serial oracle path).
 func (rt *Runtime) CompactNowWorkers(workers int) (moved int, err error) {
 	return rt.mgr.CompactNowWorkers(workers)
 }
 
-// StartMaintainer launches the background maintenance scheduler: it
-// watches occupancy/fragmentation and triggers parallel compaction
-// passes under the configured thresholds (see mem.MaintainerConfig).
+// StartMaintainer launches the runtime's background thread: it watches
+// occupancy/fragmentation and triggers parallel compaction passes, and
+// runs the §3.1 overflow rescue once incarnation numbers overflow (see
+// mem.Manager.StartMaintainer).
 func (rt *Runtime) StartMaintainer(cfg mem.MaintainerConfig) *mem.Maintainer {
 	return rt.mgr.StartMaintainer(cfg)
-}
-
-// StartMaintainerCtx is StartMaintainer bound to a context: cancellation
-// shuts the maintenance goroutine down as if Stop had been called.
-func (rt *Runtime) StartMaintainerCtx(ctx context.Context, cfg mem.MaintainerConfig) *mem.Maintainer {
-	return rt.mgr.StartMaintainerCtx(ctx, cfg)
 }
 
 // SetMemoryBudget adjusts the runtime's off-heap byte budget (0 =
@@ -191,19 +178,6 @@ func (rt *Runtime) SetMemoryBudget(limit int64) { rt.mgr.Governor().SetLimit(lim
 // FragmentationSnapshot surveys the heap's compactable blocks.
 func (rt *Runtime) FragmentationSnapshot() mem.Fragmentation {
 	return rt.mgr.FragmentationSnapshot()
-}
-
-// RescueOverflowed synchronously runs one §3.1 overflow rescue scan:
-// stale references to incarnation-exhausted slots are nulled and the
-// slots return to circulation.
-func (rt *Runtime) RescueOverflowed() (mem.RescueStats, error) {
-	return rt.mgr.RescueOverflowed()
-}
-
-// StartOverflowScanner runs the §3.1 background scanner thread; the
-// returned function stops it.
-func (rt *Runtime) StartOverflowScanner(interval time.Duration) func() {
-	return rt.mgr.StartOverflowScanner(interval)
 }
 
 // Close releases all off-heap memory owned by the runtime.
@@ -265,21 +239,3 @@ const (
 	PackSize    = mem.PackSize
 	PackCluster = mem.PackCluster
 )
-
-// registerCollection records the collection for diagnostics.
-func (rt *Runtime) registerCollection(name string, ctx *mem.Context) {
-	rt.mu.Lock()
-	rt.colls = append(rt.colls, namedColl{name, ctx})
-	rt.mu.Unlock()
-}
-
-// Dump returns a human-readable summary of all collections.
-func (rt *Runtime) Dump() string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := ""
-	for _, c := range rt.colls {
-		out += fmt.Sprintf("%s\n", c.ctx)
-	}
-	return out
-}

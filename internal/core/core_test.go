@@ -372,15 +372,4 @@ func TestGetRefFieldEncodings(t *testing.T) {
 	}
 }
 
-func TestRuntimeDump(t *testing.T) {
-	rt := testRuntime(t)
-	s := rt.MustSession()
-	defer s.Close()
-	persons := MustCollection[Person](rt, "persons", RowIndirect)
-	persons.MustAdd(s, &Person{Name: "a"})
-	if rt.Dump() == "" {
-		t.Fatal("Dump empty")
-	}
-}
-
 var _ = mem.RowIndirect // referenced to keep import in smaller builds

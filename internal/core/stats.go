@@ -19,10 +19,6 @@ type ServeCounters struct {
 	// how many passed the gate, Saturated how many were turned away with
 	// typed backpressure (HTTP 429) after the bounded admission wait.
 	Requests, Admitted, Saturated int64
-	// ClassLimited is the subset of Saturated refused at a per-client-
-	// class quota (the multi-tenant isolation gate) rather than the
-	// global slot gate.
-	ClassLimited int64
 	// Canceled counts admitted requests whose context was canceled (client
 	// gone or per-request deadline) before the query finished.
 	Canceled int64

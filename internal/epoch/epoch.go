@@ -28,9 +28,10 @@ import (
 // advance scan touches a predictable, bounded amount of memory (one
 // cache line per slot, 64KiB total). The bound it must cover is the
 // front door's: serve.Config.MaxConcurrent admitted queries, each
-// holding its request session plus one pooled session per scan worker
-// (MaxConcurrent × (1 + MaxWorkers)), plus the manager's idle session
-// pool and the maintenance (compactor, governor) sessions.
+// holding its request session plus one pooled session per scan worker,
+// whose count the workers knob caps at GOMAXPROCS (MaxConcurrent ×
+// (1 + GOMAXPROCS)), plus the manager's idle session pool and the
+// Maintainer's sessions.
 const MaxSessions = 1024
 
 // cacheLine padding avoids false sharing between session slots on the

@@ -181,12 +181,12 @@ func TestObjFromPtrRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro := ObjFromPtr(h.ctx, obj.Ptr)
+	ro := objFromPtr(h.ctx, obj.Ptr)
 	if ro.Blk == nil || ro.Ptr != obj.Ptr {
-		t.Fatalf("ObjFromPtr = %+v", ro)
+		t.Fatalf("objFromPtr = %+v", ro)
 	}
 	if got := *(*int64)(ro.Field(h.idF)); got != 11 {
-		t.Fatalf("object through ObjFromPtr = %d", got)
+		t.Fatalf("object through objFromPtr = %d", got)
 	}
 	_ = types.Ref{} // keep the types import alongside future cases
 }

@@ -209,11 +209,6 @@ func (c *Context) AllocString(s *Session, str string) (types.StrRef, error) {
 	return c.strings.allocStr(s, str)
 }
 
-// FreeString releases a string that was allocated but whose object failed
-// to publish (error unwinding), or that is being replaced by an update.
-// The caller must guarantee no concurrent reader holds it.
-func (c *Context) FreeString(sr types.StrRef) { c.strings.freeStr(sr) }
-
 // Remove frees the object named by ref (§3.5): it bumps the incarnation
 // so all references become null, marks the slot limbo with the current
 // epoch, and queues the block for reclamation when the limbo threshold is

@@ -75,11 +75,6 @@ func (g *CompactionGroup) Blocks() []*Block { return g.blocks }
 // Target returns the group's first target block (diagnostics).
 func (g *CompactionGroup) Target() *Block { return g.targets[0] }
 
-// Targets returns the group's target blocks (diagnostics). Size-ordered
-// packing always produces exactly one; clustered packing one per
-// key-quantile slice.
-func (g *CompactionGroup) Targets() []*Block { return g.targets }
-
 // Relocation entry states.
 const (
 	rPending uint32 = iota
@@ -140,29 +135,29 @@ func (c *Context) incCellFor(blk *Block, slot int) *uint32 {
 	return (*uint32)(unsafe.Add(blk.backEntry(slot), 8))
 }
 
-// CompactNow runs one full compaction pass over all contexts with the
-// manager's configured worker count, returning the number of objects
-// moved. Concurrent application work may proceed; only one compaction
-// runs at a time.
+// CompactNow runs one full compaction pass over all contexts with
+// GOMAXPROCS move-phase workers, returning the number of objects moved.
+// Concurrent application work may proceed; only one compaction runs at
+// a time.
 func (m *Manager) CompactNow() (int, error) {
 	return m.CompactNowWorkers(0)
 }
 
 // CompactNowWorkers runs one full compaction pass with an explicit
-// move-phase worker count; workers <= 0 selects the configured default
-// (Config.CompactionWorkers). The pass is planned exactly once — one
-// block-order snapshot, one decision per compaction group — and then the
-// per-group move work fans out over a pool of worker sessions drawn from
-// LeaseSession with an atomic work-stealing cursor. Groups are
-// independent by construction (disjoint source blocks, private target
-// block, per-group pins and abort), so the epoch-wait/retry/abort
-// protocol is untouched and stays per-group; with workers == 1 the
-// moving phase is byte-for-byte the serial pass, kept as the oracle.
+// move-phase worker count; workers <= 0 selects GOMAXPROCS. The pass is
+// planned exactly once — one block-order snapshot, one decision per
+// compaction group — and then the per-group move work fans out over a
+// pool of worker sessions drawn from LeaseSession with an atomic
+// work-stealing cursor. Groups are independent by construction
+// (disjoint source blocks, private target block, per-group pins and
+// abort), so the epoch-wait/retry/abort protocol is untouched and stays
+// per-group; with workers == 1 the moving phase is byte-for-byte the
+// serial pass, kept as the oracle.
 func (m *Manager) CompactNowWorkers(workers int) (int, error) {
-	return m.CompactNowWorkersCtx(context.Background(), workers)
+	return m.compactNowWorkersCtx(context.Background(), workers)
 }
 
-// CompactNowWorkersCtx is CompactNowWorkers with a cancellation context,
+// compactNowWorkersCtx is CompactNowWorkers with a cancellation context,
 // observed at group-claim granularity: a canceled pass aborts every
 // not-yet-moving group (sources return to circulation untouched — a
 // group is only abortable before its first object moves), finishes any
@@ -170,15 +165,9 @@ func (m *Manager) CompactNowWorkers(workers int) (int, error) {
 // the context's cause alongside the objects moved so far. A panic in a
 // move worker is likewise scoped to its group: the pass completes,
 // cleanup still runs, and the panic surfaces as an ErrWorkerPanic error.
-func (m *Manager) CompactNowWorkersCtx(cctx context.Context, workers int) (int, error) {
+func (m *Manager) compactNowWorkersCtx(cctx context.Context, workers int) (int, error) {
 	if workers <= 0 {
-		workers = m.cfg.CompactionWorkers
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if cctx == nil {
-		cctx = context.Background()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if err := context.Cause(cctx); err != nil {
 		return 0, err
@@ -365,18 +354,6 @@ func (m *Manager) CompactNowWorkersCtx(cctx context.Context, workers int) (int, 
 		return moved, moveErr
 	}
 	return moved, context.Cause(cctx)
-}
-
-// NeedsCompaction reports whether any context has enough under-occupied
-// (or, under PackCluster, bounds-stale) blocks to form a group. The
-// background compactor polls this.
-func (m *Manager) NeedsCompaction() bool {
-	for _, ctx := range m.Contexts() {
-		if len(m.compactionCandidates(ctx, ctx.SnapshotBlocks())) >= 2 {
-			return true
-		}
-	}
-	return false
 }
 
 func (m *Manager) isCompactionCandidate(b *Block) bool {
@@ -730,6 +707,12 @@ func (m *Manager) waitAllAtLeast(e uint64, cs *Session, timeout time.Duration, d
 	return true
 }
 
+// pinWaitTimeout bounds how long the compactor waits for a compaction
+// group's query pins to drain before skipping the group (§5.2: "bails
+// out ... after waiting for a predefined amount of time for the read
+// lock to be released").
+const pinWaitTimeout = 10 * time.Millisecond
+
 // moveGroup relocates one group: declare the moving intent, drain query
 // pins (with the paper's bail-out timeout), move every scheduled object,
 // and retry relocations that readers failed during the waiting phase
@@ -740,7 +723,7 @@ func (m *Manager) moveGroup(g *CompactionGroup) (int, bool) {
 	// Declare moving before checking pins: an enumerator pins and then
 	// checks the state, so this ordering closes the pin/move race.
 	g.state.Store(gMoving)
-	deadline := time.Now().Add(m.cfg.PinWaitTimeout)
+	deadline := time.Now().Add(pinWaitTimeout)
 	for g.pins.Load() != 0 {
 		if time.Now().After(deadline) {
 			m.abortGroup(g)

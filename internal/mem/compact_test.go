@@ -210,8 +210,8 @@ func TestCompactionNothingToDo(t *testing.T) {
 	if err != nil || moved != 0 {
 		t.Fatalf("CompactNow on dense context = (%d, %v)", moved, err)
 	}
-	if h.m.NeedsCompaction() {
-		t.Fatal("NeedsCompaction true on dense context")
+	if f := h.m.FragmentationSnapshot(); f.Fragmented != 0 {
+		t.Fatalf("dense context has %d compaction candidates", f.Fragmented)
 	}
 }
 
@@ -221,7 +221,6 @@ func TestCompactionPinAbort(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{
 		BlockSize:        1 << 13,
 		ReclaimThreshold: 0.9,
-		PinWaitTimeout:   5 * time.Millisecond,
 		HeapBackend:      true,
 	})
 	survivors := churnToLowOccupancy(t, h, 4)
@@ -264,7 +263,6 @@ func TestCompactionWithConcurrentChurn(t *testing.T) {
 			h := newHarness(t, layout, Config{
 				BlockSize:        1 << 13,
 				ReclaimThreshold: 0.10,
-				PinWaitTimeout:   2 * time.Millisecond,
 				HeapBackend:      true,
 			})
 			stop := make(chan struct{})

@@ -148,7 +148,6 @@ func TestCompactionEpochWaitTimeout(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{
 		BlockSize:        1 << 13,
 		ReclaimThreshold: 0.9,
-		PinWaitTimeout:   2 * time.Millisecond,
 		HeapBackend:      true,
 	})
 	survivors := churnToLowOccupancy(t, h, 4)
@@ -207,7 +206,7 @@ func TestStringTooLongRejected(t *testing.T) {
 	if sr.Len() != types.MaxStringLen {
 		t.Fatalf("len = %d", sr.Len())
 	}
-	h.ctx.FreeString(sr)
+	h.ctx.strings.freeStr(sr)
 }
 
 // TestBigStringDedicatedRegion covers the oversized-string path (past the
@@ -236,7 +235,7 @@ func TestBigStringDedicatedRegion(t *testing.T) {
 	for i := 0; i < capacity; i++ {
 		h.add(t, h.s, int64(i+2), "small")
 	}
-	if live := h.ctx.LiveStringBytes(); live >= 10_000 {
+	if live := h.ctx.strings.liveBytes.Load(); live >= 10_000 {
 		t.Fatalf("big string not released: %d live bytes", live)
 	}
 }

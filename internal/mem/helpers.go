@@ -43,9 +43,9 @@ func RefFromDirect(c *Context, addr uint64, inc uint32) types.Ref {
 	return types.Ref{Entry: e, Inc: inc, Gen: loadGen(e)}
 }
 
-// ObjFromPtr builds an Obj from a slot-data pointer into ctx (row
+// objFromPtr builds an Obj from a slot-data pointer into ctx (row
 // layouts only).
-func ObjFromPtr(c *Context, p unsafe.Pointer) Obj {
+func objFromPtr(c *Context, p unsafe.Pointer) Obj {
 	blk := c.mgr.blockFromAddr(p)
 	if blk == nil {
 		return Obj{}

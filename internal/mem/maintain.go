@@ -1,8 +1,6 @@
 package mem
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,61 +9,46 @@ import (
 )
 
 // Background maintenance scheduler. The paper runs compaction on "a
-// dedicated compaction thread" (§5); Maintainer is that thread grown
-// into a production component: it watches the heap's occupancy and
-// fragmentation through the manager's stats plumbing and triggers
-// parallel compaction passes under configurable thresholds, so
-// applications stop sprinkling ad-hoc CompactNow calls through their
-// code.
+// dedicated compaction thread" (§5) and overflow rescue on "a background
+// thread" (§3.1); Maintainer is the runtime's one background thread and
+// does both, so applications stop sprinkling ad-hoc CompactNow calls
+// through their code.
 
 // MaintainerConfig tunes the background maintenance scheduler. The zero
-// value is usable: poll every 25ms, trigger once any context has two
-// compactable blocks (the minimum that can form a §5.2 group), use the
-// manager's configured compaction worker count.
+// value is usable.
 type MaintainerConfig struct {
 	// Interval is the poll period (default 25ms).
 	Interval time.Duration
-	// MinFragmentedBlocks is the number of compaction-candidate blocks a
-	// single context must accumulate before a pass triggers (default 2 —
-	// a compaction group needs at least two sources).
-	MinFragmentedBlocks int
-	// FragmentedFraction optionally gates passes on global fragmentation:
-	// when > 0, a pass also requires candidates/total-blocks >= this
-	// fraction, which keeps a large mostly-dense heap from compacting
-	// over and over for a couple of sparse blocks.
-	FragmentedFraction float64
-	// Workers is the move-phase worker count per pass; <= 0 selects the
-	// manager's configured default (Config.CompactionWorkers).
-	Workers int
 }
 
-func (c MaintainerConfig) withDefaults() MaintainerConfig {
-	if c.Interval <= 0 {
-		c.Interval = 25 * time.Millisecond
-	}
-	if c.MinFragmentedBlocks <= 0 {
-		c.MinFragmentedBlocks = 2
-	}
-	return c
-}
+// minFragmentedBlocks is the number of compaction-candidate blocks a
+// single context must hold before a pass triggers: a compaction group
+// needs at least two sources.
+const minFragmentedBlocks = 2
 
 // Maintainer is a running background maintenance goroutine; see
-// Manager.StartMaintainer.
+// Manager.StartMaintainer. Each pass runs, in order, the governor tick,
+// a parallel compaction pass when some context holds
+// minFragmentedBlocks candidate blocks, the §3.1 overflow rescue when
+// incarnation overflow has retired entries or slots, and the
+// block-graveyard drain.
+//
+// The rescue check costs one mutex and two atomic loads per pass while
+// nothing is retired. When victims exist and a session is stuck inside
+// a critical section, the pass can block for up to the rescue's 500ms
+// grace wait, and compaction and the graveyard drain wait behind it.
 type Maintainer struct {
-	m   *Manager
-	cfg MaintainerConfig
-	ctx context.Context
+	m        *Manager
+	interval time.Duration
 
-	// state is the lifecycle guard: a Maintainer starts exactly once and
-	// never restarts (restart = a fresh StartMaintainer).
-	state    atomic.Int32
+	running  atomic.Bool
 	done     chan struct{}
 	finished chan struct{}
 	stopOnce sync.Once
 
 	// wake is the allocation-pressure wake-up: abandonAllocBlock signals
-	// it (via Manager.signalAllocPressure) when a context crosses
-	// MinFragmentedBlocks, so reclamation latency is bounded by the
+	// it (via Manager.signalAllocPressure) when an abandoned block becomes
+	// a compaction candidate, so reclamation latency is bounded by the
 	// abandon, not the poll interval.
 	wake chan struct{}
 	reg  *maintWakeReg
@@ -75,21 +58,6 @@ type Maintainer struct {
 	wakeups atomic.Int64
 	panics  atomic.Int64
 }
-
-// Maintainer lifecycle states.
-const (
-	mtIdle int32 = iota
-	mtRunning
-	mtStopped
-)
-
-// ErrMaintainerStarted is returned by Start on a maintainer whose
-// goroutine is already running.
-var ErrMaintainerStarted = errors.New("mem: maintainer already started")
-
-// ErrMaintainerStopped is returned by Start on a stopped maintainer;
-// restart with a fresh StartMaintainer.
-var ErrMaintainerStopped = errors.New("mem: maintainer stopped (start a new one)")
 
 // maintWakeReg is the manager-side registration of a Maintainer's wake
 // channel.
@@ -102,10 +70,9 @@ type maintWakeReg struct {
 // compaction candidate (the O(1) gate in abandonAllocBlock), so it
 // fires at most once per sparse-block abandon and never on dense bulk
 // loads. It deliberately does no threshold checking of its own: the
-// woken maintainer re-evaluates its full shouldCompact gates
-// (MinFragmentedBlocks, FragmentedFraction) before compacting, off the
-// allocator's critical path, and the non-blocking send into a buffered
-// channel coalesces bursts into one wake-up.
+// woken maintainer re-evaluates the candidate count before compacting,
+// off the allocator's critical path, and the non-blocking send into a
+// buffered channel coalesces bursts into one wake-up.
 func (m *Manager) signalAllocPressure() {
 	reg := m.maintWake.Load()
 	if reg == nil {
@@ -152,72 +119,45 @@ func (m *Manager) FragmentationSnapshot() Fragmentation {
 }
 
 // StartMaintainer launches the background maintenance goroutine: every
-// Interval it snapshots fragmentation, runs one parallel compaction pass
-// when the thresholds say the pass can reclaim something, and drains the
-// block graveyard. Between ticks it also reacts to allocation-pressure
-// wake-ups (signalAllocPressure), so a context that crosses the
-// candidate threshold is compacted immediately instead of waiting out
-// the poll interval. Stop it with Maintainer.Stop.
+// Interval it runs one maintenance pass (see Maintainer). Between ticks
+// it also reacts to allocation-pressure wake-ups (signalAllocPressure),
+// so a context that crosses the candidate threshold is compacted
+// immediately instead of waiting out the poll interval. Stop it with
+// Maintainer.Stop; a fresh StartMaintainer starts a new one.
 func (m *Manager) StartMaintainer(cfg MaintainerConfig) *Maintainer {
-	return m.StartMaintainerCtx(context.Background(), cfg)
-}
-
-// StartMaintainerCtx is StartMaintainer bound to a context: when ctx is
-// canceled the maintenance goroutine shuts itself down (an in-flight
-// compaction pass sees the same ctx and aborts its remaining groups),
-// exactly as if Stop had been called. Stop remains safe to call and
-// still blocks until the goroutine has exited.
-func (m *Manager) StartMaintainerCtx(ctx context.Context, cfg MaintainerConfig) *Maintainer {
-	if ctx == nil {
-		ctx = context.Background()
+	if cfg.Interval <= 0 {
+		cfg.Interval = 25 * time.Millisecond
 	}
 	mt := &Maintainer{
 		m:        m,
-		cfg:      cfg.withDefaults(),
-		ctx:      ctx,
+		interval: cfg.Interval,
 		done:     make(chan struct{}),
 		finished: make(chan struct{}),
 		wake:     make(chan struct{}, 1),
 	}
 	mt.reg = &maintWakeReg{ch: mt.wake}
-	_ = mt.Start() // fresh instance: cannot fail
+	mt.running.Store(true)
+	// Last registration wins when several maintainers run (tests);
+	// Stop only clears its own registration.
+	m.maintWake.Store(mt.reg)
+	go mt.loop()
 	return mt
 }
 
-// Start launches the maintenance goroutine. It runs at most once per
-// Maintainer: a second call returns ErrMaintainerStarted, a call after
-// Stop returns ErrMaintainerStopped (StartMaintainer constructs an
-// already-started instance, so only those errors are observable).
-func (mt *Maintainer) Start() error {
-	if !mt.state.CompareAndSwap(mtIdle, mtRunning) {
-		if mt.state.Load() == mtStopped {
-			return ErrMaintainerStopped
-		}
-		return ErrMaintainerStarted
-	}
-	// Last registration wins when several maintainers run (tests);
-	// Stop only clears its own registration.
-	mt.m.maintWake.Store(mt.reg)
-	go mt.loop()
-	return nil
-}
-
 // Running reports whether the maintenance goroutine is live.
-func (mt *Maintainer) Running() bool { return mt.state.Load() == mtRunning }
+func (mt *Maintainer) Running() bool { return mt.running.Load() }
 
 func (mt *Maintainer) loop() {
 	defer func() {
-		mt.state.Store(mtStopped)
+		mt.running.Store(false)
 		mt.m.maintWake.CompareAndSwap(mt.reg, nil)
 		close(mt.finished)
 	}()
-	t := time.NewTicker(mt.cfg.Interval)
+	t := time.NewTicker(mt.interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-mt.done:
-			return
-		case <-mt.ctx.Done():
 			return
 		case <-t.C:
 			mt.ticks.Add(1)
@@ -230,9 +170,9 @@ func (mt *Maintainer) loop() {
 }
 
 // maintain runs one maintenance pass under the robustness contract: a
-// panic anywhere in the pass (snapshot, compaction, graveyard) is
-// recovered and counted, and the maintainer keeps running — background
-// reclamation must outlive one poisoned pass.
+// panic anywhere in the pass (snapshot, compaction, rescue, graveyard)
+// is recovered and counted, and the maintainer keeps running —
+// background reclamation must outlive one poisoned pass.
 func (mt *Maintainer) maintain() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -240,35 +180,27 @@ func (mt *Maintainer) maintain() {
 		}
 	}()
 	fault.Point(fault.PointMaintainerPass)
+	m := mt.m
 	// Governance first: reclassify memory pressure, keep the degradation
 	// ladder engaged while it lasts, and restore pool bounds once it
 	// clears — the periodic safety net behind the event-driven rebalance
 	// on the allocation and admission reclaim path.
-	mt.m.governor.tick()
-	if mt.shouldCompact(mt.m.FragmentationSnapshot()) {
-		if _, err := mt.m.CompactNowWorkersCtx(mt.ctx, mt.cfg.Workers); err == nil {
+	m.governor.tick()
+	if m.FragmentationSnapshot().MaxContextFragmented >= minFragmentedBlocks {
+		if _, err := m.CompactNow(); err == nil {
 			mt.passes.Add(1)
 		}
 	}
-	mt.m.drainGraveyard()
-}
-
-func (mt *Maintainer) shouldCompact(f Fragmentation) bool {
-	if f.MaxContextFragmented < mt.cfg.MinFragmentedBlocks {
-		return false
+	if m.RetiredEntries() > 0 || m.stats.SlotsRetired.Load() > m.stats.SlotsRescued.Load() {
+		_, _ = m.rescueOverflowed()
 	}
-	if mt.cfg.FragmentedFraction > 0 && f.TotalBlocks > 0 &&
-		float64(f.Fragmented) < mt.cfg.FragmentedFraction*float64(f.TotalBlocks) {
-		return false
-	}
-	return true
+	m.drainGraveyard()
 }
 
 // Stop shuts the maintenance goroutine down and blocks until it has
-// exited (any in-flight compaction pass completes first), releasing the
+// exited (any in-flight pass completes first), releasing the
 // allocation-pressure wake registration so no goroutine or channel
-// lingers. Idempotent, and safe on a maintainer whose context already
-// shut it down.
+// lingers. Idempotent.
 func (mt *Maintainer) Stop() {
 	mt.stopOnce.Do(func() {
 		mt.m.maintWake.CompareAndSwap(mt.reg, nil)

@@ -131,43 +131,6 @@ func TestMaintainerIdleBelowThreshold(t *testing.T) {
 	}
 }
 
-// TestMaintainerFragmentedFractionGate: with a high global-fraction gate
-// a mostly-dense heap stays uncompacted even though one context could
-// form a group.
-func TestMaintainerFragmentedFractionGate(t *testing.T) {
-	h := newHarness(t, RowIndirect, Config{
-		BlockSize:        1 << 13,
-		ReclaimThreshold: 0.9,
-		HeapBackend:      true,
-	})
-	// Many dense blocks first (full blocks never become allocation
-	// targets again)...
-	for i := 0; i < h.ctx.BlockCapacity()*8; i++ {
-		h.add(t, h.s, int64(1)<<32|int64(i), "dense")
-	}
-	// ...then two sparse ones.
-	churnToLowOccupancy(t, h, 2)
-	f := h.m.FragmentationSnapshot()
-	if f.MaxContextFragmented < 2 || f.TotalBlocks < 8 {
-		t.Fatalf("unexpected shape: %+v", f)
-	}
-	mt := h.m.StartMaintainer(MaintainerConfig{
-		Interval:           time.Millisecond,
-		FragmentedFraction: 0.9,
-	})
-	deadline := time.Now().Add(2 * time.Second)
-	for mt.Ticks() < 10 {
-		if time.Now().After(deadline) {
-			t.Fatal("maintainer never polled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mt.Stop()
-	if n := h.m.Stats().Compactions.Load(); n != 0 {
-		t.Fatalf("fraction gate did not hold: %d passes", n)
-	}
-}
-
 // TestMaintainerCleanShutdown: Stop blocks until the goroutine exits,
 // is idempotent, and is safe immediately after start.
 func TestMaintainerCleanShutdown(t *testing.T) {
@@ -201,7 +164,6 @@ func TestMaintainerParallelScanChurnStress(t *testing.T) {
 			h := newHarness(t, layout, Config{
 				BlockSize:        1 << 13,
 				ReclaimThreshold: 0.10,
-				PinWaitTimeout:   2 * time.Millisecond,
 				HeapBackend:      true,
 			})
 

@@ -26,16 +26,16 @@
 // The package distinguishes three failure classes, each with a typed
 // sentinel callers can test with errors.Is:
 //
-//   - Cancellation. Scans (ScanParallelPredCtx), compaction
-//     (CompactNowWorkersCtx) and the Maintainer (StartMaintainerCtx)
-//     accept a context.Context observed at block-claim / group-claim
-//     granularity: one atomic load per claim, zero overhead for
-//     context.Background. A canceled operation unwinds every worker,
-//     returns every pooled session and exits every epoch critical
-//     section before reporting context.Cause(ctx). Partial compaction
-//     work is kept (moved groups stay moved, unmoved groups are aborted
-//     back into circulation); partial scan results are discarded. The
-//     serial Enumerator is the uncancellable oracle walk.
+//   - Cancellation. Scans (ScanParallelPredCtx) accept a
+//     context.Context observed at block-claim granularity: one atomic
+//     load per claim, zero overhead for context.Background. A canceled
+//     scan unwinds every worker, returns every pooled session and exits
+//     every epoch critical section before reporting context.Cause(ctx);
+//     partial results are discarded. Compaction observes a context at
+//     group-claim granularity the same way internally; its public entry
+//     points and the Maintainer run uncanceled, and Maintainer.Stop lets
+//     an in-flight pass finish. The serial Enumerator is the
+//     uncancellable oracle walk.
 //
 //   - Backpressure. ErrBudgetExceeded reports that the process-level
 //     memory budget could not admit a query (Governor.Admit) or reserve
@@ -62,10 +62,8 @@ package mem
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/epoch"
 	"repro/internal/offheap"
@@ -151,15 +149,6 @@ type Config struct {
 	// CompactionThreshold is the occupancy below which a block may join
 	// a compaction group (§5.2; the paper uses 30%).
 	CompactionThreshold float64
-	// PinWaitTimeout bounds how long the compactor waits for a
-	// compaction group's query pins to drain before skipping the group
-	// (§5.2: "bails out ... after waiting for a predefined amount of
-	// time for the read lock to be released").
-	PinWaitTimeout time.Duration
-	// CompactionWorkers is the default number of move-phase workers a
-	// compaction pass fans its groups out over (default GOMAXPROCS).
-	// 1 selects the serial moving phase, kept as the oracle.
-	CompactionWorkers int
 	// CompactionPacking selects how compaction candidates are binned
 	// into groups: PackSize (default) or PackCluster (synopsis-clustered;
 	// see PackingMode).
@@ -183,12 +172,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.CompactionThreshold == 0 {
 		out.CompactionThreshold = 0.30
-	}
-	if out.PinWaitTimeout == 0 {
-		out.PinWaitTimeout = 10 * time.Millisecond
-	}
-	if out.CompactionWorkers <= 0 {
-		out.CompactionWorkers = runtime.GOMAXPROCS(0)
 	}
 	return out
 }

@@ -229,7 +229,7 @@ func TestStringStorageReclaimedWithSlot(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				refs = append(refs, h.add(t, h.s, int64(i), fmt.Sprintf("some-longer-string-%06d", i)))
 			}
-			live := h.ctx.LiveStringBytes()
+			live := h.ctx.strings.liveBytes.Load()
 			if live == 0 {
 				t.Fatal("no live string bytes accounted")
 			}
@@ -239,7 +239,7 @@ func TestStringStorageReclaimedWithSlot(t *testing.T) {
 				}
 			}
 			// Strings are freed at slot *reclamation*, not removal.
-			if h.ctx.LiveStringBytes() != live {
+			if h.ctx.strings.liveBytes.Load() != live {
 				t.Fatal("strings freed before grace period")
 			}
 			h.m.TryAdvanceEpoch()
@@ -247,7 +247,7 @@ func TestStringStorageReclaimedWithSlot(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				h.add(t, h.s, int64(i), "short")
 			}
-			if after := h.ctx.LiveStringBytes(); after >= live {
+			if after := h.ctx.strings.liveBytes.Load(); after >= live {
 				t.Fatalf("string bytes not reclaimed: before=%d after=%d", live, after)
 			}
 		})
@@ -546,7 +546,7 @@ func TestSlotRetireDirectMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	robj := ObjFromPtr(h.ctx, obj.Ptr)
+	robj := objFromPtr(h.ctx, obj.Ptr)
 	blk, slot := robj.Blk, robj.Slot
 	*blk.slotHeaderPtr(slot) = MaxInc - 1
 	// Keep the entry's incarnation mirror in sync, as Remove would.

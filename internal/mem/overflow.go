@@ -2,7 +2,6 @@ package mem
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -17,10 +16,12 @@ import (
 // Retirement (the "stop reusing" half) happens inline in Remove: an
 // indirection entry whose counter would overflow goes on the manager's
 // retired list; in direct mode the slot's directory state becomes
-// slotRetired. This file implements the background scan: null every
-// stale in-object reference naming a retired resource, wait out a grace
+// slotRetired. This file implements the scan: null every stale
+// in-object reference naming a retired resource, wait out a grace
 // period so no reader still holds a pre-null copy, then restart the
-// incarnation sequence and put the resource back in circulation.
+// incarnation sequence and put the resource back in circulation. The
+// Maintainer is the background thread that runs it, on every pass that
+// finds retired resources (see StartMaintainer).
 //
 // Go-side references held by the application need no scan: they carry
 // the entry generation (types.Ref.Gen), which the rescue bumps, so stale
@@ -35,24 +36,24 @@ import (
 // the next scan. The write-barrier validation in DirectWord keeps this
 // the only remaining path.
 
-// RescueStats reports one rescue pass.
-type RescueStats struct {
+// rescueStats reports one rescue pass.
+type rescueStats struct {
 	EntriesRescued int
 	SlotsRescued   int
 	RefsNulled     int
 }
 
-// RescueOverflowed runs one §3.1 background scan. It is safe to call
+// rescueOverflowed runs one §3.1 background scan. It is safe to call
 // concurrently with application work; it excludes compaction for its
 // duration (both walk block memory) and returns without rescuing if the
 // grace-period wait times out (a later call retries).
-func (m *Manager) RescueOverflowed() (RescueStats, error) {
+func (m *Manager) rescueOverflowed() (rescueStats, error) {
 	// Compaction is excluded for the whole rescue: both walk block memory
 	// and compaction is the only mechanism that unmaps blocks mid-run.
 	m.compactMu.Lock()
 	defer m.compactMu.Unlock()
 
-	var st RescueStats
+	var st rescueStats
 
 	cs, err := m.NewSession()
 	if err != nil {
@@ -134,7 +135,7 @@ func (m *Manager) RescueOverflowed() (RescueStats, error) {
 		m.retiredMu.Lock()
 		m.retiredEntries = append(m.retiredEntries, entries...)
 		m.retiredMu.Unlock()
-		return RescueStats{RefsNulled: st.RefsNulled}, nil
+		return rescueStats{RefsNulled: st.RefsNulled}, nil
 	}
 	nullPass()
 
@@ -258,33 +259,4 @@ func (m *Manager) RetiredEntries() int {
 	m.retiredMu.Lock()
 	defer m.retiredMu.Unlock()
 	return len(m.retiredEntries)
-}
-
-// StartOverflowScanner launches the §3.1 background thread: it polls for
-// retired resources and runs RescueOverflowed when any exist. The
-// returned stop function blocks until the goroutine exits.
-func (m *Manager) StartOverflowScanner(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if m.RetiredEntries() > 0 ||
-					m.stats.SlotsRetired.Load() > m.stats.SlotsRescued.Load() {
-					_, _ = m.RescueOverflowed()
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-finished
-	}
 }

@@ -148,7 +148,7 @@ func TestRescueNullsIndirectRefsAndRecyclesEntry(t *testing.T) {
 	if n := h.m.RetiredEntries(); n != 1 {
 		t.Fatalf("RetiredEntries = %d, want 1", n)
 	}
-	st, err := h.m.RescueOverflowed()
+	st, err := h.m.rescueOverflowed()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRescueNullsDirectRefsAndReusesSlot(t *testing.T) {
 		t.Fatalf("slot state = %d, want retired", got)
 	}
 
-	st, err := h.m.RescueOverflowed()
+	st, err := h.m.rescueOverflowed()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +269,11 @@ func TestRescueNullsDirectRefsAndReusesSlot(t *testing.T) {
 func TestRescueNoVictimsIsNoop(t *testing.T) {
 	h := newOvHarness(t, RowIndirect)
 	h.addTarget(t, 1)
-	st, err := h.m.RescueOverflowed()
+	st, err := h.m.rescueOverflowed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != (RescueStats{}) {
+	if st != (rescueStats{}) {
 		t.Fatalf("no-victim rescue = %+v", st)
 	}
 	if n := h.m.Stats().OverflowScans.Load(); n != 0 {
@@ -294,9 +294,9 @@ func TestRescueTimeoutLeavesVictimsRetired(t *testing.T) {
 		t.Fatal(err)
 	}
 	stubborn.Enter()
-	done := make(chan RescueStats, 1)
+	done := make(chan rescueStats, 1)
 	go func() {
-		st, _ := h.m.RescueOverflowed()
+		st, _ := h.m.rescueOverflowed()
 		done <- st
 	}()
 	select {
@@ -313,7 +313,7 @@ func TestRescueTimeoutLeavesVictimsRetired(t *testing.T) {
 	stubborn.Exit()
 	stubborn.Close()
 
-	st, err := h.m.RescueOverflowed()
+	st, err := h.m.rescueOverflowed()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,25 +322,63 @@ func TestRescueTimeoutLeavesVictimsRetired(t *testing.T) {
 	}
 }
 
-func TestOverflowScannerBackground(t *testing.T) {
-	h := newOvHarness(t, RowIndirect)
-	stop := h.m.StartOverflowScanner(time.Millisecond)
-	defer stop()
+// TestMaintainerRescuesOverflow: the Maintainer is the §3.1 background
+// thread. With nothing but a running Maintainer, an overflowed indirect
+// entry is recycled with its in-object reference nulled, and an
+// overflowed direct slot goes back to limbo with its direct pointer
+// nulled.
+func TestMaintainerRescuesOverflow(t *testing.T) {
+	t.Run("RowIndirect", func(t *testing.T) {
+		h := newOvHarness(t, RowIndirect)
+		mt := h.m.StartMaintainer(MaintainerConfig{Interval: time.Millisecond})
+		defer mt.Stop()
 
-	ref := h.forceLastIncarnation(t, h.addTarget(t, 7))
-	holder := h.addHolder(t, ref)
-	h.removeTarget(t, ref)
+		ref := h.forceLastIncarnation(t, h.addTarget(t, 7))
+		holder := h.addHolder(t, ref)
+		h.removeTarget(t, ref)
 
-	deadline := time.Now().Add(10 * time.Second)
-	for h.m.RetiredEntries() > 0 || h.m.Stats().EntriesRescued.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background scanner never rescued the entry")
+		deadline := time.Now().Add(10 * time.Second)
+		for h.m.RetiredEntries() > 0 || h.m.Stats().EntriesRescued.Load() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("maintainer never rescued the entry")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if w := holderRefWord(h, holder); w != 0 {
-		t.Fatalf("in-object ref not nulled by background scan: %#x", w)
-	}
+		if w := holderRefWord(h, holder); w != 0 {
+			t.Fatalf("in-object ref not nulled by the maintainer: %#x", w)
+		}
+	})
+	t.Run("RowDirect", func(t *testing.T) {
+		h := newOvHarness(t, RowDirect)
+		mt := h.m.StartMaintainer(MaintainerConfig{Interval: time.Millisecond})
+		defer mt.Stop()
+
+		ref := h.forceLastIncarnation(t, h.addTarget(t, 7))
+		holder := h.addHolder(t, ref)
+		h.s.Enter()
+		obj, err := h.target.Deref(h.s, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := h.m.blockFromAddr(obj.Ptr)
+		slot := blk.slotIndexFromData(obj.Ptr)
+		h.s.Exit()
+		h.removeTarget(t, ref)
+
+		deadline := time.Now().Add(10 * time.Second)
+		for h.m.Stats().SlotsRescued.Load() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("maintainer never rescued the slot")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if w := holderRefWord(h, holder); w != 0 {
+			t.Fatalf("direct pointer not nulled by the maintainer: %#x", w)
+		}
+		if got := slotDirState(blk.SlotDirWord(slot)); got != slotLimbo {
+			t.Fatalf("rescued slot state = %d, want limbo", got)
+		}
+	})
 }
 
 func TestDirectWordValidatesStaleRefs(t *testing.T) {

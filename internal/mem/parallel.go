@@ -133,9 +133,6 @@ func (c *Context) NewParallelScanPredCtx(cctx context.Context, s *Session, pred 
 	return ps
 }
 
-// NumBlocks returns the number of resolved blocks the scan will visit.
-func (ps *ParallelScan) NumBlocks() int { return len(ps.blocks) }
-
 // setErr records the scan's first error; later ones lose the race.
 func (ps *ParallelScan) setErr(err error) {
 	if err != nil {

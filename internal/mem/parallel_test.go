@@ -130,9 +130,8 @@ func TestParallelScanEmptyBlockFastPath(t *testing.T) {
 // epoch stalls its epoch waits), and the scan's view stays exactly-once.
 func TestParallelScanPinsOutCompaction(t *testing.T) {
 	h := newHarness(t, RowIndirect, Config{
-		BlockSize:      1 << 13,
-		PinWaitTimeout: 2 * time.Millisecond,
-		HeapBackend:    true,
+		BlockSize:   1 << 13,
+		HeapBackend: true,
 	})
 	survivors := churnToLowOccupancy(t, h, 4)
 
@@ -203,7 +202,6 @@ func TestParallelScanStress(t *testing.T) {
 			h := newHarness(t, layout, Config{
 				BlockSize:        1 << 13,
 				ReclaimThreshold: 0.10,
-				PinWaitTimeout:   2 * time.Millisecond,
 				HeapBackend:      true,
 			})
 

@@ -194,9 +194,6 @@ func (h *stringHeap) bytes() int64 {
 	return h.chunkBytes.Load() + big
 }
 
-// LiveStringBytes reports the live (referenced) string payload bytes.
-func (c *Context) LiveStringBytes() int64 { return c.strings.liveBytes.Load() }
-
 func (h *stringHeap) release() {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -34,12 +34,6 @@
 // exhaustion. Gate activity is surfaced through
 // core.Runtime.StatsSnapshot (core.ServeCounters).
 //
-// Multi-tenant isolation: Config.ClassQuotas optionally bounds each
-// client class (the X-Client-Class request header) to its own slot
-// count inside the global gate. A greedy class exhausts its quota and
-// eats 429s while every other class keeps its latency; classless
-// requests see only the global gate.
-//
 // Backpressure statuses (429/503) carry a Retry-After derived from the
 // memory governor's measured reclaim rate (mem.Governor.RetryAfter,
 // clamped to [1s, 30s]), so a client backs off for roughly as long as
@@ -96,24 +90,17 @@ type Config struct {
 	// the typed 429. Default 100ms.
 	AdmitWait time.Duration
 	// DefaultTimeout is the server-side deadline applied when the request
-	// carries no timeout_ms; MaxTimeout caps what a request may ask for.
-	// Defaults 10s / 60s.
-	DefaultTimeout, MaxTimeout time.Duration
+	// carries no timeout_ms (default 10s); maxTimeout caps what a request
+	// may ask for.
+	DefaultTimeout time.Duration
 	// DefaultWorkers is the per-query scan fan-out when the request
-	// carries no workers knob; MaxWorkers caps it. Defaults 1 /
+	// carries no workers knob (default 1); the knob is capped at
 	// GOMAXPROCS.
-	DefaultWorkers, MaxWorkers int
-	// ClassQuotas optionally caps concurrent queries per client class
-	// (the X-Client-Class request header): a request whose class cannot
-	// take one of its quota slots within AdmitWait gets the typed 429
-	// without touching the global gate. Classes not listed here (and
-	// classless requests) see only the global gate.
-	ClassQuotas map[string]int
+	DefaultWorkers int
 }
 
-// classHeader names the request header carrying the client class the
-// per-class admission quotas key on.
-const classHeader = "X-Client-Class"
+// maxTimeout caps the timeout_ms knob.
+const maxTimeout = 60 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
@@ -125,14 +112,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 60 * time.Second
-	}
 	if c.DefaultWorkers <= 0 {
 		c.DefaultWorkers = 1
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -146,15 +127,12 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 	sem chan struct{}
-	// classSem holds one quota semaphore per configured client class.
-	classSem map[string]chan struct{}
 
 	specs []*Spec
 
 	requests, admitted, saturated atomic.Int64
 	canceled, admitWaitNanos      atomic.Int64
 	inFlight                      atomic.Int64
-	classLimited                  atomic.Int64
 }
 
 // New builds a Server over the given runtime and compiled query object,
@@ -172,14 +150,6 @@ func New(rt *core.Runtime, q *tpch.SMCQueries, mt *mem.Maintainer, cfg Config) *
 		mux: http.NewServeMux(),
 	}
 	s.sem = make(chan struct{}, s.cfg.MaxConcurrent)
-	if len(s.cfg.ClassQuotas) > 0 {
-		s.classSem = make(map[string]chan struct{}, len(s.cfg.ClassQuotas))
-		for class, n := range s.cfg.ClassQuotas {
-			if n > 0 {
-				s.classSem[class] = make(chan struct{}, n)
-			}
-		}
-	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/queries", s.handleQueries)
@@ -198,7 +168,6 @@ func (s *Server) ServeCounters() core.ServeCounters {
 		Requests:       s.requests.Load(),
 		Admitted:       s.admitted.Load(),
 		Saturated:      s.saturated.Load(),
-		ClassLimited:   s.classLimited.Load(),
 		Canceled:       s.canceled.Load(),
 		AdmitWaitNanos: s.admitWaitNanos.Load(),
 		InFlight:       s.inFlight.Load(),
@@ -214,30 +183,15 @@ func (s *Server) register(sp *Spec) {
 	})
 }
 
-// admit takes an admission slot, waiting at most cfg.AdmitWait. When
-// the request's class carries a quota, its class slot is taken first —
-// a greedy class saturates its own quota (counted in ClassLimited) and
-// never reaches the global gate, so other classes keep their latency.
-// The returned release func must be called exactly once. A nil release
+// admit takes an admission slot, waiting at most cfg.AdmitWait. The
+// returned release func must be called exactly once. A nil release
 // means the request was not admitted and err tells why (ErrSaturated or
 // the request context's cause).
-func (s *Server) admit(ctx context.Context, class string) (release func(), err error) {
+func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	s.requests.Add(1)
 	start := time.Now()
 	defer func() { s.admitWaitNanos.Add(time.Since(start).Nanoseconds()) }()
-	q := s.classSem[class]
-	if q != nil {
-		if err := s.acquire(ctx, q); err != nil {
-			if errors.Is(err, ErrSaturated) {
-				s.classLimited.Add(1)
-			}
-			return nil, err
-		}
-	}
-	if err := s.acquire(ctx, s.sem); err != nil {
-		if q != nil {
-			<-q // global gate refused: give the class slot back
-		}
+	if err := s.acquire(ctx); err != nil {
 		return nil, err
 	}
 	s.admitted.Add(1)
@@ -245,25 +199,22 @@ func (s *Server) admit(ctx context.Context, class string) (release func(), err e
 	return func() {
 		s.inFlight.Add(-1)
 		<-s.sem
-		if q != nil {
-			<-q
-		}
 	}, nil
 }
 
-// acquire takes one slot from sem within cfg.AdmitWait, or reports
+// acquire takes one slot from the gate within cfg.AdmitWait, or reports
 // ErrSaturated / the context's cause, counting the refusal as saturated
 // or canceled.
-func (s *Server) acquire(ctx context.Context, sem chan struct{}) error {
+func (s *Server) acquire(ctx context.Context) error {
 	select {
-	case sem <- struct{}{}:
+	case s.sem <- struct{}{}:
 		return nil
 	default:
 	}
 	t := time.NewTimer(s.cfg.AdmitWait)
 	defer t.Stop()
 	select {
-	case sem <- struct{}{}:
+	case s.sem <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		s.canceled.Add(1)
@@ -287,14 +238,14 @@ func (s *Server) knobs(r *http.Request) (workers int, timeout time.Duration, err
 		if perr != nil || n < 1 {
 			return 0, 0, fmt.Errorf("bad workers %q", v)
 		}
-		workers = min(n, s.cfg.MaxWorkers)
+		workers = min(n, runtime.GOMAXPROCS(0))
 	}
 	if v := query.Get("timeout_ms"); v != "" {
 		n, perr := strconv.Atoi(v)
 		if perr != nil || n < 1 {
 			return 0, 0, fmt.Errorf("bad timeout_ms %q", v)
 		}
-		timeout = min(time.Duration(n)*time.Millisecond, s.cfg.MaxTimeout)
+		timeout = min(time.Duration(n)*time.Millisecond, maxTimeout)
 	}
 	return workers, timeout, nil
 }
@@ -313,7 +264,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, sp *Spec) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	release, err := s.admit(r.Context(), r.Header.Get(classHeader))
+	release, err := s.admit(r.Context())
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -99,8 +100,23 @@ func TestServeQueriesMatchOracles(t *testing.T) {
 	if code := e.post(t, "/query/q6", `{}`, &q6); code != http.StatusOK {
 		t.Fatalf("q6 status %d", code)
 	}
-	if want := e.q.Q6(e.s, p); q6.Sum != want {
-		t.Errorf("q6 sum = %v, want %v", q6.Sum, want)
+	want6 := e.q.Q6(e.s, p)
+	if q6.Sum != want6 {
+		t.Errorf("q6 sum = %v, want %v", q6.Sum, want6)
+	}
+	// A workers knob above epoch.MaxSessions is capped at GOMAXPROCS, not
+	// honoured: the query answers like the oracle and leases at most the
+	// request session plus one session per capped worker.
+	var q6w serve.SumResponse
+	leased := e.rt.StatsSnapshot().SessionsLeased
+	if code := e.post(t, "/query/q6?workers=4096", `{}`, &q6w); code != http.StatusOK {
+		t.Fatalf("q6 workers=4096 status %d", code)
+	}
+	if q6w.Sum != want6 {
+		t.Errorf("q6 workers=4096 sum = %v, want %v", q6w.Sum, want6)
+	}
+	if n := e.rt.StatsSnapshot().SessionsLeased - leased; n > 1+int64(runtime.GOMAXPROCS(0)) {
+		t.Errorf("q6 workers=4096 leased %d sessions, want at most 1+GOMAXPROCS", n)
 	}
 
 	var q10 serve.RowsResponse[tpch.Q10Row]
@@ -295,86 +311,6 @@ func TestServeSaturationBackpressure(t *testing.T) {
 		t.Error("Saturated counter not surfaced through StatsSnapshot")
 	}
 	<-hold
-}
-
-// postClass is post with an X-Client-Class header, returning the status
-// code and the response headers.
-func (e *testEnv) postClass(t *testing.T, path, class, body string, out any) (int, http.Header) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, e.ts.URL+path, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if class != "" {
-		req.Header.Set("X-Client-Class", class)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("POST %s: decode: %v", path, err)
-		}
-	}
-	return resp.StatusCode, resp.Header
-}
-
-// TestServeClassQuotas pins the multi-tenant isolation gate: a greedy
-// class exhausts its own quota and eats typed 429s while a classless
-// request sails through the global gate, and the refusals surface as
-// ClassLimited in StatsSnapshot.
-func TestServeClassQuotas(t *testing.T) {
-	e := newEnv(t, 0.001, serve.Config{
-		MaxConcurrent: 4,
-		AdmitWait:     20 * time.Millisecond,
-		ClassQuotas:   map[string]int{"batch": 1},
-	})
-
-	// Occupy batch's only quota slot with a long request.
-	hold := make(chan struct{})
-	go func() {
-		defer close(hold)
-		e.postClass(t, "/query/q6window?timeout_ms=2000", "batch", `{"reps":1000000}`, nil)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for e.rt.StatsSnapshot().Serve.InFlight == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("long batch request never took its quota slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Second batch request: refused at the class gate with the typed 429.
-	var env serve.ErrorEnvelope
-	code, hdr := e.postClass(t, "/query/q6", "batch", `{}`, &env)
-	if code != http.StatusTooManyRequests || env.Error.Code != "saturated" {
-		t.Fatalf("greedy class: status %d code %q", code, env.Error.Code)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("class-limited 429 missing Retry-After")
-	}
-
-	// A classless request is isolated from batch's greed: global slots
-	// remain (only 1 of 4 is held), so it runs.
-	if code, _ := e.postClass(t, "/query/q6", "", `{}`, nil); code != http.StatusOK {
-		t.Errorf("classless request under class pressure: status %d", code)
-	}
-	st := e.rt.StatsSnapshot().Serve
-	if st.ClassLimited == 0 {
-		t.Error("ClassLimited not surfaced through StatsSnapshot")
-	}
-	if st.ClassLimited > st.Saturated {
-		t.Errorf("ClassLimited %d not a subset of Saturated %d", st.ClassLimited, st.Saturated)
-	}
-	<-hold
-
-	// With the quota slot free again, batch is served.
-	if code, _ := e.postClass(t, "/query/q6", "batch", `{}`, nil); code != http.StatusOK {
-		t.Errorf("batch after slot freed: status %d", code)
-	}
 }
 
 // TestServeHealthzDegradedButServing pins the pressure-aware /healthz
