@@ -16,8 +16,9 @@
 // reclamation throughput and Q1/Q6 interference over move workers),
 // cluster (clustered vs size-only packing over churn → maintenance
 // cycles, plus cross-edge key-set pruning), govern (the served q6window
-// path under budgets swept down to 0.9x the working set). -workers sets
-// the worker sweep of joins and compact.
+// path under budgets swept down to 0.9x the working set, finest between
+// 1.1x and 0.95x, where the refusal edge lies). -workers sets the worker
+// sweep of joins and compact.
 //
 // A report's first line stamps the scale factor, seed, repetitions,
 // CPU count, GOMAXPROCS and Go version. Performance claims about the

@@ -280,55 +280,36 @@
 //
 // # Memory governance
 //
-// Runtime.SetMemoryBudget had a narrow meaning — a cap on block-heap
-// reservations — while three other consumers grew beside it: parked
-// arenas in the region pools, idle pooled sessions pinning their
-// allocation blocks, and per-block synopses. mem.Governor, the one type
-// that holds the budget and the one registry of arena pools, makes the
-// budget mean one thing process-wide: the governed total is heap +
-// retained arenas + synopses (pinned session bytes are reported, not
-// double counted — they live inside the heap term), and admission
-// (query.NewCtx via Governor.Admit) is charged against that total.
+// Runtime.SetMemoryBudget is one byte budget per runtime, beyond the
+// paper (whose memory manager has none). mem.Governor, the one type
+// that holds the budget and the one registry of arena pools, counts
+// three consumers against it: the block heap, retained arenas in the
+// registered region pools, and per-block synopses (pinned session
+// bytes are reported, not double counted — they live inside the heap
+// term). Admission (query.NewCtx via Governor.Admit) gates on that
+// governed total; a block reservation gates on the heap alone.
 //
-// Pressure is a level, not a flag: healthy below 75% of the limit,
-// tight at 75%, critical at 90%. Under pressure a rebalance pass —
-// piggybacked on the Maintainer's tick and on allocation-side reclaim
-// waits, single-flight, never a dedicated thread — walks a fixed
-// degradation ladder, cheapest reclamation first:
-//
-//  1. Shrink the arena pools' retained footprint (halve the retain
-//     bound when tight, zero it when critical) and TrimTo the parked
-//     arenas under the new bound — idle memory nobody is using.
-//  2. Trim the idle session pool (to a quarter when tight, empty when
-//     critical), closing sessions whose allocation blocks would
-//     otherwise stay pinned against compaction.
-//  3. Wake the Maintainer (only when a pass actually freed something —
-//     trimmed sessions abandon blocks, new compaction candidates), so
-//     compaction-for-reclamation starts without waiting out a poll
-//     tick.
-//  4. Queue admissions: Governor.Admit's bounded wait scales with the
-//     level (1x/2x/4x AdmitWait), buying the ladder time to reclaim
-//     before anyone is refused.
-//  5. Only then fail typed: mem.ErrBudgetExceeded, never an OOM.
-//
-// When pressure clears, the pass restores the base bounds and the
-// pools refill on demand. Every rung is counted (GovernorSnapshot:
-// rebalances, restores, transitions, arena bytes freed, sessions
-// trimmed) and surfaced through StatsSnapshot.Governor and /stats; the
-// reclaim rate feeds an EWMA whose deficit/rate quotient becomes the
-// Retry-After on 429/503 responses, clamped to [1s, 30s]. /healthz
-// stays 200 under pressure — degraded-but-serving, with the level in
-// the body — and 503 only when the Maintainer is down. Serve admission
-// is one global gate of Config.MaxConcurrent slots.
-// fault.PointGovernRebalance and PointGovernPressure let the
-// robustness suites abort rebalance passes and count transitions; the
-// storm test runs 1000 pressure/churn/trim cycles under -race and
+// When either finds the budget exceeded, one reclaim pass runs: wake
+// the Maintainer, try an epoch advance, drain ripe graves, release
+// every idle arena of every registered pool (TrimTo(0)) and close every
+// parked session, abandoning its allocation blocks. Then the caller
+// waits, bounded (100 ms for a block, 250 ms for an admission, less
+// when its context expires first; each wake-up re-runs the pass and
+// re-checks), and is refused with the typed mem.ErrBudgetExceeded,
+// never an OOM. The serve layer answers 503 budget_exceeded with a
+// constant Retry-After of 1 s. /stats carries the per-consumer bytes
+// and what the passes released (GovernorSnapshot); /healthz stays 200
+// {"ok":true} over budget and is 503 only when the Maintainer is down.
+// Serve admission is one global gate of Config.MaxConcurrent slots.
+// The storm test runs 1000 budget/churn/scan cycles under -race and
 // asserts the byte ledgers balance to the block.
 //
-// The `govern` figure of cmd/smcbench sweeps the served q6window path
-// at budgets of unbounded/2x/1.25x/0.9x the measured working set:
-// p50/p99, rejected fraction, and the ladder counters per step — zero
-// OOMs, every refusal a typed 503 with a reclaim-derived Retry-After,
-// and arenas/sessions demonstrably shrink before the first admission
-// fails.
+// The `govern` figure of cmd/smcbench is the evidence that one pass is
+// enough: the served q6window path at budgets from unbounded down to
+// 0.9x the measured working set, finest between 1.1x and 0.95x. A
+// graded remedy (pressure levels, retain bounds lowered and restored, a
+// reclaim-rate Retry-After) put the refusal edge at the same step as
+// the one pass — admitting at 1.0x, refusing from 0.98x at SF 0.02 —
+// with every success matching the serial oracle and every refusal a
+// typed 503.
 package repro

@@ -242,7 +242,8 @@ func TestFigureCluster(t *testing.T) {
 }
 
 // FigureGovern itself fails on an oracle mismatch, an untyped failure or
-// a refusal before any ladder trim; this checks every level ran.
+// a refusal before any reclaim pass freed bytes; this checks every
+// level ran.
 func TestFigureGovern(t *testing.T) {
 	r, err := FigureGovern(tinyOpts())
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -22,15 +21,14 @@ import (
 	"repro/internal/types"
 )
 
-// The governance figure (beyond-paper): graceful degradation under a
-// shrinking memory budget. The served q6window path runs under budgets
-// swept from unbounded down to 0.9x the measured governed working set;
-// at every level the process must keep its invariants — zero OOMs, zero
-// panics, every success byte-identical to the serial oracle, every
-// failure the typed 503 budget_exceeded with a reclaim-rate-derived
-// Retry-After — while the governor's degradation ladder shows up in the
-// counters: arena retention and the session pool shrink before any
-// admission fails, and the pressure level escalates with the deficit.
+// The governance figure (beyond-paper): the served q6window path under
+// a shrinking memory budget, swept from unbounded down to 0.9x the
+// measured governed working set, finest around 1.0x where the reclaim
+// pass decides the refusal edge. At every level the process must keep
+// its invariants — zero OOMs, zero panics, every success byte-identical
+// to the serial oracle, every failure the typed 503 budget_exceeded
+// with Retry-After 1 — and the reclaim pass must have released idle
+// arenas or parked sessions before the first admission is refused.
 
 // GovernPoint is one budget level's measurement.
 type GovernPoint struct {
@@ -49,18 +47,14 @@ type GovernPoint struct {
 	// Latency of successful requests through the full served stack.
 	P50Ms float64
 	P99Ms float64
-	// Governor activity during the level (deltas): ladder passes, arena
-	// bytes trimmed, sessions closed, restores after pressure cleared.
-	Rebalances      int64
+	// Reclaim passes during the level (deltas): idle arena bytes
+	// released and parked sessions closed.
 	ArenaBytesFreed int64
 	SessionsTrimmed int64
-	Restores        int64
-	// Level is the pressure classification when the batch finished.
-	Level string
 }
 
-// GovernResult is the adaptive-governance figure. The pressured levels
-// queue admissions by design: their latencies are backpressure, not
+// GovernResult is the governance figure. The over-budget levels queue
+// admissions by design: their latencies are backpressure, not
 // regressions.
 type GovernResult struct {
 	SF         float64
@@ -70,9 +64,10 @@ type GovernResult struct {
 	Points     []GovernPoint
 }
 
-// governBudgets is the sweep: unbounded, comfortable headroom, just
-// above the working set, and below it (the level that forces the full
-// ladder).
+// governBudgets is the sweep: unbounded, comfortable headroom, then
+// fine steps across the working set, where releasing idle arenas is
+// what still admits (1.0x) and heap plus synopses alone no longer fit
+// (0.98x and below on the reference host).
 var governBudgets = []struct {
 	label string
 	frac  float64 // of the measured working set; 0 = unbounded
@@ -80,15 +75,21 @@ var governBudgets = []struct {
 	{"unbounded", 0},
 	{"2x", 2.0},
 	{"1.25x", 1.25},
+	{"1.1x", 1.1},
+	{"1.05x", 1.05},
+	{"1.02x", 1.02},
+	{"1.0x", 1.0},
+	{"0.98x", 0.98},
+	{"0.95x", 0.95},
 	{"0.9x", 0.9},
 }
 
 // governClients is the fixed concurrent-client count per level.
 const governClients = 16
 
-// FigureGovern measures graceful degradation end to end: serve q6window
-// to concurrent clients while the memory budget steps down across the
-// measured working set.
+// FigureGovern measures the memory budget end to end: serve q6window
+// to concurrent clients while the budget steps down across the measured
+// working set.
 func FigureGovern(o Options) (*GovernResult, error) {
 	o = o.WithDefaults()
 	data := tpch.Generate(o.SF, o.Seed)
@@ -163,8 +164,8 @@ func FigureGovern(o Options) (*GovernResult, error) {
 	}}
 
 	// doOne runs one served request. A 200 must match the serial oracle;
-	// a 503 must be the typed budget rejection with a clamped integer
-	// Retry-After — the only failure the governance contract allows.
+	// a 503 must be the typed budget rejection with Retry-After 1 — the
+	// only failure the governance contract allows.
 	doOne := func(w window) (d time.Duration, rejected bool, err error) {
 		t0 := time.Now()
 		resp, err := client.Post(url, "application/json", bytes.NewReader(w.body))
@@ -193,9 +194,8 @@ func FigureGovern(o Options) (*GovernResult, error) {
 			if env.Error.Code != "budget_exceeded" {
 				return 0, false, fmt.Errorf("503 with code %q, want budget_exceeded", env.Error.Code)
 			}
-			secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-			if err != nil || secs < 1 || secs > 30 {
-				return 0, false, fmt.Errorf("budget 503 Retry-After %q outside the [1, 30] clamp", resp.Header.Get("Retry-After"))
+			if ra := resp.Header.Get("Retry-After"); ra != "1" {
+				return 0, false, fmt.Errorf("budget 503 Retry-After %q, want 1", ra)
 			}
 			return 0, true, nil
 		default:
@@ -205,8 +205,8 @@ func FigureGovern(o Options) (*GovernResult, error) {
 
 	// Warm the path, then park arena slack: Q3's hash join leases arenas
 	// and returns them to the registered pool, so the working set the
-	// budgets derive from includes real arena retention for the ladder to
-	// trim.
+	// budgets derive from includes real arena retention for the reclaim
+	// pass to release.
 	for _, w := range windows {
 		if _, _, err := doOne(w); err != nil {
 			return nil, fmt.Errorf("warmup: %w", err)
@@ -236,13 +236,8 @@ func FigureGovern(o Options) (*GovernResult, error) {
 		if lvl.frac > 0 {
 			budget = int64(lvl.frac * float64(ws))
 		}
-		// Snapshot before the budget lands so the level's deltas include
-		// the trims the maintainer runs the moment pressure appears.
 		before := rt.StatsSnapshot().Governor
 		rt.SetMemoryBudget(budget)
-		// Let the maintainer reclassify (and, stepping back up, restore
-		// bounds) before the batch.
-		time.Sleep(30 * time.Millisecond)
 
 		total := governClients * perClient
 		lats := make([]time.Duration, 0, total)
@@ -293,20 +288,17 @@ func FigureGovern(o Options) (*GovernResult, error) {
 			Requests:        total,
 			Rejected:        rejected,
 			RejectedFrac:    float64(rejected) / float64(total),
-			Rebalances:      after.Rebalances - before.Rebalances,
 			ArenaBytesFreed: after.ArenaBytesFreed - before.ArenaBytesFreed,
 			SessionsTrimmed: after.SessionsTrimmed - before.SessionsTrimmed,
-			Restores:        after.Restores - before.Restores,
-			Level:           after.Level,
 		}
 		if len(lats) > 0 {
 			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 			pt.P50Ms = msF(lats[len(lats)/2])
 			pt.P99Ms = msF(lats[(len(lats)*99+99)/100-1])
 		}
-		// Shrink-before-fail: by the time any admission failed, the
-		// ladder must already have given bytes back (this or an earlier
-		// level — the sweep tightens monotonically).
+		// Freed before refused: by the time any admission failed, a
+		// reclaim pass must already have given bytes back (this or an
+		// earlier level — the sweep tightens monotonically).
 		if rejected > 0 && after.ArenaBytesFreed == 0 && after.SessionsTrimmed == 0 {
 			return nil, fmt.Errorf("budget %s: %d admissions failed before any arena/session trim", lvl.label, rejected)
 		}
@@ -319,12 +311,12 @@ func FigureGovern(o Options) (*GovernResult, error) {
 // Render emits the budget-sweep table.
 func (r *GovernResult) Render() *Table {
 	t := &Table{
-		Title: fmt.Sprintf("Adaptive memory governance — SF=%v, %d CPUs (served q6window under shrinking budgets, working set %d bytes)",
+		Title: fmt.Sprintf("Memory budget — SF=%v, %d CPUs (served q6window under shrinking budgets, working set %d bytes)",
 			r.SF, r.CPUs, r.WorkingSet),
-		Columns: []string{"budget", "bytes", "requests", "rejected", "p50 ms", "p99 ms", "arena freed", "sessions trimmed", "rebalances", "level"},
+		Columns: []string{"budget", "bytes", "requests", "rejected", "p50 ms", "p99 ms", "arena freed", "sessions trimmed"},
 		Notes: []string{
-			"every success asserted identical to the serial oracle; every failure a typed 503 budget_exceeded with clamped Retry-After",
-			"arena retention and the session pool shrink before any admission fails (the degradation ladder)",
+			"every success asserted identical to the serial oracle; every failure a typed 503 budget_exceeded with Retry-After 1",
+			"a reclaim pass releases idle arenas and parked sessions before any admission is refused",
 		},
 	}
 	for _, pt := range r.Points {
@@ -337,8 +329,6 @@ func (r *GovernResult) Render() *Table {
 			fmtMs(pt.P99Ms),
 			fmt.Sprintf("%d", pt.ArenaBytesFreed),
 			fmt.Sprintf("%d", pt.SessionsTrimmed),
-			fmt.Sprintf("%d", pt.Rebalances),
-			pt.Level,
 		})
 	}
 	return t

@@ -69,11 +69,12 @@ type Options struct {
 	// (synopsis-clustered compaction; pair with
 	// Collection.RegisterClusterKey).
 	CompactionPacking mem.PackingMode
-	// MemoryBudget caps the off-heap bytes the runtime's block heap may
-	// hold (0 = unlimited). Allocations over the cap first wake the
-	// maintainer to reclaim, then backpressure briefly, then fail with
-	// mem.ErrBudgetExceeded; query admission (query.NewCtx) waits under
-	// the same budget.
+	// MemoryBudget caps the runtime's governed bytes (0 = unlimited):
+	// block reservations are held to it by heap bytes, query admission
+	// (query.NewCtx) by the governed total of heap, idle arenas and
+	// synopses. Over the cap, one reclaim pass runs (Maintainer wake,
+	// graveyard drain, idle arenas and parked sessions released), then a
+	// bounded wait, then mem.ErrBudgetExceeded.
 	MemoryBudget int64
 	// HeapBackend forces the portable off-heap backend (tests).
 	HeapBackend bool

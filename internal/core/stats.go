@@ -83,9 +83,9 @@ type RuntimeStats struct {
 	// when a benchmark-archetype PR retires the mem.share_* metrics.
 	SharedPasses, AttachedQueries int64
 	CatchUpBlocks                 int64
-	// Governor is the adaptive memory-governance section: per-consumer
-	// byte accounting against the one budget, the pressure level, and
-	// the degradation-ladder counters (mem.Governor).
+	// Governor is the memory-budget section: per-consumer byte
+	// accounting against the one budget and what its reclaim passes
+	// gave back (mem.Governor).
 	Governor mem.GovernorSnapshot
 	// Serve is the registered front door's admission activity (zero when
 	// no server is registered).
@@ -117,8 +117,8 @@ func (s *RuntimeStats) ArenaRetainedBytes() int64 {
 // registry of arena pools. Query objects register the pools they lease
 // intermediates from at construction. A registered pool's metrics
 // appear in StatsSnapshot, its retained footprint counts against the
-// governed total, and its retention is the first thing the degradation
-// ladder trims under pressure.
+// governed total, and its idle arenas are released whenever a query
+// admission or block reservation finds the budget exceeded.
 func (rt *Runtime) RegisterArenaPool(name string, p mem.GovernedPool) {
 	rt.mgr.Governor().RegisterPool(name, p)
 }

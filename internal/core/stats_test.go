@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/region"
@@ -111,47 +112,47 @@ func TestRuntimeStatsCountersMove(t *testing.T) {
 }
 
 // TestRuntimeGovernsRegisteredArenaPool drives a real region.ArenaPool
-// through RegisterArenaPool into the governor's ladder: a Critical
-// rebalance trims its parked arenas (visible in the pool, in
-// RuntimeStats.ArenaPools and in the governor's freed counter), and
-// lifting the budget restores its registered retain bound.
+// through RegisterArenaPool into the governor: an admission over the
+// budget empties its parked arenas (visible in the pool, in
+// RuntimeStats.ArenaPools and in the governor's freed counter) and is
+// then admitted, and the pool refills on demand afterwards.
 func TestRuntimeGovernsRegisteredArenaPool(t *testing.T) {
 	rt := MustRuntime(Options{BlockSize: 1 << 13, HeapBackend: true})
 	defer rt.Close()
 	pool := region.NewArenaPool(nil, 0, 0)
 	defer pool.Close()
-	base := pool.RetainBound()
 	rt.RegisterArenaPool("governed", pool)
 
-	for _, a := range []*region.Arena{pool.Lease(), pool.Lease()} {
-		region.NewSlice[int64](a, 1024)
-		pool.Return(a)
+	park := func() {
+		for _, a := range []*region.Arena{pool.Lease(), pool.Lease()} {
+			region.NewSlice[int64](a, 1024)
+			pool.Return(a)
+		}
 	}
+	park()
 	if pool.RetainedBytes() == 0 {
 		t.Fatal("no arena parked in the pool")
 	}
 
 	g := rt.Manager().Governor()
-	rt.SetMemoryBudget(1)
-	if err := g.Rebalance(); err != nil {
-		t.Fatal(err)
+	rt.SetMemoryBudget(g.GovernedUsed()) // over by exactly the parked arenas
+	if err := g.Admit(context.Background()); err != nil {
+		t.Fatalf("admission over idle arenas only: %v", err)
 	}
 	if n := pool.RetainedBytes(); n != 0 {
-		t.Errorf("pool retains %d bytes after a Critical rebalance, want 0", n)
+		t.Errorf("pool retains %d bytes after an over-budget admission, want 0", n)
 	}
 	st := rt.StatsSnapshot()
 	if n := st.ArenaPools[0].RetainedBytes; n != 0 {
-		t.Errorf("ArenaPools[0].RetainedBytes = %d after a Critical rebalance, want 0", n)
+		t.Errorf("ArenaPools[0].RetainedBytes = %d after an over-budget admission, want 0", n)
 	}
 	if st.Governor.ArenaBytesFreed <= 0 {
 		t.Errorf("Governor.ArenaBytesFreed = %d, want > 0", st.Governor.ArenaBytesFreed)
 	}
 
 	rt.SetMemoryBudget(0)
-	if err := g.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.RetainBound(); got != base {
-		t.Errorf("retain bound after the budget was lifted = %d, want registered base %d", got, base)
+	park()
+	if pool.RetainedBytes() == 0 {
+		t.Error("pool did not refill after the budget was lifted")
 	}
 }

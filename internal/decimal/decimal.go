@@ -337,8 +337,8 @@ func fromBig(b *big.Int) (Dec128, error) {
 	return d, nil
 }
 
-// Units returns the value in 1e-4 units if it fits in an int64.
-func (d Dec128) Units() (int64, bool) {
+// units returns the value in 1e-4 units if it fits in an int64.
+func (d Dec128) units() (int64, bool) {
 	if d.Hi == 0 && d.Lo>>63 == 0 {
 		return int64(d.Lo), true
 	}

@@ -31,14 +31,14 @@ func TestUnitsBoundaries(t *testing.T) {
 		{MustParse("99999999999999999999.0000"), 0, false}, // > int64 units
 	}
 	for _, c := range cases {
-		v, ok := c.d.Units()
+		v, ok := c.d.units()
 		if ok != c.ok || (ok && v != c.v) {
-			t.Errorf("Units(%v) = (%d,%v), want (%d,%v)", c.d, v, ok, c.v, c.ok)
+			t.Errorf("units(%v) = (%d,%v), want (%d,%v)", c.d, v, ok, c.v, c.ok)
 		}
 	}
 	// Negative overflow side.
 	neg := MustParse("-99999999999999999999.0000")
-	if _, ok := neg.Units(); ok {
+	if _, ok := neg.units(); ok {
 		t.Error("huge negative reported as fitting int64 units")
 	}
 }

@@ -249,9 +249,6 @@ func (m *Manager) ReleaseGate(owner *Session) {
 	}
 }
 
-// GateHeld reports whether a compaction owns the advance gate.
-func (m *Manager) GateHeld() bool { return m.gate.Load() != 0 }
-
 // InCriticalSessions counts the registered sessions currently inside a
 // critical section (epoch pins). The robustness suites use it to assert
 // that canceled and panicked queries exited every critical section; a
@@ -278,8 +275,8 @@ func (m *Manager) AllAtLeast(e uint64, except *Session) bool {
 	return m.canAdvanceFrom(e, id)
 }
 
-// Reclaimable reports whether memory freed in freedEpoch can be reclaimed
+// reclaimable reports whether memory freed in freedEpoch can be reclaimed
 // now: two epochs must have fully passed (paper §3.4).
-func Reclaimable(freedEpoch, global uint64) bool {
+func reclaimable(freedEpoch, global uint64) bool {
 	return global >= freedEpoch+2
 }

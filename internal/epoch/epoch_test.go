@@ -163,9 +163,6 @@ func TestGate(t *testing.T) {
 	}
 	owner.Exit()
 	m.ReleaseGate(owner)
-	if m.GateHeld() {
-		t.Fatal("gate should be open")
-	}
 	if _, ok := m.TryAdvance(); !ok {
 		t.Fatal("TryAdvance should work after release")
 	}
@@ -185,13 +182,13 @@ func TestReleaseGateByNonOwnerPanics(t *testing.T) {
 }
 
 func TestReclaimable(t *testing.T) {
-	if Reclaimable(5, 6) {
+	if reclaimable(5, 6) {
 		t.Fatal("e+1 must not be reclaimable")
 	}
-	if !Reclaimable(5, 7) {
+	if !reclaimable(5, 7) {
 		t.Fatal("e+2 must be reclaimable")
 	}
-	if !Reclaimable(0, 2) {
+	if !reclaimable(0, 2) {
 		t.Fatal("0+2 must be reclaimable")
 	}
 }

@@ -156,12 +156,4 @@ const (
 	PointCompactGroup = "mem.compact.group"
 	// PointMaintainerPass hits at the top of every maintainer pass.
 	PointMaintainerPass = "mem.maintainer.pass"
-	// PointGovernRebalance hits at the top of every governor rebalance
-	// pass; an Err rule aborts the pass (counted, retried on the next
-	// pressure signal) without touching any consumer.
-	PointGovernRebalance = "mem.govern.rebalance"
-	// PointGovernPressure hits on every observed pressure-level
-	// transition (Healthy/Tight/Critical), after the new level is
-	// published.
-	PointGovernPressure = "mem.govern.pressure"
 )

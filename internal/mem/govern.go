@@ -6,46 +6,31 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/fault"
 )
 
-// Memory governance: admission control, backpressure and adaptive
-// rebalancing under one byte budget per Manager. The heap used to grow
-// until the OS killed the process; the Governor turns memory into a
-// governed resource — degrade, then refuse, never OOM.
+// Memory governance: one byte budget per Manager, charged for query
+// admission and block reservation. It is beyond the paper, whose memory
+// manager has no budget; the heap used to grow until the OS killed the
+// process, and the budget turns that into a typed refusal.
 //
-// The process has four memory consumers — the block heap, every
-// registered arena pool's retained idle set, the parked worker-session
-// pool (whose sessions pin allocation blocks against compaction), and
-// the per-block synopses. A static split between them loses as soon as
-// the workload shifts, so the Governor accounts all four against the one
-// limit and, under rising pressure, walks a degradation ladder that
-// gives bytes back before any admission fails:
+// The budget counts three consumers: the block heap, every registered
+// arena pool's retained idle set, and the per-block synopses (their sum
+// is GovernedUsed). Admission gates on that total; block reservation
+// gates on the heap alone. A fourth consumer, the parked worker-session
+// pool, is reported but not added: its pinned allocation blocks are
+// already charged to the heap, and counting them twice would make
+// pressure out of nothing.
 //
-//  1. Shrink arena-pool retention: every registered pool's retain bound
-//     is lowered (half at Tight, zero at Critical) and already-parked
-//     arenas are trimmed immediately.
-//  2. Trim the idle session pool: parked sessions are closed, which
-//     abandons their allocation blocks — turning pinned slack into
-//     compaction candidates.
-//  3. Wake the Maintainer for a compaction-for-reclamation pass.
-//  4. Queue admissions (Governor.Admit) and block allocations with
-//     bounded waits; the admission bound is pressure-derived.
-//  5. Only when all of that cannot bring the governed total under the
-//     limit does an admission or allocation fail with the typed
-//     ErrBudgetExceeded.
-//
-// When pressure clears the ladder unwinds: bounds are restored to their
-// registered bases and the pools refill on demand. Every transition is
-// observable — the pressure level (Healthy/Tight/Critical) and the
-// per-consumer byte accounting surface through Snapshot into
-// core.RuntimeStats, and the serve layer derives Retry-After from the
-// governor's measured reclaim rate.
-//
-// The session pool's pinned bytes are reported but not added to the
-// governed total: its allocation blocks are already charged to the
-// block-heap ledger, and double counting would manufacture pressure.
+// When a reservation or an admission finds the budget exceeded, one
+// reclaim pass runs: wake the Maintainer, try an epoch advance, drain
+// ripe graves, release every idle arena of every registered pool and
+// close every parked session, abandoning its allocation blocks. Then
+// the caller waits, bounded, for bytes to come back (each wake-up
+// re-runs the pass and re-checks), and only after that fails with the
+// typed ErrBudgetExceeded. The serve layer maps that error to a 503
+// with a constant Retry-After. The pass is the whole remedy: on the
+// served budget sweep (smcbench -fig govern) graded pressure levels put
+// the refusal edge at the same step.
 
 // ErrBudgetExceeded is returned when an allocation or query admission
 // cannot proceed within the manager's memory budget and reclamation
@@ -53,72 +38,24 @@ import (
 // answer for this attempt — callers may retry after load drops.
 var ErrBudgetExceeded = errors.New("mem: memory budget exceeded")
 
-// PressureLevel classifies how close the governed total is to the
-// limit: Healthy below governTightFrac, Tight from there, Critical from
-// governCriticalFrac. An unlimited budget is always Healthy.
-type PressureLevel int32
-
-// Pressure levels, in escalation order.
 const (
-	Healthy PressureLevel = iota
-	Tight
-	Critical
-)
-
-// String names the level for /stats and test labels.
-func (l PressureLevel) String() string {
-	switch l {
-	case Healthy:
-		return "healthy"
-	case Tight:
-		return "tight"
-	case Critical:
-		return "critical"
-	}
-	return "unknown"
-}
-
-const (
-	// governTightFrac / governCriticalFrac are the governed-total
-	// fractions of the limit at which pressure escalates.
-	governTightFrac    = 0.75
-	governCriticalFrac = 0.90
-
-	// governTightSessions is how many parked sessions survive a Tight
-	// trim (Critical drains the pool entirely).
-	governTightSessions = maxPooledSessions / 4
-
-	// Retry-After clamps: the deficit/reclaim-rate estimate is advisory,
-	// so it must never tell a client "now" while over budget nor banish
-	// it for minutes.
-	minRetryAfter = 1 * time.Second
-	maxRetryAfter = 30 * time.Second
-
-	// governRateSample is the minimum interval between reclaim-rate
-	// samples folded into the EWMA.
-	governRateSample = 50 * time.Millisecond
-
 	// budgetAllocWait bounds how long one block allocation backpressures
 	// before returning ErrBudgetExceeded. Reclamation that can help (the
 	// maintainer pass plus graveyard ripening) completes well inside this
 	// on any healthy heap.
 	budgetAllocWait = 100 * time.Millisecond
 
-	// budgetAdmitWait bounds how long Admit backpressures while Healthy
-	// when the caller's context carries no deadline of its own.
+	// budgetAdmitWait bounds how long Admit backpressures when the
+	// caller's context carries no earlier deadline of its own.
 	budgetAdmitWait = 250 * time.Millisecond
 )
 
 // GovernedPool is the surface an arena pool exposes to the governor:
-// retain-bound control for the ladder and lease metrics for
+// its idle footprint and release for the budget, lease metrics for
 // core.RuntimeStats. region.ArenaPool implements it.
 type GovernedPool interface {
 	// RetainedBytes reports the idle footprint currently parked.
 	RetainedBytes() int64
-	// RetainBound reports the current retained-footprint bound.
-	RetainBound() int64
-	// SetRetainBound replaces the bound (gates future returns).
-	SetRetainBound(int64)
 	// TrimTo releases parked arenas down to target bytes, returning the
 	// bytes freed.
 	TrimTo(target int64) int64
@@ -128,19 +65,16 @@ type GovernedPool interface {
 	Returns() int64
 }
 
-// governedPool is one registered pool plus the base bound restored when
-// pressure clears.
+// governedPool is one registered pool and the name /stats reports.
 type governedPool struct {
 	name string
 	pool GovernedPool
-	base int64
 }
 
-// Governor is a Manager's memory budget and its adaptive control loop;
-// see the package-level comment above. Always non-nil (Manager.Governor).
-// The zero limit means "unlimited": accounting still runs (Used stays
-// accurate) but nothing waits or fails, and the ladder stays idle. All
-// methods are safe for concurrent use.
+// Governor is a Manager's memory budget; see the package-level comment
+// above. Always non-nil (Manager.Governor). The zero limit means
+// "unlimited": accounting still runs (Used stays accurate) but nothing
+// waits, fails or is reclaimed. All methods are safe for concurrent use.
 type Governor struct {
 	m *Manager
 
@@ -156,18 +90,6 @@ type Governor struct {
 	poolMu sync.Mutex
 	pools  []governedPool
 
-	level    atomic.Int32 // PressureLevel last published
-	degraded atomic.Bool  // ladder engaged; bounds below base
-	inflight atomic.Bool  // single-flight rebalance gate
-
-	// Reclaim-rate estimator: lifetime bytes given back (block releases
-	// plus governor arena trims), sampled into an EWMA of bytes/second.
-	released   atomic.Int64
-	rateMu     sync.Mutex
-	rateNanos  int64
-	rateBase   int64
-	rateBytesS float64
-
 	// Admission and backpressure counters.
 	admitted     atomic.Int64 // query admissions allowed
 	rejected     atomic.Int64 // query admissions refused (budget, not ctx)
@@ -175,13 +97,9 @@ type Governor struct {
 	allocRejects atomic.Int64 // block allocations refused
 	waitNanos    atomic.Int64 // cumulative reclamation-wait time
 
-	// Ladder counters.
-	rebalances     atomic.Int64
-	rebalanceFails atomic.Int64
-	restores       atomic.Int64
-	transitions    atomic.Int64
-	arenaFreed     atomic.Int64
-	sessTrimmed    atomic.Int64
+	// What the reclaim passes gave back.
+	arenaFreed  atomic.Int64
+	sessTrimmed atomic.Int64
 }
 
 func newGovernor(m *Manager, limit int64) *Governor {
@@ -209,13 +127,12 @@ func (g *Governor) Limit() int64 { return g.limit.Load() }
 // Used returns the block bytes currently reserved against the budget.
 func (g *Governor) Used() int64 { return g.used.Load() }
 
-// RegisterPool adds an arena pool to the governed set, recording its
-// current retain bound as the base restored when pressure clears.
-// Registration is append-only: pools live as long as their query
-// objects, which live as long as the runtime in practice.
+// RegisterPool adds an arena pool to the governed set. Registration is
+// append-only: pools live as long as their query objects, which live as
+// long as the runtime in practice.
 func (g *Governor) RegisterPool(name string, p GovernedPool) {
 	g.poolMu.Lock()
-	g.pools = append(g.pools, governedPool{name: name, pool: p, base: p.RetainBound()})
+	g.pools = append(g.pools, governedPool{name: name, pool: p})
 	g.poolMu.Unlock()
 }
 
@@ -278,10 +195,9 @@ func (g *Governor) GovernedUsed() int64 {
 }
 
 // overGoverned reports whether the governed total has reached the
-// limit. Admission gates on this wider total so that shrinking retained
-// pools genuinely relieves admission pressure: a budget sized below
-// heap+slack rebalances the slack away instead of rejecting queries
-// forever.
+// limit. Admission gates on this wider total so that releasing idle
+// arenas genuinely relieves admission pressure: a budget sized below
+// heap+slack reclaims the slack instead of rejecting queries forever.
 func (g *Governor) overGoverned() bool {
 	l := g.limit.Load()
 	return l > 0 && (g.used.Load() >= l || g.GovernedUsed() >= l)
@@ -329,32 +245,42 @@ func (g *Governor) tryReserve(n int64) bool {
 // the budget against its own remedy.
 func (g *Governor) forceReserve(n int64) { g.used.Add(n) }
 
-// release returns n bytes to the budget, feeds the reclaim-rate
-// estimator, and wakes waiters.
+// release returns n bytes to the budget and wakes waiters.
 func (g *Governor) release(n int64) {
 	g.used.Add(-n)
-	g.released.Add(n)
 	if g.limit.Load() > 0 {
 		g.broadcast()
 	}
 }
 
-// reclaim nudges every reclamation path that can run off the allocator's
-// foot: wake the Maintainer for a compaction-for-reclamation pass, try a
-// lazy epoch advance, drain ripe graves now, and run the rebalance
-// ladder (arena-retention and session-pool trims) — so the cheaper
-// consumers shrink before any admission fails.
+// reclaim is the one remedy for an exceeded budget. It nudges every
+// reclamation path that can run off the allocator's foot (a Maintainer
+// pass for compaction, a lazy epoch advance, the ripe graves), then
+// releases what nobody is using: every registered pool's idle arenas
+// and every parked session. A closed session abandons its allocation
+// blocks; one holding live objects under the compaction threshold
+// becomes a compaction candidate. A pool refills on demand once queries
+// return arenas.
 func (g *Governor) reclaim() {
 	g.m.signalAllocPressure()
 	g.m.TryAdvanceEpoch()
 	g.m.drainGraveyard()
-	_ = g.Rebalance()
+	var freed int64
+	for _, gp := range g.snapshotPools() {
+		freed += gp.pool.TrimTo(0)
+	}
+	g.sessTrimmed.Add(int64(g.m.trimSessionPool()))
+	if freed > 0 {
+		g.arenaFreed.Add(freed)
+		// The governed total just dropped without a block release;
+		// admission waiters must re-check against the new total.
+		g.broadcast()
+	}
 }
 
-// reserveBlock reserves one block's bytes for allocation, applying the
-// pressure protocol on failure: trigger reclamation, then backpressure
-// (bounded) for released bytes, and only then fail with
-// ErrBudgetExceeded.
+// reserveBlock reserves one block's bytes for allocation. On failure it
+// reclaims, backpressures (bounded by budgetAllocWait) for released
+// bytes, and only then fails with ErrBudgetExceeded.
 func (g *Governor) reserveBlock(n int64) error {
 	if g.tryReserve(n) {
 		return nil
@@ -382,17 +308,16 @@ func (g *Governor) reserveBlock(n int64) error {
 
 // Admit gates one new query admission on the governed byte total (heap
 // plus arena retention plus synopses — see overGoverned): free when
-// under the limit, otherwise it triggers reclamation (including the
-// rebalance ladder) and blocks — at most AdmitWait, or less when the
-// context expires first — until the governed total drops under the
-// limit. It returns ctx's error when the caller gave up first and
-// ErrBudgetExceeded when the bounded wait elapsed, so an over-budget
-// admission fails typed and promptly even under a long request deadline
-// (the serve layer maps it to a retryable 503 with a reclaim-rate-derived
-// Retry-After rather than queueing the request for its whole timeout);
+// under the limit, otherwise it reclaims and blocks — at most
+// budgetAdmitWait, or less when the context expires first — until the
+// governed total drops under the limit. It returns ctx's error when the
+// caller gave up first and ErrBudgetExceeded when the bounded wait
+// elapsed, so an over-budget admission fails typed and promptly even
+// under a long request deadline (the serve layer maps it to a retryable
+// 503 rather than queueing the request for its whole timeout);
 // admission holds no resource, so there is nothing to release. The
-// reclaim inside the wait loop runs before the bound can expire, so the
-// ladder's trims always precede a typed admission failure.
+// reclaim pass runs before the bound can expire, so idle arenas and
+// parked sessions are always released before a typed refusal.
 func (g *Governor) Admit(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -406,7 +331,7 @@ func (g *Governor) Admit(ctx context.Context) error {
 	}
 	start := time.Now()
 	defer func() { g.waitNanos.Add(time.Since(start).Nanoseconds()) }()
-	t := time.NewTimer(g.AdmitWait())
+	t := time.NewTimer(budgetAdmitWait)
 	defer t.Stop()
 	for {
 		ch := g.waitChan()
@@ -425,20 +350,6 @@ func (g *Governor) Admit(ctx context.Context) error {
 			return ErrBudgetExceeded
 		}
 	}
-}
-
-// AdmitWait is the pressure-derived bound on how long one admission may
-// queue before failing typed: the flat default while Healthy, stretched
-// under pressure so admissions queue through a reclamation cycle instead
-// of failing into a retry storm.
-func (g *Governor) AdmitWait() time.Duration {
-	switch PressureLevel(g.level.Load()) {
-	case Critical:
-		return 4 * budgetAdmitWait
-	case Tight:
-		return 2 * budgetAdmitWait
-	}
-	return budgetAdmitWait
 }
 
 // GovernorCounters is a point-in-time view of the budget's admission
@@ -463,168 +374,9 @@ func (g *Governor) Counters() GovernorCounters {
 	}
 }
 
-// computeLevel classifies the current governed total.
-func (g *Governor) computeLevel() PressureLevel {
-	l := g.Limit()
-	if l <= 0 {
-		return Healthy
-	}
-	u := float64(g.GovernedUsed())
-	switch {
-	case u >= governCriticalFrac*float64(l):
-		return Critical
-	case u >= governTightFrac*float64(l):
-		return Tight
-	}
-	return Healthy
-}
-
-// refreshLevel recomputes and publishes the pressure level, counting
-// transitions and firing the injection point on each.
-func (g *Governor) refreshLevel() PressureLevel {
-	lvl := g.computeLevel()
-	if old := PressureLevel(g.level.Swap(int32(lvl))); old != lvl {
-		g.transitions.Add(1)
-		fault.Point(fault.PointGovernPressure)
-	}
-	return lvl
-}
-
-// Level recomputes and returns the current pressure level.
-func (g *Governor) Level() PressureLevel { return g.refreshLevel() }
-
-// reclaimRate returns the EWMA bytes/second the system has been giving
-// back, folding in a fresh sample when enough time has passed.
-func (g *Governor) reclaimRate() float64 {
-	now := time.Now().UnixNano()
-	total := g.released.Load()
-	g.rateMu.Lock()
-	defer g.rateMu.Unlock()
-	if g.rateNanos == 0 {
-		g.rateNanos, g.rateBase = now, total
-		return g.rateBytesS
-	}
-	if dt := now - g.rateNanos; dt >= int64(governRateSample) {
-		inst := float64(total-g.rateBase) / (float64(dt) / float64(time.Second))
-		g.rateBytesS = 0.5*g.rateBytesS + 0.5*inst
-		g.rateNanos, g.rateBase = now, total
-	}
-	return g.rateBytesS
-}
-
-// RetryAfter derives a client backoff from the governed deficit and the
-// measured reclaim rate, clamped to [minRetryAfter, maxRetryAfter]: a
-// deficit the system is draining fast earns a short retry, a stalled
-// reclaim path earns the max.
-func (g *Governor) RetryAfter() time.Duration {
-	l := g.Limit()
-	if l <= 0 {
-		return minRetryAfter
-	}
-	deficit := g.GovernedUsed() - l
-	if deficit <= 0 {
-		return minRetryAfter
-	}
-	rate := g.reclaimRate()
-	if rate <= 0 {
-		return maxRetryAfter
-	}
-	d := time.Duration(float64(deficit) / rate * float64(time.Second))
-	return min(max(d, minRetryAfter), maxRetryAfter)
-}
-
-// Rebalance runs one ladder pass: reclassify pressure, shrink or
-// restore the governed consumers accordingly, and wake the Maintainer.
-// Single-flight (concurrent callers return immediately) and cheap when
-// Healthy and not degraded, so the reclaim path can call it on every
-// pressure event. The fault.PointGovernRebalance Err rule aborts the
-// pass before it touches any consumer — counted, retried on the next
-// pressure signal, never inconsistent.
-func (g *Governor) Rebalance() error {
-	if !g.inflight.CompareAndSwap(false, true) {
-		return nil
-	}
-	defer g.inflight.Store(false)
-	if err := fault.Check(fault.PointGovernRebalance); err != nil {
-		g.rebalanceFails.Add(1)
-		return err
-	}
-	lvl := g.refreshLevel()
-	g.rebalances.Add(1)
-	var freed int64
-	var trimmed int
-	switch lvl {
-	case Healthy:
-		if g.degraded.CompareAndSwap(true, false) {
-			for _, gp := range g.snapshotPools() {
-				gp.pool.SetRetainBound(gp.base)
-			}
-			g.restores.Add(1)
-		}
-		return nil
-	case Tight:
-		freed = g.shrinkPools(2)
-		trimmed = g.m.TrimSessionPool(governTightSessions)
-	case Critical:
-		freed = g.shrinkPools(0)
-		trimmed = g.m.TrimSessionPool(0)
-	}
-	g.sessTrimmed.Add(int64(trimmed))
-	g.degraded.Store(true)
-	// Wake the Maintainer only when this pass actually gave something
-	// back (trimmed sessions abandon blocks — new compaction candidates).
-	// An unconditional wake here would self-perpetuate: the woken
-	// maintainer's tick rebalances, which would wake it again, spinning
-	// the maintenance loop for as long as pressure lasts.
-	if freed > 0 || trimmed > 0 {
-		g.m.signalAllocPressure()
-	}
-	if freed > 0 {
-		g.arenaFreed.Add(freed)
-		g.released.Add(freed)
-		// The governed total just dropped without a block release;
-		// admission waiters must re-check against the new total.
-		g.broadcast()
-	}
-	return nil
-}
-
-// shrinkPools lowers every pool's retain bound to base/div (0 for
-// div==0) and trims parked arenas down to it, returning bytes freed.
-func (g *Governor) shrinkPools(div int64) int64 {
-	var freed int64
-	for _, gp := range g.snapshotPools() {
-		target := int64(0)
-		if div > 0 {
-			target = gp.base / div
-		}
-		gp.pool.SetRetainBound(target)
-		freed += gp.pool.TrimTo(target)
-	}
-	return freed
-}
-
-// tick is the Maintainer's periodic governance hook: reclassify, keep
-// the ladder engaged while pressure lasts, and unwind it (restore pool
-// bounds) once pressure clears — including after the limit itself was
-// raised or removed.
-func (g *Governor) tick() {
-	if g.Limit() <= 0 {
-		if g.degraded.Load() {
-			_ = g.Rebalance()
-		}
-		return
-	}
-	if g.refreshLevel() != Healthy || g.degraded.Load() {
-		_ = g.Rebalance()
-	}
-}
-
 // GovernorSnapshot is a point-in-time view of the governed accounting,
 // surfaced through core.RuntimeStats (the /stats Governor section).
 type GovernorSnapshot struct {
-	// Level is the pressure level ("healthy", "tight", "critical").
-	Level string
 	// Limit is the byte budget (0 = unlimited); GovernedUsed the total
 	// held against it, split into the per-consumer terms below.
 	Limit, GovernedUsed int64
@@ -637,26 +389,18 @@ type GovernorSnapshot struct {
 	// against compaction (reported, not double counted — those bytes are
 	// inside HeapUsed).
 	PooledSessions, SessionPinnedBytes int64
-	// Ladder activity: rebalance passes run, passes aborted by fault
-	// injection, restores after pressure cleared, observed level
-	// transitions, arena bytes trimmed, and sessions closed by trims.
-	Rebalances, RebalanceFails, Restores int64
-	Transitions                          int64
-	ArenaBytesFreed, SessionsTrimmed     int64
-	// ReclaimBytesPerSec is the measured reclaim-rate EWMA behind
-	// Retry-After.
-	ReclaimBytesPerSec float64
+	// What the reclaim passes gave back: arena bytes released and parked
+	// sessions closed.
+	ArenaBytesFreed, SessionsTrimmed int64
 }
 
-// Snapshot captures the governor's accounting and counters, refreshing
-// the pressure level as a side effect.
+// Snapshot captures the governor's accounting and counters.
 func (g *Governor) Snapshot() GovernorSnapshot {
 	heap := g.Used()
 	arena := g.ArenaRetained()
 	syn := g.m.synopsisFootprint()
 	sessions, pinned := g.m.sessionPoolFootprint()
 	return GovernorSnapshot{
-		Level:              g.refreshLevel().String(),
 		Limit:              g.Limit(),
 		GovernedUsed:       heap + arena + syn,
 		HeapUsed:           heap,
@@ -664,12 +408,7 @@ func (g *Governor) Snapshot() GovernorSnapshot {
 		SynopsisBytes:      syn,
 		PooledSessions:     int64(sessions),
 		SessionPinnedBytes: pinned,
-		Rebalances:         g.rebalances.Load(),
-		RebalanceFails:     g.rebalanceFails.Load(),
-		Restores:           g.restores.Load(),
-		Transitions:        g.transitions.Load(),
 		ArenaBytesFreed:    g.arenaFreed.Load(),
 		SessionsTrimmed:    g.sessTrimmed.Load(),
-		ReclaimBytesPerSec: g.reclaimRate(),
 	}
 }

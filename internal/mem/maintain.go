@@ -27,11 +27,10 @@ type MaintainerConfig struct {
 const minFragmentedBlocks = 2
 
 // Maintainer is a running background maintenance goroutine; see
-// Manager.StartMaintainer. Each pass runs, in order, the governor tick,
-// a parallel compaction pass when some context holds
-// minFragmentedBlocks candidate blocks, the §3.1 overflow rescue when
-// incarnation overflow has retired entries or slots, and the
-// block-graveyard drain.
+// Manager.StartMaintainer. Each pass runs, in order, a parallel
+// compaction pass when some context holds minFragmentedBlocks
+// candidate blocks, the §3.1 overflow rescue when incarnation overflow
+// has retired entries or slots, and the block-graveyard drain.
 //
 // The rescue check costs one mutex and two atomic loads per pass while
 // nothing is retired. When victims exist and a session is stuck inside
@@ -181,11 +180,6 @@ func (mt *Maintainer) maintain() {
 	}()
 	fault.Point(fault.PointMaintainerPass)
 	m := mt.m
-	// Governance first: reclassify memory pressure, keep the degradation
-	// ladder engaged while it lasts, and restore pool bounds once it
-	// clears — the periodic safety net behind the event-driven rebalance
-	// on the allocation and admission reclaim path.
-	m.governor.tick()
 	if m.FragmentationSnapshot().MaxContextFragmented >= minFragmentedBlocks {
 		if _, err := m.CompactNow(); err == nil {
 			mt.passes.Add(1)

@@ -224,8 +224,8 @@ type Manager struct {
 	maintWake atomic.Pointer[maintWakeReg]
 
 	// governor holds the byte budget (admission control, allocation
-	// backpressure) and the registered arena pools, and runs the
-	// degradation ladder over them (govern.go); always non-nil,
+	// backpressure) and the registered arena pools it reclaims from
+	// when the budget is exceeded (govern.go); always non-nil,
 	// unlimited by default.
 	governor *Governor
 
@@ -573,20 +573,14 @@ func (m *Manager) ReturnSession(s *Session) {
 	_ = s.Close()
 }
 
-// TrimSessionPool closes parked idle sessions beyond keep, returning
-// how many were closed. Closing a parked session abandons its
-// allocation blocks, which turns session-pinned slack into compaction
-// candidates — the governor's ladder uses this under memory pressure.
-func (m *Manager) TrimSessionPool(keep int) int {
-	if keep < 0 {
-		keep = 0
-	}
+// trimSessionPool closes every parked idle session, returning how many
+// were closed. Closing a parked session abandons its allocation blocks,
+// so sparse ones become compaction candidates — the governor's reclaim
+// pass uses this when the budget is exceeded.
+func (m *Manager) trimSessionPool() int {
 	m.sessMu.Lock()
-	var drain []*Session
-	if len(m.sessPool) > keep {
-		drain = append(drain, m.sessPool[keep:]...)
-		m.sessPool = m.sessPool[:keep]
-	}
+	drain := m.sessPool
+	m.sessPool = nil
 	m.sessMu.Unlock()
 	for _, s := range drain {
 		_ = s.Close()

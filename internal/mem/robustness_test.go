@@ -338,7 +338,7 @@ func TestBudgetLimitLiftWakesWaiters(t *testing.T) {
 		g.SetLimit(1 << 13)
 		g.forceReserve(2 << 13)
 		defer g.release(2 << 13)
-		bound := g.AdmitWait()
+		bound := budgetAdmitWait
 		done := make(chan error, 1)
 		go func() { done <- g.Admit(context.Background()) }()
 		time.Sleep(10 * time.Millisecond)

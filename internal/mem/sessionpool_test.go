@@ -34,7 +34,7 @@ func TestParallelScanSessionPoolReuse(t *testing.T) {
 }
 
 // TestParallelScanSessionPoolTrimNoSlotLeak: with the pool trimmed to
-// empty between scans (what the governor's Critical rung does), every
+// empty between scans (what the governor's reclaim pass does), every
 // scan registers fresh sessions and the trimmed ones give their epoch
 // slots back.
 func TestParallelScanSessionPoolTrimNoSlotLeak(t *testing.T) {
@@ -48,7 +48,7 @@ func TestParallelScanSessionPoolTrimNoSlotLeak(t *testing.T) {
 		if err := h.ctx.ScanParallelPredCtx(context.Background(), h.s, workers, nil, func(int, *Session, *Block) error { return nil }); err != nil {
 			t.Fatalf("scan %d: %v", i, err)
 		}
-		h.m.TrimSessionPool(0)
+		h.m.trimSessionPool()
 	}
 	if reused := h.m.stats.SessionsReused.Load(); reused != 0 {
 		t.Fatalf("reused %d sessions from a pool trimmed between scans", reused)
@@ -114,7 +114,7 @@ func BenchmarkParallelScanSmall(b *testing.B) {
 					b.Fatal(err)
 				}
 				if !pooled {
-					m.TrimSessionPool(0)
+					m.trimSessionPool()
 				}
 			}
 		})

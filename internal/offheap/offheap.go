@@ -50,11 +50,6 @@ type Stats struct {
 	LiveRegions atomic.Int64
 }
 
-// LiveBytes returns the currently outstanding usable bytes.
-func (s *Stats) LiveBytes() int64 {
-	return s.AllocatedBytes.Load() - s.FreedBytes.Load()
-}
-
 // Allocator hands out aligned off-heap regions.
 type Allocator struct {
 	useMmap bool

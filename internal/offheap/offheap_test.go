@@ -104,16 +104,16 @@ func TestStats(t *testing.T) {
 	r1, _ := a.Alloc(1000, 64)
 	r2, _ := a.Alloc(2000, 64)
 	s := a.Stats()
-	if got := s.LiveBytes(); got != 3000 {
-		t.Errorf("LiveBytes = %d, want 3000", got)
+	if got := s.AllocatedBytes.Load() - s.FreedBytes.Load(); got != 3000 {
+		t.Errorf("live bytes = %d, want 3000", got)
 	}
 	if got := s.LiveRegions.Load(); got != 2 {
 		t.Errorf("LiveRegions = %d, want 2", got)
 	}
 	a.Free(r1)
 	a.Free(r2)
-	if got := s.LiveBytes(); got != 0 {
-		t.Errorf("LiveBytes after free = %d, want 0", got)
+	if got := s.AllocatedBytes.Load() - s.FreedBytes.Load(); got != 0 {
+		t.Errorf("live bytes after free = %d, want 0", got)
 	}
 	if got := s.LiveRegions.Load(); got != 0 {
 		t.Errorf("LiveRegions after free = %d, want 0", got)

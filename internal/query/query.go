@@ -110,12 +110,12 @@ func New(s *core.Session, pool *region.ArenaPool, workers int) *Pipeline {
 
 // NewCtx is New bound to a context, with admission control through
 // mem.Governor.Admit: when the runtime's governed memory total (block
-// heap plus arena retention plus synopses) is over its limit the call
-// queues — bounded by the context deadline, or by the governor's
-// pressure-derived wait when there is none — while the degradation
-// ladder (arena trims, session-pool trims, compaction-for-reclamation)
-// makes room, returning mem.ErrBudgetExceeded only when all of that
-// could not — load-shedding happens before the query leases anything.
+// heap plus arena retention plus synopses) is over its limit, one
+// reclaim pass releases idle arenas and parked sessions and wakes
+// compaction, and the call queues — bounded by the context deadline or
+// the governor's fixed wait, whichever is sooner — returning
+// mem.ErrBudgetExceeded when that could not make room. Load-shedding
+// happens before the query leases anything.
 // Every stage of the returned pipeline observes ctx at block-claim
 // granularity; a canceled stage returns the cancellation cause after
 // all its workers unwind, and Close still returns every leased arena.

@@ -98,23 +98,6 @@ func (p *ArenaPool) RetainedBytes() int64 {
 	return p.idleBytes
 }
 
-// RetainBound reports the current retained-footprint bound.
-func (p *ArenaPool) RetainBound() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bound
-}
-
-// SetRetainBound replaces the retained-footprint bound. It only gates
-// future Returns — pair it with TrimTo to shed already-parked arenas.
-// The memory governor lowers the bound under pressure and restores it
-// when pressure clears; a negative bound retains nothing.
-func (p *ArenaPool) SetRetainBound(bound int64) {
-	p.mu.Lock()
-	p.bound = bound
-	p.mu.Unlock()
-}
-
 // TrimTo releases idle arenas (newest-parked first) until the retained
 // footprint is at most target, returning the bytes freed. Leased arenas
 // are untouched; the pool stays usable.

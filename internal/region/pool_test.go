@@ -80,7 +80,7 @@ func TestArenaPoolTrimToReleasesIdle(t *testing.T) {
 	if freed := p.TrimTo(chunk); freed != 0 {
 		t.Fatalf("idempotent trim freed %d, want 0", freed)
 	}
-	// Negative targets clamp to zero (the governor's Critical trim).
+	// Negative targets clamp to zero.
 	if freed := p.TrimTo(-1); freed != chunk {
 		t.Fatalf("TrimTo(-1) freed %d, want %d", freed, chunk)
 	}
@@ -94,29 +94,26 @@ func TestArenaPoolTrimToReleasesIdle(t *testing.T) {
 	}
 }
 
-// TestArenaPoolRetainBoundGatesReturns: lowering the bound via
-// SetRetainBound gates future returns (the governor pairs it with
-// TrimTo); restoring the base bound lets the pool refill on demand.
-func TestArenaPoolRetainBoundGatesReturns(t *testing.T) {
+// TestArenaPoolMaxRetainGatesReturns: the bound given at construction
+// gates returns — a pool that retains nothing releases every returned
+// arena, and a bounded pool parks up to its bound.
+func TestArenaPoolMaxRetainGatesReturns(t *testing.T) {
 	const chunk = 1024
+	none := NewArenaPool(nil, chunk, -1)
+	defer none.Close()
+	a := none.Lease()
+	a.Alloc(512, 8)
+	none.Return(a)
+	if got := none.RetainedBytes(); got != 0 {
+		t.Fatalf("negative bound parked %d bytes", got)
+	}
 	p := NewArenaPool(nil, chunk, 4*chunk)
 	defer p.Close()
-	if got := p.RetainBound(); got != 4*chunk {
-		t.Fatalf("RetainBound = %d, want %d", got, 4*chunk)
-	}
-	p.SetRetainBound(0)
-	a := p.Lease()
-	a.Alloc(512, 8)
-	p.Return(a)
-	if got := p.RetainedBytes(); got != 0 {
-		t.Fatalf("zero bound parked %d bytes", got)
-	}
-	p.SetRetainBound(4 * chunk)
 	b := p.Lease()
 	b.Alloc(512, 8)
 	p.Return(b)
 	if got := p.RetainedBytes(); got != chunk {
-		t.Fatalf("restored bound retained %d, want %d", got, chunk)
+		t.Fatalf("bounded pool retained %d, want %d", got, chunk)
 	}
 }
 

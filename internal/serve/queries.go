@@ -78,7 +78,7 @@ func newSpec[P, R any](name, summary string,
 			resp, err := run(ctx, s.q, sess, workers, params.(*P))
 			if err != nil {
 				s.countCanceled(err)
-				s.writeQueryError(w, err)
+				writeQueryError(w, err)
 				return
 			}
 			bp := bufPool.Get().(*[]byte)

@@ -34,12 +34,9 @@
 // exhaustion. Gate activity is surfaced through
 // core.Runtime.StatsSnapshot (core.ServeCounters).
 //
-// Backpressure statuses (429/503) carry a Retry-After derived from the
-// memory governor's measured reclaim rate (mem.Governor.RetryAfter,
-// clamped to [1s, 30s]), so a client backs off for roughly as long as
-// the governed deficit needs to drain. /healthz distinguishes
-// degraded-but-serving — memory pressure Tight/Critical, still 200,
-// level in the body — from not-ready 503 (Maintainer down).
+// Backpressure statuses (429/503) carry a constant Retry-After of one
+// second. /healthz is 200 {"ok":true} while the Maintainer runs, over
+// budget or not, and a not-ready 503 when it is down.
 //
 // Error model (engine error → HTTP status):
 //
@@ -266,7 +263,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, sp *Spec) {
 	}
 	release, err := s.admit(r.Context())
 	if err != nil {
-		s.writeQueryError(w, err)
+		writeQueryError(w, err)
 		return
 	}
 	defer release()
@@ -282,7 +279,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, sp *Spec) {
 	if err != nil {
 		// Session slots exhausted outright: same shape as saturation.
 		s.saturated.Add(1)
-		s.writeQueryError(w, fmt.Errorf("%w: %v", ErrSaturated, err))
+		writeQueryError(w, fmt.Errorf("%w: %v", ErrSaturated, err))
 		return
 	}
 	defer s.rt.ReturnSession(sess)
@@ -381,14 +378,11 @@ type StreamTrailer struct {
 }
 
 // HealthResponse is the /healthz body. Not-ready (Maintainer down) is
-// a 503; memory pressure is NOT — a governed heap under pressure is
-// degraded but serving, so the body reports the pressure level and the
-// status stays 200 (a load balancer must not drain a replica for doing
-// exactly what the degradation ladder is for).
+// a 503; an exceeded memory budget is NOT — the budget refuses queries
+// typed while the replica keeps serving, so a load balancer must not
+// drain it for that.
 type HealthResponse struct {
-	OK       bool   `json:"ok"`
-	Pressure string `json:"pressure"`
-	Degraded bool   `json:"degraded"`
+	OK bool `json:"ok"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -396,12 +390,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "not_ready", "maintainer not running")
 		return
 	}
-	lvl := s.rt.Manager().Governor().Level()
-	writeJSON(w, http.StatusOK, HealthResponse{
-		OK:       true,
-		Pressure: lvl.String(),
-		Degraded: lvl != mem.Healthy,
-	})
+	writeJSON(w, http.StatusOK, HealthResponse{OK: true})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -463,24 +452,19 @@ func statusOf(err error) (int, string) {
 	}
 }
 
+// retryAfter is the Retry-After, in seconds, on every backpressure
+// status: a refusal says "try again shortly", and the budget's bounded
+// waits have already spent what reclamation could do at once.
+const retryAfter = "1"
+
 // writeQueryError writes the typed envelope for an engine error,
-// attaching Retry-After to the backpressure statuses. The value is not
-// a constant: the memory governor derives it from the governed deficit
-// and the measured reclaim rate (clamped to [1s, 30s]), so clients back
-// off for about as long as reclamation actually needs.
-func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
+// attaching the constant Retry-After to the backpressure statuses.
+func writeQueryError(w http.ResponseWriter, err error) {
 	status, code := statusOf(err)
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	writeError(w, status, code, err.Error())
-}
-
-// retryAfterSeconds renders the governor's backoff as whole seconds
-// (ceiling, so a sub-second estimate still says 1).
-func (s *Server) retryAfterSeconds() string {
-	d := s.rt.Manager().Governor().RetryAfter()
-	return strconv.FormatInt(int64((d+time.Second-1)/time.Second), 10)
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -313,47 +312,36 @@ func TestServeSaturationBackpressure(t *testing.T) {
 	<-hold
 }
 
-// TestServeHealthzDegradedButServing pins the pressure-aware /healthz
-// contract: memory pressure keeps the status 200 (degraded but serving,
-// level in the body) — only a dead Maintainer is a 503. The /stats
-// Governor section carries the same accounting.
+// TestServeHealthzDegradedButServing pins the /healthz contract under
+// an exceeded budget: the replica still serves (it refuses queries
+// typed), so the status stays 200 {"ok":true} — only a dead Maintainer
+// is a 503. The /stats Governor section carries the budget accounting.
 func TestServeHealthzDegradedButServing(t *testing.T) {
 	e := newEnv(t, 0.001, serve.Config{})
+	healthz := func(label string) {
+		t.Helper()
+		resp, err := http.Get(e.ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hr serve.HealthResponse
+		if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !hr.OK {
+			t.Fatalf("%s healthz: status %d body %+v, want 200 ok", label, resp.StatusCode, hr)
+		}
+	}
+	healthz("unbudgeted")
 
-	var hr serve.HealthResponse
-	resp, err := http.Get(e.ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !hr.OK || hr.Degraded || hr.Pressure != "healthy" {
-		t.Fatalf("unpressured healthz: status %d body %+v", resp.StatusCode, hr)
-	}
-
-	// A 1-byte budget puts the governed total at Critical: still 200.
+	// A 1-byte budget: every admission is refused, the replica is not.
 	e.rt.SetMemoryBudget(1)
 	defer e.rt.SetMemoryBudget(0)
-	hr = serve.HealthResponse{}
-	resp, err = http.Get(e.ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pressured healthz drained the replica: status %d", resp.StatusCode)
-	}
-	if !hr.OK || !hr.Degraded || hr.Pressure != "critical" {
-		t.Errorf("pressured healthz body = %+v, want ok+degraded+critical", hr)
-	}
+	healthz("over-budget")
 
 	var stats core.RuntimeStats
-	resp, err = http.Get(e.ts.URL + "/stats")
+	resp, err := http.Get(e.ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,18 +349,17 @@ func TestServeHealthzDegradedButServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.Governor.Level != "critical" || stats.Governor.Limit != 1 {
-		t.Errorf("stats Governor section = %+v, want critical at limit 1", stats.Governor)
+	if stats.Governor.Limit != 1 || stats.Governor.GovernedUsed <= stats.Governor.Limit {
+		t.Errorf("stats Governor section = %+v, want the governed total over limit 1", stats.Governor)
 	}
 	if stats.Governor.GovernedUsed < stats.Governor.HeapUsed {
 		t.Errorf("governed total %d below heap term %d", stats.Governor.GovernedUsed, stats.Governor.HeapUsed)
 	}
 }
 
-// TestServeRetryAfterDerivedBounds pins the wire form of the governor-
-// derived backoff: an integer second count inside the [1s, 30s] clamp on
-// every budget 503.
-func TestServeRetryAfterDerivedBounds(t *testing.T) {
+// TestServeRetryAfterConstant pins the wire form of the backoff on a
+// budget 503: Retry-After is always one second.
+func TestServeRetryAfterConstant(t *testing.T) {
 	e := newEnv(t, 0.001, serve.Config{})
 	e.rt.SetMemoryBudget(1)
 	defer e.rt.SetMemoryBudget(0)
@@ -390,13 +377,8 @@ func TestServeRetryAfterDerivedBounds(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != "budget_exceeded" {
 		t.Fatalf("status %d code %q, want 503 budget_exceeded", resp.StatusCode, env.Error.Code)
 	}
-	ra := resp.Header.Get("Retry-After")
-	secs, err := strconv.Atoi(ra)
-	if err != nil {
-		t.Fatalf("Retry-After %q is not an integer second count: %v", ra, err)
-	}
-	if secs < 1 || secs > 30 {
-		t.Errorf("Retry-After %d outside the [1, 30] clamp", secs)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After %q, want 1", ra)
 	}
 }
 

@@ -10,8 +10,8 @@
 #      the client and strands nothing on the server: /stats quiesces to
 #      zero in-flight with balanced session/epoch/arena ledgers;
 #   4. /stats carries the front-door admission counters;
-#   5. /healthz reports the memory-pressure level (degraded-but-serving
-#      is a 200, not a 503) and /stats carries the Governor ledger.
+#   5. /healthz answers {"ok":true} and /stats carries the Governor
+#      ledger.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -99,20 +99,17 @@ assert sv["Requests"] >= 4 and sv["Admitted"] >= 4, sv
 assert sv["Canceled"] >= 2, sv  # the 504 and the abandoned client
 '
 
-echo "serve-smoke: /healthz reports the pressure level"
+echo "serve-smoke: /healthz reports ok"
 curl -fsS "http://$ADDR/healthz" | python3 -c '
 import json, sys
 hz = json.load(sys.stdin)
 assert hz["ok"] is True, hz
-assert hz["pressure"] in ("healthy", "tight", "critical"), hz
-assert isinstance(hz["degraded"], bool), hz
 '
 
 echo "serve-smoke: governor ledger surfaced in /stats"
 curl -fsS "http://$ADDR/stats" | python3 -c '
 import json, sys
 gv = json.load(sys.stdin)["Governor"]
-assert gv["Level"] in ("healthy", "tight", "critical"), gv
 # Governed total = heap + retained arenas + synopses; each part must be
 # accounted and the sum must hold exactly.
 assert gv["GovernedUsed"] == gv["HeapUsed"] + gv["ArenaRetained"] + gv["SynopsisBytes"], gv
