@@ -45,10 +45,10 @@ lint: fmt
 	"$$($(GO) env GOPATH)/bin/govulncheck" ./...
 
 # The parallel-scan, pipeline, parallel-join, parallel-compaction,
-# maintainer, §3.1 overflow-rescue and HTTP-front-door stress tests (exactly-once and exact
-# serial results under churn + compaction + request storms), plus the
-# figure harnesses that measure from concurrent goroutines, under the
-# race detector.
+# maintainer, §3.1 overflow-rescue and HTTP-front-door stress tests
+# (exactly-once and exact serial results under churn + compaction +
+# request storms), plus Fig 9 and the govern figure, which measure from
+# concurrent goroutines, under the race detector.
 race-stress:
 	$(GO) test -race -run 'Parallel|Maintainer|Compact|Rescue|Pruned|Fault|Cancel|Budget|Cluster|Serve|Govern|RuntimeStats|Figure9' \
 		./internal/mem ./internal/core ./internal/query ./internal/tpch ./internal/region ./internal/serve \

@@ -11,14 +11,12 @@
 // Paper figures: 6 (reclamation threshold), 7 (allocation throughput),
 // 8 (refresh streams), 9 (GC timeouts), 10 (enumeration), 11 (TPC-H vs
 // managed), 12 (direct/columnar), 13 (vs column store), linq (LINQ vs
-// compiled). Beyond the paper: ablation (design-choice ablations), joins
-// (parallel Q3/Q5/Q10 over worker counts), compact (parallel compaction:
-// reclamation throughput and Q1/Q6 interference over move workers),
-// cluster (clustered vs size-only packing over churn → maintenance
-// cycles, plus cross-edge key-set pruning), govern (the served q6window
-// path under budgets swept down to 0.9x the working set, finest between
-// 1.1x and 0.95x, where the refusal edge lies). -workers sets the worker
-// sweep of joins and compact.
+// compiled). Beyond the paper: ablation (design-choice ablations) and
+// govern (the served q6window path under budgets swept down to 0.9x the
+// working set, finest between 1.1x and 0.95x, where the refusal edge
+// lies). Parallel joins, compaction and pruning under churn are measured
+// by the served benchmark's join_mix, churn_mix and window_pruned
+// workloads, not here.
 //
 // A report's first line stamps the scale factor, seed, repetitions,
 // CPU count, GOMAXPROCS and Go version. Performance claims about the
@@ -35,7 +33,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -44,9 +41,7 @@ import (
 // figure is one selectable report.
 type figure struct {
 	name string
-	// sweep marks the figures whose worker counts -workers sets.
-	sweep bool
-	run   func(bench.Options) ([]*bench.Table, error)
+	run  func(bench.Options) ([]*bench.Table, error)
 }
 
 // table adapts a figure whose result renders as one table.
@@ -77,9 +72,6 @@ var figures = []figure{
 		}
 		return r.Render(), nil
 	}},
-	{name: "joins", sweep: true, run: table(bench.FigureJoins)},
-	{name: "compact", sweep: true, run: table(bench.FigureCompact)},
-	{name: "cluster", run: table(bench.FigureCluster)},
 	{name: "govern", run: table(bench.FigureGovern)},
 }
 
@@ -95,27 +87,16 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("smcbench", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "comma-separated figures: "+strings.Join(names(), ",")+" or 'all'")
-		sf      = fs.Float64("sf", 0.01, "TPC-H scale factor")
-		seed    = fs.Uint64("seed", 42, "generator seed")
-		reps    = fs.Int("reps", 3, "repetitions per measurement (median)")
-		heap    = fs.Bool("heap-backend", false, "force the portable off-heap backend")
-		workers = fs.String("workers", "", "comma-separated worker counts for the joins/compact figures (default 1,2,4..NumCPU)")
+		fig  = fs.String("fig", "all", "comma-separated figures: "+strings.Join(names(), ",")+" or 'all'")
+		sf   = fs.Float64("sf", 0.01, "TPC-H scale factor")
+		seed = fs.Uint64("seed", 42, "generator seed")
+		reps = fs.Int("reps", 3, "repetitions per measurement (median)")
+		heap = fs.Bool("heap-backend", false, "force the portable off-heap backend")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var sweep []int
-	if *workers != "" {
-		for _, w := range strings.Split(*workers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(w))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -workers entry %q", w)
-			}
-			sweep = append(sweep, n)
-		}
-	}
 	want := map[string]bool{}
 	for _, f := range strings.Split(*fig, ",") {
 		f = strings.TrimSpace(f)
@@ -133,11 +114,7 @@ func run(args []string, w io.Writer) error {
 		if !want["all"] && !want[f.name] {
 			continue
 		}
-		o := opts
-		if f.sweep {
-			o.Threads = sweep
-		}
-		tables, err := f.run(o)
+		tables, err := f.run(opts)
 		if err != nil {
 			return fmt.Errorf("figure %s: %w", f.name, err)
 		}

@@ -17,15 +17,21 @@ func TestRunPrintsStampedReport(t *testing.T) {
 	}
 }
 
-func TestRunRejectsUnknownFigureAndBadWorkers(t *testing.T) {
+// Retired figures fail as unknown names: the served benchmark measures
+// what they reported, and a stale script must not print an empty report.
+func TestRunRejectsUnknownFigures(t *testing.T) {
 	for _, args := range [][]string{
-		{"-fig", "par"}, // retired: the served benchmark measures it
+		{"-fig", "par"},
+		{"-fig", "ext"},
+		{"-fig", "joins"},
+		{"-fig", "compact"},
+		{"-fig", "cluster"},
 		{"-fig", "6,nope"},
-		{"-fig", "joins", "-workers", "1,0"},
 	} {
 		var report strings.Builder
-		if err := run(args, &report); err == nil {
-			t.Fatalf("%v: no error", args)
+		err := run(args, &report)
+		if err == nil || !strings.Contains(err.Error(), "unknown figure") {
+			t.Fatalf("%v: err = %v, want an unknown-figure error", args, err)
 		}
 		if report.Len() != 0 {
 			t.Fatalf("%v: printed %q before failing", args, report.String())

@@ -17,9 +17,8 @@
 // perf-gate`) runs it on a base revision and on the working tree,
 // alternating, and fails when a median moves past its bound.
 // cmd/smcbench prints the paper's figures, plus the beyond-paper
-// figures the served benchmark does not carry (joins, compact, cluster,
-// govern), as text reports; cmd/profq profiles SMC queries in
-// isolation.
+// figures the served benchmark does not carry (ablation, govern), as
+// text reports; cmd/profq profiles SMC queries in isolation.
 //
 // # Parallel scan engine
 //
@@ -112,9 +111,11 @@
 // metrics and the mem session-pool hit/miss counters for production
 // observability.
 //
-// The `joins` figure of cmd/smcbench sweeps Q3/Q5/Q10 over 1..NumCPU
-// workers. examples/query_pipeline shows a custom (non-TPC-H)
-// aggregation on the pipeline.
+// The served benchmark's join_mix workload measures Q3/Q10 on this
+// path (tpch.speedup_w is its worker scaling), and
+// examples/parallel_join checks Q3/Q5/Q10 against the serial oracles.
+// examples/query_pipeline shows a custom (non-TPC-H) aggregation on
+// the pipeline.
 //
 // # Parallel compaction engine and maintenance scheduler
 //
@@ -129,9 +130,9 @@
 // abort — so the pin-drain/retry/bail-out protocol runs single-owner on
 // whichever worker claimed the group, and readers keep helping or
 // bailing relocations exactly as they do against the serial compactor.
-// The serial moving phase survives behind workers=1
-// (mem.CompactNowWorkers) as the oracle the parallel engine is tested
-// against.
+// Production passes always run GOMAXPROCS move workers; mem's tests
+// keep a workers=1 pass as the serial oracle the parallel engine is
+// checked against.
 //
 // On top of it, mem.Maintainer is the runtime's one background thread:
 // the §5 "dedicated compaction thread" and the §3.1 overflow-rescue
@@ -143,8 +144,10 @@
 // bail-outs, bytes reclaimed, pass wall time) next to the session-pool
 // and arena-pool metrics.
 //
-// The `compact` figure of cmd/smcbench sweeps reclamation throughput and
-// Q1/Q6 interference over 1..NumCPU move workers.
+// The served benchmark's churn_mix workload reports the pass count,
+// busy fraction, objects moved, bytes reclaimed and aborted groups
+// (mem.*) next to the query latencies measured while the Maintainer
+// compacts.
 //
 // # Block synopses and predicate pushdown (skip-scan)
 //
@@ -221,19 +224,19 @@
 //     because a pruned orders block holds no qualifying order and an
 //     admitted block's bounds cover every key in it (widen-on-insert);
 //     it is coarser than the qualifying keys, and costs O(blocks) where
-//     nothing prunes. Q3ParCtx/Q10ParCtx ride it, and Q4ParCtx feeds its
-//     late-lineitem keys in as single-key ranges; kernels keep their
+//     nothing prunes. Q3ParCtx/Q10ParCtx ride it; kernels keep their
 //     residual probes, so rows stay byte-identical to the serial
 //     oracles. Effectiveness tracks key-date correlation (auto-increment
 //     OLTP feeds prune, dbgen's random orderkey mapping does not), which
-//     the cluster figure models by re-keying orders in date order.
+//     the tpch tests model by re-keying orders in date order.
 //     StatsSnapshot surfaces SynopsisOverlap (key-set admissions) and
 //     KeySetPruned.
 //
-// The `cluster` figure of cmd/smcbench runs churn cycles against
-// clustered vs size-only maintenance — pruned fraction of a
-// 1%-selectivity window stays >= 0.90 after one clustered pass — plus
-// the Q3/Q4/Q10 cross-edge speedups on a date-correlated heap.
+// tpch's TestClusterSteadyStatePruning holds clustered maintenance to
+// its guarantee: the pruned fraction of a 1%-selectivity window stays
+// >= 0.90 after one clustered pass and across upsert churn. The served
+// benchmark reports mem.pruned_frac (window_pruned, churn_mix) and the
+// cross-edge mem.keyset_pruned_per_req (join_mix).
 //
 // # Serving
 //

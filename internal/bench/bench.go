@@ -26,8 +26,7 @@ type Options struct {
 	SF float64
 	// Seed fixes the generator.
 	Seed uint64
-	// Threads lists the thread counts for Figures 7 and 8 and the worker
-	// counts of the joins and compact sweeps.
+	// Threads lists the thread counts for Figures 7 and 8.
 	Threads []int
 	// Reps is the number of repetitions per measurement (median taken).
 	Reps int
@@ -52,31 +51,6 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// workerSweep builds a figure's worker-count list: an explicitly
-// configured list is used verbatim, while the default list is extended
-// by doubling up to the machine's cores (plus NumCPU itself) so the
-// figure shows the full scaling curve.
-func workerSweep(threads []int, explicit bool) []int {
-	sweep := append([]int(nil), threads...)
-	if explicit {
-		return sweep
-	}
-	maxW := 1
-	for _, w := range sweep {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	for w := maxW * 2; w <= runtime.NumCPU(); w *= 2 {
-		sweep = append(sweep, w)
-		maxW = w
-	}
-	if n := runtime.NumCPU(); maxW < n {
-		sweep = append(sweep, n)
-	}
-	return sweep
-}
-
 // median runs fn reps times and returns the median duration.
 func median(reps int, fn func()) time.Duration {
 	times := make([]time.Duration, 0, reps)
@@ -88,18 +62,6 @@ func median(reps int, fn func()) time.Duration {
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times[len(times)/2]
-}
-
-// medianErr is median over a call that can fail: the first error skips
-// the remaining calls and is returned.
-func medianErr(reps int, fn func() error) (time.Duration, error) {
-	var err error
-	d := median(reps, func() {
-		if err == nil {
-			err = fn()
-		}
-	})
-	return d, err
 }
 
 // Table is a printable result grid.

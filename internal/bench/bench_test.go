@@ -193,54 +193,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestFigureJoins(t *testing.T) {
-	r, err := FigureJoins(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(r.Points))
-	}
-	for _, pt := range r.Points {
-		if pt.Q3IndMs <= 0 || pt.Q5DirMs <= 0 || pt.Q10IndMs <= 0 {
-			t.Fatalf("degenerate point %+v", pt)
-		}
-	}
-	renderOK(t, r.Render())
-}
-
-func TestFigureCompact(t *testing.T) {
-	r, err := FigureCompact(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(r.Points))
-	}
-	for _, pt := range r.Points {
-		if pt.CompactMs <= 0 || pt.ObjectsMoved <= 0 || pt.Q1DuringMs <= 0 {
-			t.Fatalf("degenerate point %+v", pt)
-		}
-	}
-	renderOK(t, r.Render())
-}
-
-// FigureCluster itself asserts pruned == unpruned sums and pruned join
-// rows == the serial oracles; this checks the sweep's shape.
-func TestFigureCluster(t *testing.T) {
-	r, err := FigureCluster(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * clusterCycles * 2; len(r.Sweep) != want {
-		t.Fatalf("got %d sweep points, want %d", len(r.Sweep), want)
-	}
-	if len(r.Joins) != 3 {
-		t.Fatalf("got %d join points, want 3", len(r.Joins))
-	}
-	renderOK(t, r.Render())
-}
-
 // FigureGovern itself fails on an oracle mismatch, an untyped failure or
 // a refusal before any reclaim pass freed bytes; this checks every
 // level ran.

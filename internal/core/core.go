@@ -156,12 +156,6 @@ func (rt *Runtime) MustSession() *Session {
 // GOMAXPROCS move-phase workers.
 func (rt *Runtime) CompactNow() (moved int, err error) { return rt.mgr.CompactNow() }
 
-// CompactNowWorkers runs one compaction pass with an explicit move-phase
-// worker count (<= 0 selects GOMAXPROCS; 1 is the serial oracle path).
-func (rt *Runtime) CompactNowWorkers(workers int) (moved int, err error) {
-	return rt.mgr.CompactNowWorkers(workers)
-}
-
 // StartMaintainer launches the runtime's background thread: it watches
 // occupancy/fragmentation and triggers parallel compaction passes, and
 // runs the §3.1 overflow rescue once incarnation numbers overflow (see

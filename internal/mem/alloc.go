@@ -139,15 +139,30 @@ func (c *Context) grabAllocBlock(s *Session) (*Block, error) {
 }
 
 // abandonAllocBlock releases a session's claim on its allocation block
-// and re-checks the reclamation threshold it may have crossed while
-// owned. Abandonment is also the allocation-pressure signal point: an
-// abandon only ever changes the abandoned block's own compaction
-// candidacy, so the Maintainer wake-up check runs exactly when this
-// block comes out sparse (a dense bulk load abandons full blocks and
-// pays one O(1) candidacy test per block, never a context walk).
+// (it filled it, or the session closed) and routes the block by what it
+// holds, so every abandoned block has a way out (§3.5):
+//
+//   - limbo slots over ReclaimThreshold: the reclamation queue, the
+//     check Remove skipped while the block was owned;
+//   - otherwise, live rows and free plus limbo slots (capacity − valid)
+//     over the threshold: the queue too, so a half-claimed block is
+//     reused rather than left to compaction;
+//   - otherwise, no valid row: nothing to keep or move, so the block is
+//     a compaction candidate and the next pass buries it, returning its
+//     memory to the budget;
+//   - otherwise: compaction candidacy, by occupancy as for any block.
+//
+// Abandonment is also the allocation-pressure signal point: an abandon
+// only ever changes the abandoned block's own compaction candidacy, so
+// the Maintainer wake-up check runs exactly when this block comes out
+// sparse (a dense bulk load abandons full blocks and pays one O(1)
+// candidacy test per block, never a context walk).
 func (s *Session) abandonAllocBlock(ctxID uint32, b *Block) {
 	b.allocOwned.Store(false)
 	b.ctx.enqueueReclaim(b)
+	if valid := b.validCount.Load(); valid > 0 {
+		b.ctx.queueReusable(b, int32(b.capacity)-valid)
+	}
 	if s.mgr.isCompactionCandidate(b) {
 		s.mgr.signalAllocPressure()
 	}
@@ -199,6 +214,20 @@ func (c *Context) freeSlotStrings(b *Block, slot int) {
 		if sr := *p; !sr.IsNil() {
 			c.strings.freeStr(sr)
 			*p = 0
+		}
+	}
+}
+
+// freeLimboStrings releases the strings of every limbo slot in b. Each
+// slot's strings go exactly once: freeSlotStrings nils the references it
+// frees, so a slot reclaimed but never published again is skipped.
+func (c *Context) freeLimboStrings(b *Block) {
+	if len(c.sch.StringFields) == 0 {
+		return
+	}
+	for i := 0; i < b.capacity; i++ {
+		if slotDirState(b.SlotDirWord(i)) == slotLimbo {
+			c.freeSlotStrings(b, i)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func TestClusterPackingRedistributes(t *testing.T) {
 			// A maintenance-aggressive threshold: the 40% removal leaves
 			// blocks at 60% occupancy, which must still be rewritable or
 			// the scattered blocks would sit out the pass (the scenario
-			// the cluster figure's churned heaps exercise).
+			// tpch's TestClusterSteadyStatePruning churns through).
 			mk := func(packing PackingMode) *harness {
 				h := newHarness(t, layout, Config{
 					BlockSize: 1 << 13, HeapBackend: true,

@@ -140,10 +140,10 @@ func (c *Context) incCellFor(blk *Block, slot int) *uint32 {
 // Concurrent application work may proceed; only one compaction runs at
 // a time.
 func (m *Manager) CompactNow() (int, error) {
-	return m.CompactNowWorkers(0)
+	return m.compactNowWorkers(0)
 }
 
-// CompactNowWorkers runs one full compaction pass with an explicit
+// compactNowWorkers runs one full compaction pass with an explicit
 // move-phase worker count; workers <= 0 selects GOMAXPROCS. The pass is
 // planned exactly once — one block-order snapshot, one decision per
 // compaction group — and then the per-group move work fans out over a
@@ -153,11 +153,11 @@ func (m *Manager) CompactNow() (int, error) {
 // abort), so the epoch-wait/retry/abort protocol is untouched and stays
 // per-group; with workers == 1 the moving phase is byte-for-byte the
 // serial pass, kept as the oracle.
-func (m *Manager) CompactNowWorkers(workers int) (int, error) {
+func (m *Manager) compactNowWorkers(workers int) (int, error) {
 	return m.compactNowWorkersCtx(context.Background(), workers)
 }
 
-// compactNowWorkersCtx is CompactNowWorkers with a cancellation context,
+// compactNowWorkersCtx is compactNowWorkers with a cancellation context,
 // observed at group-claim granularity: a canceled pass aborts every
 // not-yet-moving group (sources return to circulation untouched — a
 // group is only abortable before its first object moves), finishes any
@@ -235,6 +235,10 @@ func (m *Manager) compactNowWorkersCtx(cctx context.Context, workers int) (int, 
 	m.movingPhase.Store(true)
 	moved, moveErr := m.moveGroups(groups, workers, done)
 	var emptied []*Block
+	// unmoved marks emptied blocks no object was ever moved out of: all
+	// their limbo slots hold removed objects' strings, which no live
+	// copy shares, so the graveyard frees them with the block.
+	unmoved := make(map[*Block]bool)
 	basesByCtx := make(map[*Context]map[uintptr]bool)
 	for _, g := range groups {
 		if g.state.Load() == gAborted {
@@ -244,6 +248,9 @@ func (m *Manager) compactNowWorkersCtx(cctx context.Context, workers int) (int, 
 		for _, b := range g.blocks {
 			if b.validCount.Load() == 0 {
 				emptied = append(emptied, b)
+				if len(g.targets) == 0 && !b.sealed.Load() {
+					unmoved[b] = true
+				}
 				set := basesByCtx[g.ctx]
 				if set == nil {
 					set = make(map[uintptr]bool)
@@ -289,7 +296,7 @@ func (m *Manager) compactNowWorkersCtx(cctx context.Context, workers int) (int, 
 			panic("mem: burying a block with valid slots (accounting bug)")
 		}
 		b.buried.Store(true)
-		m.bury(b)
+		m.bury(b, unmoved[b])
 	}
 
 	// Close the relocation epoch. Before discarding the relocation
@@ -356,11 +363,15 @@ func (m *Manager) compactNowWorkersCtx(cctx context.Context, workers int) (int, 
 	return moved, context.Cause(cctx)
 }
 
+// isCompactionCandidate reports whether a pass may take b: an unowned,
+// unclaimed block under the occupancy threshold. An empty block is one
+// unless it waits on the reclaim queue for reuse (§3.5); the pass buries
+// it without a target (planGroups).
 func (m *Manager) isCompactionCandidate(b *Block) bool {
 	return !b.allocOwned.Load() &&
 		b.group.Load() == nil &&
 		b.targetOf.Load() == nil &&
-		(b.validCount.Load() > 0 || b.sealed.Load()) &&
+		(b.validCount.Load() > 0 || b.sealed.Load() || !b.inReclaimQ.Load()) &&
 		b.occupancy() < b.ctx.mgr.cfg.CompactionThreshold
 }
 
@@ -443,13 +454,44 @@ func (m *Manager) clusterStale(b *Block, slot int, domain float64, totalValid in
 // by their cluster-key bound ranges instead and packs key-adjacent —
 // targets then cover one narrow key range each, which is what turns
 // churn-staled synopsis pruning back into a steady-state guarantee.
+// Empty candidates skip the packing: one target-less burial group per
+// context takes them, and the pass buries them like any emptied source.
+// The argument that a stale reference never reads a released block is
+// the compacted-out one: external references fail at the indirection
+// entry's incarnation (RowDirect mirrors it there) without touching the
+// block, and in RowDirect fixupDirectPointers nulls every in-object
+// pointer into the block while it is still mapped — none is a
+// tombstone, since every object in it was removed, not moved.
 // Each claimed block uses the Dekker protocol that pairs with
 // takeReclaimable: store the group pointer first, then re-check
 // allocation ownership; back off if a session owns the block.
 func (m *Manager) planGroups() []*CompactionGroup {
 	var groups []*CompactionGroup
+	claim := func(ctx *Context, blocks []*Block) *CompactionGroup {
+		g := &CompactionGroup{ctx: ctx}
+		for _, b := range blocks {
+			// Claim: group first, ownership check second.
+			b.group.Store(g)
+			if b.allocOwned.Load() {
+				b.group.Store(nil)
+				continue
+			}
+			g.blocks = append(g.blocks, b)
+		}
+		return g
+	}
 	for _, ctx := range m.Contexts() {
-		cands := m.compactionCandidates(ctx, ctx.SnapshotBlocks())
+		var cands, empty []*Block
+		for _, b := range m.compactionCandidates(ctx, ctx.SnapshotBlocks()) {
+			if b.validCount.Load() == 0 {
+				empty = append(empty, b)
+			} else {
+				cands = append(cands, b)
+			}
+		}
+		if g := claim(ctx, empty); len(g.blocks) > 0 {
+			groups = append(groups, g)
+		}
 		if len(cands) < 2 {
 			continue
 		}
@@ -536,16 +578,7 @@ func (m *Manager) planGroups() []*CompactionGroup {
 			if len(bn.blocks) < 2 {
 				continue // a singleton reclaims nothing; leave it unclaimed
 			}
-			g := &CompactionGroup{ctx: ctx}
-			for _, b := range bn.blocks {
-				// Claim: group first, ownership check second.
-				b.group.Store(g)
-				if b.allocOwned.Load() {
-					b.group.Store(nil)
-					continue
-				}
-				g.blocks = append(g.blocks, b)
-			}
+			g := claim(ctx, bn.blocks)
 			if len(g.blocks) >= 2 {
 				// One target per capacity's worth of live rows (exactly
 				// one outside PackCluster — the bin capacity enforces
@@ -602,6 +635,14 @@ func (m *Manager) planGroups() []*CompactionGroup {
 // is identical either way: publish each block's list, then CAS-freeze
 // exactly the scheduled incarnations.
 func (m *Manager) freezeGroup(g *CompactionGroup) {
+	if len(g.targets) == 0 {
+		// A burial group: its blocks hold no valid slot, so nothing is
+		// scheduled; empty lists keep the phase protocol uniform.
+		for _, b := range g.blocks {
+			b.reloc.Store(&relocList{bySlot: make([]int32, b.capacity)})
+		}
+		return
+	}
 	type sched struct {
 		blk  int // index into g.blocks
 		slot int32

@@ -134,7 +134,7 @@ func TestParallelCompactionMatchesSerialOracle(t *testing.T) {
 				st := h.m.Stats()
 				groupsBefore := st.GroupsMoved.Load()
 				bytesBefore := st.BytesReclaimed.Load()
-				moved, err := h.m.CompactNowWorkers(workers)
+				moved, err := h.m.compactNowWorkers(workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -387,7 +387,7 @@ func TestCompactionWithConcurrentChurn(t *testing.T) {
 						return
 					default:
 						workers := []int{1, 2, 4}[pass%3]
-						if _, err := h.m.CompactNowWorkers(workers); err != nil {
+						if _, err := h.m.compactNowWorkers(workers); err != nil {
 							fail.Store(err.Error())
 							close(stop)
 							return

@@ -182,12 +182,17 @@ func (c *Context) MemoryBytes() int64 {
 // enqueueReclaim adds the block to the reclamation queue if its limbo
 // fraction crossed the threshold (§3.5). Blocks currently owned by an
 // allocating session are skipped; the owner re-checks on abandon.
-func (c *Context) enqueueReclaim(b *Block) {
+func (c *Context) enqueueReclaim(b *Block) { c.queueReusable(b, b.limboCount.Load()) }
+
+// queueReusable adds the block to the reclamation queue when reusable —
+// the slots an allocator could claim in it — exceeds ReclaimThreshold of
+// its capacity.
+func (c *Context) queueReusable(b *Block, reusable int32) {
 	if b.allocOwned.Load() || b.inReclaimQ.Load() || b.group.Load() != nil || b.buried.Load() || b.sealed.Load() {
 		return
 	}
 	thresh := int32(float64(b.capacity) * c.mgr.cfg.ReclaimThreshold)
-	if b.limboCount.Load() <= thresh {
+	if reusable <= thresh {
 		return
 	}
 	if !b.inReclaimQ.CompareAndSwap(false, true) {

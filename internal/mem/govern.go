@@ -258,8 +258,9 @@ func (g *Governor) release(n int64) {
 // pass for compaction, a lazy epoch advance, the ripe graves), then
 // releases what nobody is using: every registered pool's idle arenas
 // and every parked session. A closed session abandons its allocation
-// blocks; one holding live objects under the compaction threshold
-// becomes a compaction candidate. A pool refills on demand once queries
+// blocks: each goes back on the reclaim queue, becomes a compaction
+// candidate, or, emptied, is buried by the Maintainer's next pass and
+// released two epochs later. A pool refills on demand once queries
 // return arenas.
 func (g *Governor) reclaim() {
 	g.m.signalAllocPressure()

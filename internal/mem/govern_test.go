@@ -216,15 +216,17 @@ func TestGovernorStormLeakFree(t *testing.T) {
 	g := h.m.Governor()
 	_, want := populateBlocks(t, h, 4)
 
-	// The limit starts at four times the loaded heap. The heap does not
-	// stay there: each churn session owns an allocation block whose
-	// objects it removes again, and when a reclaim pass closes the
-	// parked session that block is abandoned with no live object and
-	// too few dead ones to requeue — neither reused nor compacted. So
-	// the heap climbs to the limit during the storm; from then on an
-	// admission is refused typed after budgetAdmitWait, and a churn
-	// allocation that needs a fresh block waits budgetAllocWait and is
-	// refused typed. The waits are counted and logged below.
+	// The limit starts at four times the loaded heap. Each parked churn
+	// session owns an allocation block whose objects it removed again,
+	// so the pool alone can pin the heap up to the limit. A reclaim pass
+	// closes the parked sessions: each abandoned block goes back on the
+	// reclaim queue, or, with no live object and few dead ones, to the
+	// Maintainer's next pass, which buries it for the graveyard to
+	// release two epochs later. Most over-limit admissions are rescued
+	// that way within budgetAdmitWait; the rest are refused typed, and
+	// a churn allocation that finds the heap at the limit waits
+	// budgetAllocWait and is admitted or refused typed. The waits are
+	// counted and logged below.
 	heap := g.Used()
 	limit := 4 * heap
 	fp := &fakePool{retained: heap}

@@ -29,8 +29,9 @@ const minFragmentedBlocks = 2
 // Maintainer is a running background maintenance goroutine; see
 // Manager.StartMaintainer. Each pass runs, in order, a parallel
 // compaction pass when some context holds minFragmentedBlocks
-// candidate blocks, the §3.1 overflow rescue when incarnation overflow
-// has retired entries or slots, and the block-graveyard drain.
+// candidate blocks or any empty one to bury, the §3.1 overflow rescue
+// when incarnation overflow has retired entries or slots, and the
+// block-graveyard drain.
 //
 // The rescue check costs one mutex and two atomic loads per pass while
 // nothing is retired. When victims exist and a session is stuck inside
@@ -88,12 +89,16 @@ type Fragmentation struct {
 	// TotalBlocks counts live blocks across all contexts.
 	TotalBlocks int
 	// Fragmented counts compaction-candidate blocks (occupancy under the
-	// configured threshold, unowned, not already in a group).
+	// configured threshold, unowned, not already in a group; empty ones
+	// included unless they wait on the reclaim queue).
 	Fragmented int
 	// MaxContextFragmented is the largest per-context candidate count;
 	// groups form within one context, so this decides whether a pass can
-	// do anything at all.
+	// move anything at all.
 	MaxContextFragmented int
+	// empty counts candidates with no valid row: a pass buries them even
+	// alone, with no group to pack.
+	empty int
 }
 
 // FragmentationSnapshot surveys every context's blocks once. It is the
@@ -107,6 +112,9 @@ func (m *Manager) FragmentationSnapshot() Fragmentation {
 			f.TotalBlocks++
 			if m.isCompactionCandidate(b) {
 				n++
+				if b.validCount.Load() == 0 {
+					f.empty++
+				}
 			}
 		}
 		f.Fragmented += n
@@ -180,7 +188,7 @@ func (mt *Maintainer) maintain() {
 	}()
 	fault.Point(fault.PointMaintainerPass)
 	m := mt.m
-	if m.FragmentationSnapshot().MaxContextFragmented >= minFragmentedBlocks {
+	if f := m.FragmentationSnapshot(); f.MaxContextFragmented >= minFragmentedBlocks || f.empty > 0 {
 		if _, err := m.CompactNow(); err == nil {
 			mt.passes.Add(1)
 		}

@@ -131,6 +131,75 @@ func TestMaintainerIdleBelowThreshold(t *testing.T) {
 	}
 }
 
+// TestMaintainerReleasesAbandonedBlocks closes §3.5 over session close:
+// a session that closes while it owns an emptied allocation block must
+// not strand it. Each cycle opens a session, allocates one object,
+// removes it and closes, abandoning a block with no valid row and one
+// limbo slot — too few to requeue for reuse. After N cycles one
+// compaction pass must bury every such block: the context's block count
+// returns to zero rather than growing with N, the graveyard releases
+// them, and each removed object's string is freed exactly once. Then,
+// with the poll interval at an hour, one more abandon must wake the
+// Maintainer, whose pass buries that block on its own.
+func TestMaintainerReleasesAbandonedBlocks(t *testing.T) {
+	const cycles = 50
+	for _, layout := range allLayouts() {
+		t.Run(layout.String(), func(t *testing.T) {
+			h := newHarness(t, layout, Config{BlockSize: 1 << 13, HeapBackend: true})
+			abandon := func(id int64) {
+				t.Helper()
+				s, err := h.m.NewSession()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.remove(s, h.add(t, s, id, "abandoned")); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < cycles; i++ {
+				abandon(int64(i))
+			}
+			if got := h.ctx.Blocks(); got != cycles {
+				t.Fatalf("setup: %d blocks after %d cycles, want one per cycle", got, cycles)
+			}
+			for e := 0; e < 5; e++ {
+				h.m.TryAdvanceEpoch()
+			}
+			if _, err := h.m.CompactNow(); err != nil {
+				t.Fatal(err)
+			}
+			for e := 0; e < 3; e++ {
+				h.m.TryAdvanceEpoch()
+			}
+			h.m.drainGraveyard()
+			if got := h.ctx.Blocks(); got != 0 {
+				t.Fatalf("%d blocks left after %d abandon cycles and one pass, want 0", got, cycles)
+			}
+			if got := h.m.Stats().BlocksReleased.Load(); got != cycles {
+				t.Fatalf("BlocksReleased = %d, want %d", got, cycles)
+			}
+			if live := h.ctx.strings.liveBytes.Load(); live != 0 {
+				t.Fatalf("string heap holds %d live bytes after every object was removed and buried", live)
+			}
+
+			mt := h.m.StartMaintainer(MaintainerConfig{Interval: time.Hour})
+			defer mt.Stop()
+			abandon(cycles)
+			deadline := time.Now().Add(5 * time.Second)
+			for h.ctx.Blocks() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("Maintainer left the abandoned block in place (wakeups=%d, passes=%d)",
+						mt.Wakeups(), mt.Passes())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
 // TestMaintainerCleanShutdown: Stop blocks until the goroutine exits,
 // is idempotent, and is safe immediately after start.
 func TestMaintainerCleanShutdown(t *testing.T) {

@@ -248,6 +248,9 @@ type retiredEntry struct {
 type grave struct {
 	blk   *Block
 	ready uint64
+	// freeLimbo: the block's limbo slots own their strings (no object
+	// was moved out of it), so the drain frees them.
+	freeLimbo bool
 }
 
 // Stats aggregates manager-wide counters.
@@ -433,9 +436,9 @@ func (m *Manager) TryAdvanceEpoch() bool {
 // burialEpoch computes when a block buried now may be freed.
 func (m *Manager) burialEpoch() uint64 { return m.ep.Global() + 2 }
 
-func (m *Manager) bury(b *Block) {
+func (m *Manager) bury(b *Block, freeLimbo bool) {
 	m.graveMu.Lock()
-	m.graveyard = append(m.graveyard, grave{blk: b, ready: m.burialEpoch()})
+	m.graveyard = append(m.graveyard, grave{blk: b, ready: m.burialEpoch(), freeLimbo: freeLimbo})
 	m.graveMu.Unlock()
 }
 
@@ -443,20 +446,24 @@ func (m *Manager) bury(b *Block) {
 func (m *Manager) drainGraveyard() {
 	g := m.ep.Global()
 	m.graveMu.Lock()
-	var keep []grave
-	var free []*Block
+	var keep, free []grave
 	for _, gr := range m.graveyard {
 		if gr.ready <= g {
-			free = append(free, gr.blk)
+			free = append(free, gr)
 		} else {
 			keep = append(keep, gr)
 		}
 	}
 	m.graveyard = keep
 	m.graveMu.Unlock()
-	for _, b := range free {
-		m.unregisterBlock(b)
-		m.releaseBlockMemory(b)
+	for _, gr := range free {
+		if gr.freeLimbo {
+			// Every removal in the block predates its burial, so the
+			// grace period that ripened the grave ripened each slot too.
+			gr.blk.ctx.freeLimboStrings(gr.blk)
+		}
+		m.unregisterBlock(gr.blk)
+		m.releaseBlockMemory(gr.blk)
 	}
 }
 
@@ -574,9 +581,9 @@ func (m *Manager) ReturnSession(s *Session) {
 }
 
 // trimSessionPool closes every parked idle session, returning how many
-// were closed. Closing a parked session abandons its allocation blocks,
-// so sparse ones become compaction candidates — the governor's reclaim
-// pass uses this when the budget is exceeded.
+// were closed. Closing a parked session abandons its allocation blocks
+// (abandonAllocBlock routes each to reuse, compaction or burial) — the
+// governor's reclaim pass uses this when the budget is exceeded.
 func (m *Manager) trimSessionPool() int {
 	m.sessMu.Lock()
 	drain := m.sessPool

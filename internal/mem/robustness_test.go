@@ -317,9 +317,9 @@ func TestBudgetCompactionTargetForced(t *testing.T) {
 	// Clamp the budget to current use: an ordinary allocation would wait
 	// and fail, but the pass's target block must go through.
 	h.m.Governor().SetLimit(h.m.Governor().Used())
-	moved, err := h.m.CompactNowWorkers(2)
+	moved, err := h.m.compactNowWorkers(2)
 	if err != nil {
-		t.Fatalf("CompactNowWorkers under a clamped budget: %v", err)
+		t.Fatalf("compactNowWorkers under a clamped budget: %v", err)
 	}
 	if moved == 0 {
 		t.Fatal("clamped budget starved the compaction pass")
@@ -407,7 +407,7 @@ func TestCompactCancelAbortsUnmovedGroups(t *testing.T) {
 		t.Fatalf("canceled pass moved %d objects before its moving phase", moved)
 	}
 	verifySurvivors(t, h, survivors)
-	moved, err = h.m.CompactNowWorkers(2)
+	moved, err = h.m.compactNowWorkers(2)
 	if err != nil || moved == 0 {
 		t.Fatalf("follow-up pass = (%d, %v), want progress", moved, err)
 	}
@@ -428,13 +428,13 @@ func TestCompactFaultGroupPanicScoped(t *testing.T) {
 	disarm := fault.Enable(map[string]*fault.Rule{
 		fault.PointCompactGroup: {At: 1, Panic: true},
 	})
-	_, err := h.m.CompactNowWorkers(2)
+	_, err := h.m.compactNowWorkers(2)
 	disarm()
 	if !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("poisoned pass returned %v, want ErrWorkerPanic", err)
 	}
 	verifySurvivors(t, h, survivors)
-	if _, err := h.m.CompactNowWorkers(2); err != nil {
+	if _, err := h.m.compactNowWorkers(2); err != nil {
 		t.Fatalf("follow-up pass after fault: %v", err)
 	}
 	verifySurvivors(t, h, survivors)

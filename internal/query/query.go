@@ -23,9 +23,11 @@
 // A Pipeline owns the memory lifecycle: every arena any stage leases
 // from the region.ArenaPool is tracked and returned by Close, so a
 // driver is "lease-free": build a pipeline, compose stages, defer
-// Close. Stages may feed each other (a merged table from one Table
-// stage can be probed read-only by the next stage's kernel — Q4's
-// late-lineitem key table feeding its orders scan is the canonical use).
+// Close. Stages may feed each other: a merged table from one Table
+// stage can be probed read-only by the next stage's kernel (Q5's
+// revenue table feeding its nation-resolution pass), and a KeyRanges
+// stage's key set prunes the next stage's scan (Q3's and Q10's orders
+// keys over the lineitem scan).
 package query
 
 import (

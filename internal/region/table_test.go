@@ -125,7 +125,7 @@ func TestTableMatchesMap(t *testing.T) {
 
 // TestPresenceSet covers the semi-join key-set idiom: a
 // PartitionedTable[struct{}] with At as insert and Get as membership
-// (the shape serial Q4 and Q4ParCtx's per-worker merge both use).
+// (the shape serial Q4's late-key table uses).
 func TestPresenceSet(t *testing.T) {
 	a := NewArena(nil, 4096)
 	defer a.Release()

@@ -1,11 +1,14 @@
 package tpch
 
 import (
+	"context"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/types"
 )
 
 // rekeyDateCorrelated returns a copy of the dataset with order keys
@@ -63,7 +66,6 @@ func TestClusterPrunedQueriesMatchOracle(t *testing.T) {
 			q := NewSMCQueries(sdb)
 			wantQ1 := q.Q1(s, p)
 			wantQ3 := q.Q3(s, p)
-			wantQ4 := q.Q4(s, p)
 			wantQ6 := q.Q6(s, p)
 			wantQ10 := q.Q10(s, p)
 
@@ -103,9 +105,6 @@ func TestClusterPrunedQueriesMatchOracle(t *testing.T) {
 				if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
 					t.Fatalf("clustered heap: Q3ParCtx(workers=%d) diverges from serial Q3", workers)
 				}
-				if got := mustPar(t, q.Q4ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ4) {
-					t.Fatalf("clustered heap: Q4ParCtx(workers=%d) diverges from serial Q4", workers)
-				}
 				if got := mustPar(t, q.Q6ParCtx, s, p, workers); got != wantQ6 {
 					t.Fatalf("clustered heap: Q6ParCtx(workers=%d) = %v, want %v", workers, got, wantQ6)
 				}
@@ -121,8 +120,7 @@ func TestClusterPrunedQueriesMatchOracle(t *testing.T) {
 // many small blocks, the Q3/Q10 pipeline drivers must actually prune
 // lineitem blocks through the distilled order-key sets (KeySetPruned
 // moves), record key-set admissions (SynopsisOverlap moves), and still
-// return byte-identical rows to the serial unpruned oracles. Q4's key
-// set is dense over the order domain, so it asserts identity only.
+// return byte-identical rows to the serial unpruned oracles.
 func TestClusterCrossEdgePruning(t *testing.T) {
 	d := rekeyDateCorrelated(testDataset(t))
 	p := DefaultParams()
@@ -140,16 +138,12 @@ func TestClusterCrossEdgePruning(t *testing.T) {
 	}
 	q := NewSMCQueries(sdb)
 	wantQ3 := q.Q3(s, p)
-	wantQ4 := q.Q4(s, p)
 	wantQ10 := q.Q10(s, p)
 
 	before := rt.StatsSnapshot()
 	for _, workers := range []int{1, 2, 4} {
 		if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
 			t.Fatalf("cross-edge Q3ParCtx(workers=%d) diverges from serial Q3", workers)
-		}
-		if got := mustPar(t, q.Q4ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ4) {
-			t.Fatalf("cross-edge Q4ParCtx(workers=%d) diverges from serial Q4", workers)
 		}
 		if got := mustPar(t, q.Q10ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ10) {
 			t.Fatalf("cross-edge Q10ParCtx(workers=%d) diverges from serial Q10", workers)
@@ -165,5 +159,143 @@ func TestClusterCrossEdgePruning(t *testing.T) {
 	// Key-set prunes are a subset of all synopsis prunes.
 	if kp, bp := after.KeySetPruned-before.KeySetPruned, after.BlocksPruned-before.BlocksPruned; kp > bp {
 		t.Fatalf("KeySetPruned (%d) exceeds BlocksPruned (%d)", kp, bp)
+	}
+}
+
+// Scale of TestClusterSteadyStatePruning: small blocks keep the
+// retained heap many blocks wide at a small scale factor, so a
+// 1%-selectivity window covers about one block of it.
+const (
+	steadySF        = 0.01
+	steadyBlockSize = 1 << 15
+)
+
+// upsertScatter removes and re-adds a random 30% of the lineitems: the
+// rows live on unchanged, but the re-adds land in reclaimed slots
+// heap-wide, widening every block's bounds — the churn shape that
+// degrades zone maps. Lineitems are referenced by nothing, so re-adding
+// under a fresh ref is safe.
+func upsertScatter(t *testing.T, sdb *SMCDB, s *core.Session, rng *rand.Rand) {
+	t.Helper()
+	type held struct {
+		ref core.Ref[SLineitem]
+		row SLineitem
+	}
+	var rows []held
+	sdb.Lineitems.ForEach(s, func(r core.Ref[SLineitem], v *SLineitem) bool {
+		rows = append(rows, held{ref: r, row: *v})
+		return true
+	})
+	for _, i := range rng.Perm(len(rows))[:len(rows)*30/100] {
+		if err := sdb.Lineitems.Remove(s, rows[i].ref); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sdb.Lineitems.Add(s, &rows[i].row); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// windowPrunedFrac runs a 1%-selectivity ship-date window over the
+// surviving rows once pruned and once unpruned, requires equal sums,
+// and returns the fraction of block decisions the pruned run pruned.
+func windowPrunedFrac(t *testing.T, rt *core.Runtime, sdb *SMCDB, q *SMCQueries, s *core.Session) float64 {
+	t.Helper()
+	var dates []types.Date
+	sdb.Lineitems.ForEach(s, func(_ core.Ref[SLineitem], v *SLineitem) bool {
+		dates = append(dates, v.ShipDate)
+		return true
+	})
+	if len(dates) == 0 {
+		t.Fatal("no surviving rows")
+	}
+	sort.Slice(dates, func(i, j int) bool { return dates[i] < dates[j] })
+	lo, hi := dates[0], dates[len(dates)/100]
+	ctx := context.Background()
+	before := rt.StatsSnapshot()
+	pruned, err := q.Q6WindowParCtx(ctx, s, lo, hi, 1, true)
+	after := rt.StatsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpruned, err := q.Q6WindowParCtx(ctx, s, lo, hi, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pruned != unpruned {
+		t.Fatalf("pruned window sum %v != unpruned %v", pruned, unpruned)
+	}
+	p, n := after.BlocksPruned-before.BlocksPruned, after.BlocksScanned-before.BlocksScanned
+	if p+n == 0 {
+		t.Fatal("window scan made no block decisions")
+	}
+	return float64(p) / float64(p+n)
+}
+
+// TestClusterSteadyStatePruning pins clustered maintenance's
+// steady-state guarantee: from a churned retention heap (date-ordered
+// load, 30% upsert scatter, oldest 75% trimmed), ONE PackCluster
+// maintenance pass brings a 1%-selectivity window to >= 90% of blocks
+// pruned, and it stays there as upsert churn keeps scattering 30% of
+// the rows between passes (0.95, 0.97, 0.97 at this scale). Size-only
+// packing on the same heap reads 0.57, 0.33, 0.23, so the floor catches
+// a planner that stops sorting by the cluster key. mem's
+// TestClusterPackingRedistributes covers cluster-vs-size monotonicity.
+func TestClusterSteadyStatePruning(t *testing.T) {
+	d := Generate(steadySF, 42)
+	sorted := *d
+	sorted.Lineitems = append([]LineitemRow(nil), d.Lineitems...)
+	sort.SliceStable(sorted.Lineitems, func(i, j int) bool {
+		return sorted.Lineitems[i].ShipDate < sorted.Lineitems[j].ShipDate
+	})
+	retention := sorted.Lineitems[len(sorted.Lineitems)*75/100].ShipDate
+
+	rt := core.MustRuntime(core.Options{
+		HeapBackend: true,
+		BlockSize:   steadyBlockSize,
+		// The 30% upsert scatter leaves blocks near 70% occupancy; a
+		// maintenance-aggressive cutoff admits them all to the first
+		// pass, the pass the guarantee is stated over.
+		CompactionPacking:   core.PackCluster,
+		CompactionThreshold: 0.85,
+	})
+	defer rt.Close()
+	s := rt.MustSession()
+	defer s.Close()
+	sdb, err := LoadSMC(rt, s, &sorted, core.RowIndirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewSMCQueries(sdb)
+	rng := rand.New(rand.NewSource(43))
+	upsertScatter(t, sdb, s, rng)
+	var victims []core.Ref[SLineitem]
+	sdb.Lineitems.ForEach(s, func(r core.Ref[SLineitem], v *SLineitem) bool {
+		if v.ShipDate < retention {
+			victims = append(victims, r)
+		}
+		return true
+	})
+	for _, r := range victims {
+		if err := sdb.Lineitems.Remove(s, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for cycle := 1; cycle <= 3; cycle++ {
+		rt.Manager().TryAdvanceEpoch()
+		moved, err := rt.CompactNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frac := windowPrunedFrac(t, rt, sdb, q, s)
+		t.Logf("cycle %d: moved=%d blocks=%d rows=%d pruned frac %.2f", cycle, moved,
+			sdb.Lineitems.Context().Blocks(), sdb.Lineitems.Context().Len(), frac)
+		if frac < 0.90 {
+			t.Fatalf("cycle %d: clustered pruned fraction %.2f < 0.90", cycle, frac)
+		}
+		if cycle < 3 {
+			upsertScatter(t, sdb, s, rng)
+		}
 	}
 }

@@ -38,7 +38,6 @@ func TestParallelDriversSurfaceWorkerPanic(t *testing.T) {
 	}{
 		{"Q1ParCtx", func(w int) error { _, err := q.Q1ParCtx(ctx, s, p, w); return err }},
 		{"Q3ParCtx", func(w int) error { _, err := q.Q3ParCtx(ctx, s, p, w); return err }},
-		{"Q4ParCtx", func(w int) error { _, err := q.Q4ParCtx(ctx, s, p, w); return err }},
 		{"Q5ParCtx", func(w int) error { _, err := q.Q5ParCtx(ctx, s, p, w); return err }},
 		{"Q6ParCtx", func(w int) error { _, err := q.Q6ParCtx(ctx, s, p, w); return err }},
 		{"Q10ParCtx", func(w int) error { _, err := q.Q10ParCtx(ctx, s, p, w); return err }},

@@ -14,7 +14,7 @@ import (
 )
 
 // The pruned-scan contract: every parallel driver with predicate
-// pushdown (Q1/Q3/Q6/Q10 plus the pipeline-native Q4ParCtx) must return
+// pushdown (Q1/Q3/Q6/Q10) must return
 // byte-identical results to its unpruned serial oracle — pruning drops
 // blocks that provably hold no matching row, the kernels keep evaluating
 // the residual predicate, so the answer cannot change.
@@ -38,21 +38,14 @@ func TestPrunedQueriesMatchOracle(t *testing.T) {
 			q := NewSMCQueries(sdb)
 			wantQ1 := q.Q1(s, p)
 			wantQ3 := q.Q3(s, p)
-			wantQ4 := q.Q4(s, p)
 			wantQ6 := q.Q6(s, p)
 			wantQ10 := q.Q10(s, p)
-			if len(wantQ4) == 0 {
-				t.Fatal("serial Q4 baseline empty: dataset too small for the semi-join")
-			}
 			for _, workers := range joinWorkerCounts() {
 				if got := mustPar(t, q.Q1ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ1) {
 					t.Fatalf("pruned Q1ParCtx(workers=%d) diverges from serial Q1", workers)
 				}
 				if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
 					t.Fatalf("pruned Q3ParCtx(workers=%d) diverges from serial Q3", workers)
-				}
-				if got := mustPar(t, q.Q4ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ4) {
-					t.Fatalf("pruned Q4ParCtx(workers=%d) diverges from serial Q4:\n got %+v\nwant %+v", workers, got, wantQ4)
 				}
 				if got := mustPar(t, q.Q6ParCtx, s, p, workers); got != wantQ6 {
 					t.Fatalf("pruned Q6ParCtx(workers=%d) = %v, want %v", workers, got, wantQ6)
@@ -115,7 +108,7 @@ func TestPrunedScanActuallyPrunes(t *testing.T) {
 // against concurrent add/remove churn with an active background
 // Maintainer. The churned rows are crafted to fail every residual
 // predicate (far-future ship dates, commit==receipt, non-'R' return
-// flags, null references; churned orders sit outside the Q4 window), so
+// flags, null references), so
 // the stable rows fully determine the answers: every pruned parallel run
 // must return exactly the serial baseline while blocks appear, widen,
 // empty, compact and re-tighten underneath it. Run with -race.
@@ -133,7 +126,6 @@ func TestPrunedParallelMaintainerChurnStress(t *testing.T) {
 	q := NewSMCQueries(sdb)
 	wantQ1 := q.Q1(s, p)
 	wantQ3 := q.Q3(s, p)
-	wantQ4 := q.Q4(s, p)
 	wantQ6 := q.Q6(s, p)
 	wantQ10 := q.Q10(s, p)
 
@@ -218,9 +210,6 @@ func TestPrunedParallelMaintainerChurnStress(t *testing.T) {
 		}
 		if got := mustPar(t, q.Q3ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ3) {
 			t.Fatalf("run %d: pruned Q3ParCtx(workers=%d) diverged under churn", runs, workers)
-		}
-		if got := mustPar(t, q.Q4ParCtx, s, p, workers); !reflect.DeepEqual(got, wantQ4) {
-			t.Fatalf("run %d: pruned Q4ParCtx(workers=%d) diverged under churn", runs, workers)
 		}
 		if got := mustPar(t, q.Q6ParCtx, s, p, workers); got != wantQ6 {
 			t.Fatalf("run %d: pruned Q6ParCtx(workers=%d) diverged under churn", runs, workers)

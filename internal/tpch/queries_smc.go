@@ -358,9 +358,8 @@ func (q *SMCQueries) Q3MapIntermediates(s *core.Session, p Params) []Q3Row {
 
 // q4LateBlock scans one lineitem block for late lines (commit before
 // receipt) whose order falls in the Q4 window, folding their order keys
-// into the semi-join key table: the compiled per-block kernel, shared by
-// the serial Q4 and Q4ParCtx. s must be the session whose critical section
-// covers blk.
+// into the semi-join key table: the compiled per-block kernel. s must be
+// the session whose critical section covers blk.
 func (q *SMCQueries) q4LateBlock(s *core.Session, blk *mem.Block, lo, hi types.Date, late *region.PartitionedTable[struct{}]) {
 	commit, recv := colOf(blk, q.lCommit), colOf(blk, q.lRecv)
 	key, ord := colOf(blk, q.lOrderKey), colOf(blk, q.frLOrder.Field)
@@ -380,9 +379,7 @@ func (q *SMCQueries) q4LateBlock(s *core.Session, blk *mem.Block, lo, hi types.D
 }
 
 // q4CountBlock counts one orders block's in-window rows per priority
-// against the (merged, read-only) late-key table: the per-block counting
-// kernel, shared by the serial Q4 and Q4ParCtx. The window check stays the
-// residual predicate even when the scan was pruned on OrderDate.
+// against the late-key table: the per-block counting kernel.
 func (q *SMCQueries) q4CountBlock(blk *mem.Block, lo, hi types.Date, late *region.PartitionedTable[struct{}], counts map[string]int64) {
 	date, key, prio := colOf(blk, q.oDate), colOf(blk, q.oKey), colOf(blk, q.oPrio)
 	for i := 0; i < blk.Capacity(); i++ {
@@ -409,8 +406,7 @@ func q4Rows(counts map[string]int64) []Q4Row {
 }
 
 // Q4 — order priority checking (semi-join on orderkey). The semi-join
-// key set is region-backed (§7). The per-block kernels are shared with
-// Q4ParCtx (queries_smc_joins.go).
+// key set is region-backed (§7).
 func (q *SMCQueries) Q4(s *core.Session, p Params) []Q4Row {
 	hi := p.Q4Date.AddMonths(3)
 	a := q.arenas.Lease()

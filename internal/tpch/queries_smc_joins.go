@@ -478,65 +478,6 @@ func (q *SMCQueries) Q3ParCtx(ctx context.Context, s *core.Session, p Params, wo
 	return SortQ3(rows), nil
 }
 
-// Q4ParCtx is Q4 fanned out over the pipeline: a Table stage builds the
-// late-order semi-join key set from the lineitem scan (per-worker leased
-// tables, no-op merge — presence is idempotent), then an Accum stage
-// scans orders with the order-date window pushed down onto the orders
-// collection's block synopses, probing the merged key set read-only and
-// counting per priority. Results are identical to Q4 on a quiesced
-// collection (see Q3ParCtx for the contract).
-func (q *SMCQueries) Q4ParCtx(ctx context.Context, s *core.Session, p Params, workers int) ([]Q4Row, error) {
-	pl, err := query.NewCtx(ctx, s, q.arenas, workers)
-	if err != nil {
-		return nil, err
-	}
-	defer pl.Close()
-	hi := p.Q4Date.AddMonths(3)
-	late, err := query.Table(pl, q.db.Lineitems, joinTableHint,
-		func(ws *core.Session, blk *mem.Block, t *region.PartitionedTable[struct{}]) {
-			q.q4LateBlock(ws, blk, p.Q4Date, hi, t)
-		},
-		func(dst, src *struct{}) {})
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[string]int64)
-	if late != nil && late.Len() > 0 {
-		// Cross-edge pruning: the late-lineitem key set is exactly the
-		// semi-join's probe domain, so orders blocks whose Key bounds miss
-		// every late-key range are never claimed — on top of the order-date
-		// window pushdown.
-		lateKeys := make([]mem.KeyRange, 0, late.Len())
-		late.Range(func(k int64, _ *struct{}) bool {
-			lateKeys = append(lateKeys, mem.KeyRange{Lo: k, Hi: k})
-			return true
-		})
-		// Pushdown: orderdate in [Q4Date, hi) onto the orders scan.
-		pred := q.db.Orders.Predicate().
-			DateRange("OrderDate", p.Q4Date, hi-1).
-			InKeySet("Key", mem.NewKeyRangePredicate(lateKeys))
-		merged, err := query.Accum(pl, query.Where(q.db.Orders, pred),
-			func(_ int, _ *core.Session, blk *mem.Block, acc *map[string]int64) {
-				if *acc == nil {
-					*acc = make(map[string]int64)
-				}
-				q.q4CountBlock(blk, p.Q4Date, hi, late, *acc)
-			},
-			func(dst, src *map[string]int64) {
-				for pr, n := range *src {
-					(*dst)[pr] += n
-				}
-			})
-		if err != nil {
-			return nil, err
-		}
-		if *merged != nil {
-			counts = *merged
-		}
-	}
-	return q4Rows(counts), nil
-}
-
 // Q5ParCtx is Q5 fanned out over `workers` block-sharded scan workers;
 // the nation-resolution finishing pass shards over the nation
 // collection's blocks with the merged revenue table probed read-only
