@@ -17,15 +17,12 @@ import (
 //
 //  1. Critical-section granularity (§3.4/§4: "several accesses can be
 //     combined into a single critical section to amortize the overhead").
-//  2. The open-coded dereference fast path versus the full §5.1 protocol
-//     for every reference hop.
-//  3. Coalesced marshalling (single memmoves over scalar runs) versus
+//  2. Coalesced marshalling (single memmoves over scalar runs) versus
 //     field-by-field copies in Add.
+//  3. Region versus Go-heap query intermediates (§7).
 //  4. Block-size sweep: enumeration and allocation cost per block size.
 type AblationResult struct {
 	CSPerQuery, CSPerBlock, CSPerObject time.Duration
-
-	DerefFast, DerefFull time.Duration
 
 	MarshalCoalesced, MarshalFieldwise time.Duration
 
@@ -123,70 +120,7 @@ func FigureAblation(o Options) (*AblationResult, error) {
 		sinkAny = sum
 	})
 
-	// --- 2. Dereference fast path vs the full protocol: nested
-	// enumeration lineitem→order, counting orders in a date range.
-	q := tpch.NewSMCQueries(db)
-	frOrder := db.Lineitems.FieldRefByName("Order")
-	oDateF := db.Orders.Schema().MustField("OrderDate")
-	lo, hi := types.MustDate("1994-01-01"), types.MustDate("1996-01-01")
-
-	// Warm-up the nested-access path (pages of the orders blocks).
-	s.Enter()
-	for _, blk := range ctx.SnapshotBlocks() {
-		for i := 0; i < blk.Capacity(); i++ {
-			if blk.SlotIsValid(i) {
-				if oobj, err := frOrder.Deref(s, objAt(blk, i)); err == nil {
-					sinkAny = *(*types.Date)(oobj.Field(oDateF))
-				}
-			}
-		}
-	}
-	s.Exit()
-
-	res.DerefFast = median(o.Reps, func() {
-		count := 0
-		s.Enter()
-		for _, blk := range ctx.SnapshotBlocks() {
-			n := blk.Capacity()
-			for i := 0; i < n; i++ {
-				if !blk.SlotIsValid(i) {
-					continue
-				}
-				oobj, err := q.Deref(s, &frOrder, objAt(blk, i))
-				if err != nil {
-					continue
-				}
-				if od := *(*types.Date)(oobj.Field(oDateF)); od >= lo && od < hi {
-					count++
-				}
-			}
-		}
-		s.Exit()
-		sinkAny = count
-	})
-	res.DerefFull = median(o.Reps, func() {
-		count := 0
-		s.Enter()
-		for _, blk := range ctx.SnapshotBlocks() {
-			n := blk.Capacity()
-			for i := 0; i < n; i++ {
-				if !blk.SlotIsValid(i) {
-					continue
-				}
-				oobj, err := frOrder.Deref(s, objAt(blk, i))
-				if err != nil {
-					continue
-				}
-				if od := *(*types.Date)(oobj.Field(oDateF)); od >= lo && od < hi {
-					count++
-				}
-			}
-		}
-		s.Exit()
-		sinkAny = count
-	})
-
-	// --- 3. Coalesced vs field-by-field marshalling: Add throughput into
+	// --- 2. Coalesced vs field-by-field marshalling: Add throughput into
 	// a fresh collection (strings dominate less for lineitem than customer,
 	// so lineitem isolates the scalar-run effect).
 	loadOnce := func(coalesced bool) {
@@ -213,8 +147,9 @@ func FigureAblation(o Options) (*AblationResult, error) {
 	res.MarshalCoalesced = median(o.Reps, func() { loadOnce(true) })
 	res.MarshalFieldwise = median(o.Reps, func() { loadOnce(false) })
 
-	// --- 3b. Region vs Go-heap intermediates: Q3's group table lives in a
+	// --- 3. Region vs Go-heap intermediates: Q3's group table lives in a
 	// query region (§7's unsafe-query optimization) or in an ordinary map.
+	q := tpch.NewSMCQueries(db)
 	p := tpch.DefaultParams()
 	sinkAny = q.Q3(s, p) // warm-up both variants
 	sinkAny = q.Q3MapIntermediates(s, p)
@@ -285,15 +220,6 @@ func (r *AblationResult) Render() []*Table {
 		cs.Rows = append(cs.Rows, []string{row.name, ms(row.d), rel(base, row.d)})
 	}
 
-	dp := &Table{
-		Title:   "Ablation — open-coded deref fast path vs full §5.1 protocol (nested scan)",
-		Columns: []string{"path", "time (ms)", "vs fast"},
-		Rows: [][]string{
-			{"fast path", ms(r.DerefFast), "100"},
-			{"full protocol", ms(r.DerefFull), rel(r.DerefFast, r.DerefFull)},
-		},
-	}
-
 	ma := &Table{
 		Title:   "Ablation — coalesced vs field-by-field marshalling (lineitem load)",
 		Columns: []string{"marshal", "time (ms)", "vs coalesced"},
@@ -321,10 +247,5 @@ func (r *AblationResult) Render() []*Table {
 			fmt.Sprintf("%d KiB", b/1024), ms(r.LoadByBS[i]), ms(r.ScanByBS[i]),
 		})
 	}
-	return []*Table{cs, dp, ma, rg, bs}
-}
-
-// objAt builds a mem.Obj for row-layout compiled loops.
-func objAt(b *mem.Block, slot int) mem.Obj {
-	return mem.Obj{Blk: b, Slot: slot, Ptr: b.SlotData(slot)}
+	return []*Table{cs, ma, rg, bs}
 }

@@ -165,9 +165,6 @@ func TestFigureAblation(t *testing.T) {
 	if r.CSPerQuery <= 0 || r.CSPerBlock <= 0 || r.CSPerObject <= 0 {
 		t.Fatal("critical-section ablation degenerate")
 	}
-	if r.DerefFast <= 0 || r.DerefFull <= 0 {
-		t.Fatal("deref ablation degenerate")
-	}
 	if r.MarshalCoalesced <= 0 || r.MarshalFieldwise <= 0 {
 		t.Fatal("marshal ablation degenerate")
 	}

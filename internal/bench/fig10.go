@@ -168,7 +168,6 @@ func Figure10(o Options) (*Figure10Result, error) {
 			rt.Close()
 			return nil, err
 		}
-		q := tpch.NewSMCQueries(sdb)
 
 		extF := sdb.Lineitems.Schema().MustField("ExtendedPrice")
 		balF := sdb.Customers.Schema().MustField("AcctBal")
@@ -214,11 +213,11 @@ func Figure10(o Options) (*Figure10Result, error) {
 						continue
 					}
 					l := mem.Obj{Blk: blk, Slot: i, Ptr: blk.SlotData(i)}
-					oobj, err := q.Deref(s, &frOrder, l)
+					oobj, err := frOrder.Deref(s, l)
 					if err != nil {
 						continue
 					}
-					cobj, err := q.Deref(s, &frCust, oobj)
+					cobj, err := frCust.Deref(s, oobj)
 					if err != nil {
 						continue
 					}
@@ -257,7 +256,6 @@ func Figure10(o Options) (*Figure10Result, error) {
 				}
 			}
 		}
-		_ = q
 
 		res.Series[name] = [4]float64{
 			msF(freshSimple), msF(median(o.Reps, simple)),

@@ -24,7 +24,7 @@ func TestCollectionAccessors(t *testing.T) {
 	if persons.LayoutKind() != RowDirect {
 		t.Fatalf("LayoutKind = %v", persons.LayoutKind())
 	}
-	if persons.Context() == nil || persons.Context().Layout() != RowDirect {
+	if persons.Context() == nil || persons.Context().Schema() != persons.Schema() {
 		t.Fatal("Context not wired")
 	}
 	if persons.Schema().Name != "Person" {

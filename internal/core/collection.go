@@ -80,7 +80,8 @@ func buildCopyPlan(sch *schema.Schema) []copyOp {
 	return plan
 }
 
-// refBinding wires a Ref field to its target context and encoding.
+// refBinding wires a Ref field to its target context, whose layout
+// decides the field's encoding (mem.Context.StoreRef).
 type refBinding struct {
 	field *schema.Field
 	src   *mem.Context
@@ -89,15 +90,30 @@ type refBinding struct {
 	// only ever hold null references — references are minted by the
 	// target collection's Add — so late binding is always sound.
 	target *mem.Context
-	// direct is true when the field stores a raw {addr,inc} direct
-	// pointer (§6) because the target collection uses RowDirect layout.
-	direct bool
 }
 
 func (b *refBinding) bind(target *mem.Context) {
 	b.target = target
-	b.direct = target.Layout() == mem.RowDirect
-	target.RegisterRefEdge(b.src, b.field.Index, b.direct)
+	target.RegisterRefEdge(b.src, b.field.Index)
+}
+
+// store encodes r into the field at dst in the target's encoding. An
+// unbound field stores the indirect form, whose null is all zeros in
+// every encoding.
+func (b *refBinding) store(dst unsafe.Pointer, r types.Ref) {
+	if b.target == nil {
+		*(*types.Ref)(dst) = r
+		return
+	}
+	b.target.StoreRef(dst, r)
+}
+
+// load decodes the field at src.
+func (b *refBinding) load(src unsafe.Pointer) types.Ref {
+	if b.target == nil {
+		return *(*types.Ref)(src)
+	}
+	return b.target.LoadRef(src)
 }
 
 // NewCollection creates a collection named name over element type T.
@@ -326,7 +342,7 @@ func (c *Collection[T]) marshal(s *Session, obj mem.Obj, v *T) error {
 				}
 				*(*types.StrRef)(dst) = sr
 			case opRef:
-				c.marshalRef(op.fieldIdx, src, dst)
+				c.refPlan[op.fieldIdx].store(dst, *(*types.Ref)(src))
 			}
 		}
 		return nil
@@ -353,32 +369,10 @@ func (c *Collection[T]) marshal(s *Session, obj mem.Obj, v *T) error {
 			}
 			*(*types.StrRef)(dst) = sr
 		case schema.Ref:
-			c.marshalRef(i, src, dst)
+			c.refPlan[i].store(dst, *(*types.Ref)(src))
 		}
 	}
 	return nil
-}
-
-// marshalRef encodes a reference field: raw direct pointer for RowDirect
-// targets (§6), the 16-byte indirect reference otherwise.
-func (c *Collection[T]) marshalRef(fieldIdx int, src, dst unsafe.Pointer) {
-	b := c.refPlan[fieldIdx]
-	r := *(*types.Ref)(src)
-	if !b.direct {
-		// Indirect encoding; also the only possibility while unbound
-		// (an unbound field can only carry null references).
-		*(*types.Ref)(dst) = r
-		return
-	}
-	if r.IsNil() {
-		*(*uint64)(dst) = 0
-		*(*uint64)(unsafe.Add(dst, 8)) = 0
-		return
-	}
-	addr, inc := mem.DirectWord(r)
-	*(*uint64)(dst) = addr
-	*(*uint32)(unsafe.Add(dst, 8)) = inc
-	*(*uint32)(unsafe.Add(dst, 12)) = 0
 }
 
 // unmarshal copies an off-heap slot into a Go struct.
@@ -402,14 +396,7 @@ func (c *Collection[T]) unmarshal(s *Session, obj mem.Obj, v *T) {
 		case schema.String:
 			*(*string)(dst) = (*(*types.StrRef)(src)).String()
 		case schema.Ref:
-			b := c.refPlan[i]
-			if !b.direct {
-				*(*types.Ref)(dst) = *(*types.Ref)(src)
-				continue
-			}
-			addr := *(*uint64)(src)
-			inc := *(*uint32)(unsafe.Add(src, 8))
-			*(*types.Ref)(dst) = mem.RefFromDirect(b.target, addr, inc)
+			*(*types.Ref)(dst) = c.refPlan[i].load(src)
 		}
 	}
 }
@@ -431,11 +418,13 @@ func (c *Collection[T]) SetCoalescedCopy(enabled bool) {
 
 // FieldRef is a pre-resolved handle for dereferencing an in-object
 // reference field during query processing; compiled queries hoist one per
-// join edge ("most joins are performed using references", §7).
+// join edge ("most joins are performed using references", §7). The hop
+// itself belongs to the target context (mem.Context.DerefField), whose
+// layout picks the check, so collections of one runtime may use
+// different layouts.
 type FieldRef struct {
 	Field  *schema.Field
 	Target *mem.Context
-	Direct bool
 }
 
 // FieldRefByName builds a FieldRef for the named Ref field.
@@ -448,7 +437,7 @@ func (c *Collection[T]) FieldRefByName(name string) FieldRef {
 	if b.target == nil {
 		panic(fmt.Sprintf("core: %s.%s references %v, but no such collection exists", c.name, name, f.Target))
 	}
-	return FieldRef{Field: f, Target: b.target, Direct: b.direct}
+	return FieldRef{Field: f, Target: b.target}
 }
 
 // Deref follows the reference stored in obj's field into the target
@@ -456,26 +445,13 @@ func (c *Collection[T]) FieldRefByName(name string) FieldRef {
 // critical section. Direct pointers found stale after a relocation are
 // fixed up in place (§6).
 func (fr FieldRef) Deref(s *Session, obj mem.Obj) (mem.Obj, error) {
-	fp := obj.Field(fr.Field)
-	if !fr.Direct {
-		r := *(*types.Ref)(fp)
-		return fr.Target.Deref(s.ms, r)
-	}
-	addr := atomic.LoadUint64((*uint64)(fp))
-	if addr == 0 {
-		return mem.Obj{}, ErrNullReference
-	}
-	inc := *(*uint32)(unsafe.Add(fp, 8))
-	p, err := fr.Target.DerefDirect(s.ms, types.LaunderAddr(uintptr(addr)), inc)
-	if err != nil {
-		return mem.Obj{}, err
-	}
-	if uint64(uintptr(p)) != addr {
-		// Tombstone chased: update the stored pointer for future
-		// accesses, as the paper's generated code does.
-		atomic.StoreUint64((*uint64)(fp), uint64(uintptr(p)))
-	}
-	return mem.Obj{Ptr: p}, nil
+	return fr.Target.DerefField(s.ms, obj.Field(fr.Field))
+}
+
+// DerefAt is Deref for a kernel that already holds the field's address
+// cell, taken from its block's column view.
+func (fr FieldRef) DerefAt(s *Session, cell unsafe.Pointer) (mem.Obj, error) {
+	return fr.Target.DerefField(s.ms, cell)
 }
 
 // refOf reconstructs a typed reference from an enumeration position.

@@ -218,20 +218,6 @@ func (c *Context) freeSlotStrings(b *Block, slot int) {
 	}
 }
 
-// freeLimboStrings releases the strings of every limbo slot in b. Each
-// slot's strings go exactly once: freeSlotStrings nils the references it
-// frees, so a slot reclaimed but never published again is skipped.
-func (c *Context) freeLimboStrings(b *Block) {
-	if len(c.sch.StringFields) == 0 {
-		return
-	}
-	for i := 0; i < b.capacity; i++ {
-		if slotDirState(b.SlotDirWord(i)) == slotLimbo {
-			c.freeSlotStrings(b, i)
-		}
-	}
-}
-
 // AllocString copies s into the context's string heap on behalf of the
 // collection layer's marshalling code.
 func (c *Context) AllocString(s *Session, str string) (types.StrRef, error) {
@@ -267,26 +253,7 @@ func (c *Context) Remove(s *Session, ref types.Ref) error {
 	for {
 		// Resolve the current location each attempt: a concurrent
 		// relocation may move the object between retries.
-		payload := loadPayload(e)
-		switch c.layout {
-		case Columnar:
-			id, sl := unpackColumnar(payload)
-			blk = m.blockByID(id)
-			slot = sl
-			cell = entryIncPtr(e)
-		default:
-			p := payloadAddr(payload)
-			blk = m.blockFromAddr(p)
-			if blk == nil {
-				return ErrNullReference
-			}
-			slot = blk.slotIndexFromData(p)
-			if c.layout == RowDirect {
-				cell = blk.slotHeaderPtr(slot)
-			} else {
-				cell = entryIncPtr(e)
-			}
-		}
+		blk, slot, cell = c.locate(e)
 		if blk == nil {
 			return ErrNullReference
 		}
@@ -316,19 +283,7 @@ func (c *Context) Remove(s *Session, ref types.Ref) error {
 	// its CAS was on the slot header, which a relocation turns into a
 	// FORWARD-flagged word, failing the CAS outright.
 	if c.layout != RowDirect {
-		payload := loadPayload(e)
-		switch c.layout {
-		case Columnar:
-			id, sl := unpackColumnar(payload)
-			blk = m.blockByID(id)
-			slot = sl
-		default:
-			p := payloadAddr(payload)
-			blk = m.blockFromAddr(p)
-			if blk != nil {
-				slot = blk.slotIndexFromData(p)
-			}
-		}
+		blk, slot, _ = c.locate(e)
 		if blk == nil {
 			// Unreachable in a correct system; fail loudly in tests.
 			panic("mem: removed object's payload resolves to no block")

@@ -235,10 +235,6 @@ func (m *Manager) compactNowWorkersCtx(cctx context.Context, workers int) (int, 
 	m.movingPhase.Store(true)
 	moved, moveErr := m.moveGroups(groups, workers, done)
 	var emptied []*Block
-	// unmoved marks emptied blocks no object was ever moved out of: all
-	// their limbo slots hold removed objects' strings, which no live
-	// copy shares, so the graveyard frees them with the block.
-	unmoved := make(map[*Block]bool)
 	basesByCtx := make(map[*Context]map[uintptr]bool)
 	for _, g := range groups {
 		if g.state.Load() == gAborted {
@@ -248,9 +244,6 @@ func (m *Manager) compactNowWorkersCtx(cctx context.Context, workers int) (int, 
 		for _, b := range g.blocks {
 			if b.validCount.Load() == 0 {
 				emptied = append(emptied, b)
-				if len(g.targets) == 0 && !b.sealed.Load() {
-					unmoved[b] = true
-				}
 				set := basesByCtx[g.ctx]
 				if set == nil {
 					set = make(map[uintptr]bool)
@@ -296,7 +289,7 @@ func (m *Manager) compactNowWorkersCtx(cctx context.Context, workers int) (int, 
 			panic("mem: burying a block with valid slots (accounting bug)")
 		}
 		b.buried.Store(true)
-		m.bury(b, unmoved[b])
+		m.bury(b, ownedLimbo(b))
 	}
 
 	// Close the relocation epoch. Before discarding the relocation
@@ -361,6 +354,29 @@ func (m *Manager) compactNowWorkersCtx(cctx context.Context, workers int) (int, 
 		return moved, moveErr
 	}
 	return moved, context.Cause(cctx)
+}
+
+// ownedLimbo lists the limbo slots of emptied block b whose strings the
+// graveyard frees with the block: the removed objects' slots. A slot this
+// pass moved out of (an rDone entry in b's relocation list) shares its
+// strings with the moved copy and keeps them. A sealed block's moves from
+// earlier passes are recorded nowhere, so a sealed block frees nothing.
+func ownedLimbo(b *Block) []int32 {
+	if b.sealed.Load() || len(b.ctx.sch.StringFields) == 0 {
+		return nil
+	}
+	list := b.reloc.Load()
+	var slots []int32
+	for i := 0; i < b.capacity; i++ {
+		if slotDirState(b.SlotDirWord(i)) != slotLimbo {
+			continue
+		}
+		if re := list.find(i); re != nil && re.status.Load() == rDone {
+			continue
+		}
+		slots = append(slots, int32(i))
+	}
+	return slots
 }
 
 // isCompactionCandidate reports whether a pass may take b: an unowned,
@@ -778,33 +794,11 @@ func (m *Manager) moveGroup(g *CompactionGroup) (int, bool) {
 		for _, b := range g.blocks {
 			list := b.reloc.Load()
 			for i := range list.entries {
-				re := &list.entries[i]
-				switch re.status.Load() {
-				case rPending:
-					if m.moveOne(g.ctx, b, re) {
-						moved++
-					} else if re.status.Load() == rFailed {
-						pending++
-					}
-				case rFailed:
-					// Re-freeze and retry: in the moving phase readers
-					// help instead of bailing, so this converges. The
-					// CAS against the scheduled incarnation guarantees
-					// a bailed object that was removed meanwhile can
-					// never be rescheduled.
-					cell := g.ctx.incCellFor(b, int(re.slot))
-					if atomic.CompareAndSwapUint32(cell, re.inc, re.inc|FlagFrozen) {
-						re.status.Store(rPending)
-						if m.moveOne(g.ctx, b, re) {
-							moved++
-						} else if re.status.Load() == rFailed {
-							pending++
-						}
-					} else if atomic.LoadUint32(cell)&IncMask != re.inc {
-						re.status.Store(rSkipped) // removed meanwhile
-					} else {
-						pending++
-					}
+				did, open := m.moveEntry(g.ctx, b, &list.entries[i])
+				if did {
+					moved++
+				} else if open {
+					pending++
 				}
 			}
 		}
@@ -924,29 +918,11 @@ func (m *Manager) helpGroup(g *CompactionGroup) bool {
 			continue // aborted concurrently; the caller's state check decides
 		}
 		for i := range list.entries {
-			re := &list.entries[i]
-			switch re.status.Load() {
-			case rPending:
-				if m.moveOne(g.ctx, b, re) {
-					helped++
-				} else if st := re.status.Load(); st == rPending || st == rFailed {
-					resolved = false
-				}
-			case rFailed:
-				// Re-freeze and retry, as the compactor's retry round does.
-				cell := g.ctx.incCellFor(b, int(re.slot))
-				if atomic.CompareAndSwapUint32(cell, re.inc, re.inc|FlagFrozen) {
-					re.status.Store(rPending)
-					if m.moveOne(g.ctx, b, re) {
-						helped++
-					} else if st := re.status.Load(); st == rPending || st == rFailed {
-						resolved = false
-					}
-				} else if atomic.LoadUint32(cell)&IncMask != re.inc {
-					re.status.Store(rSkipped) // removed meanwhile
-				} else {
-					resolved = false
-				}
+			did, open := m.moveEntry(g.ctx, b, &list.entries[i])
+			if did {
+				helped++
+			} else if open {
+				resolved = false
 			}
 		}
 	}
@@ -1014,6 +990,37 @@ func (m *Manager) abortRun(groups []*CompactionGroup) {
 			t.targetOf.Store(nil)
 		}
 	}
+}
+
+// moveEntry makes one attempt at a scheduled relocation, for the
+// compactor's retry rounds and for helping enumerators alike. A pending
+// entry moves. A failed one (bailed out by a reader in the waiting phase)
+// is re-frozen and retried: in the moving phase readers help instead of
+// bailing, so this converges, and the CAS against the scheduled
+// incarnation guarantees a bailed object that was removed meanwhile is
+// never rescheduled. It reports whether this call moved the object and
+// whether the relocation is still unresolved.
+func (m *Manager) moveEntry(c *Context, b *Block, re *relocEntry) (moved, open bool) {
+	switch re.status.Load() {
+	case rPending:
+	case rFailed:
+		cell := c.incCellFor(b, int(re.slot))
+		if !atomic.CompareAndSwapUint32(cell, re.inc, re.inc|FlagFrozen) {
+			if atomic.LoadUint32(cell)&IncMask != re.inc {
+				re.status.Store(rSkipped) // removed meanwhile
+				return false, false
+			}
+			return false, true
+		}
+		re.status.Store(rPending)
+	default:
+		return false, false
+	}
+	if m.moveOne(c, b, re) {
+		return true, false
+	}
+	st := re.status.Load()
+	return false, st == rPending || st == rFailed
 }
 
 // moveOne locks and relocates a single scheduled object (§5.1, Figure 4).
@@ -1162,9 +1169,6 @@ func (c *Context) helpRelocate(blk *Block, slot int, cell *uint32) {
 func (m *Manager) fixupDirectPointers(c *Context, bases map[uintptr]bool) {
 	mask := uintptr(m.cfg.BlockSize - 1)
 	for _, edge := range c.edges() {
-		if !edge.direct {
-			continue
-		}
 		f := &edge.src.sch.Fields[edge.field]
 		for _, sb := range edge.src.SnapshotBlocks() {
 			for slot := 0; slot < sb.capacity; slot++ {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/schema"
 	"repro/internal/types"
@@ -459,7 +458,7 @@ func TestDirectPointerFixupAfterCompaction(t *testing.T) {
 	friendF := srcSchema.MustField("Friend")
 	idF := testSchema.MustField("ID")
 	srcIDF := srcSchema.MustField("ID")
-	target.RegisterRefEdge(src, friendF.Index, true)
+	target.RegisterRefEdge(src, friendF.Index)
 
 	s, err := m.NewSession()
 	if err != nil {
@@ -486,7 +485,7 @@ func TestDirectPointerFixupAfterCompaction(t *testing.T) {
 	}
 
 	// Source objects point at every 10th target object via direct
-	// {addr,inc} words, as the collection layer would store them.
+	// {addr,inc} words, as the collection layer stores them.
 	type link struct {
 		srcRef types.Ref
 		want   int64
@@ -494,18 +493,12 @@ func TestDirectPointerFixupAfterCompaction(t *testing.T) {
 	var links []link
 	s.Enter()
 	for i := 0; i < n; i += 10 {
-		tobj, err := target.Deref(s, trefs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
 		ref, obj, err := src.Alloc(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		*(*int64)(obj.Blk.FieldPtr(obj.Slot, srcIDF)) = int64(i)
-		fp := obj.Blk.FieldPtr(obj.Slot, friendF)
-		*(*uint64)(fp) = uint64(uintptr(tobj.Ptr))
-		*(*uint32)(unsafe.Add(fp, 8)) = trefs[i].Inc
+		target.StoreRef(obj.Blk.FieldPtr(obj.Slot, friendF), trefs[i])
 		src.Publish(s, obj)
 		links = append(links, link{ref, int64(i)})
 	}
@@ -540,71 +533,20 @@ func TestDirectPointerFixupAfterCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		fp := obj.Field(friendF)
-		addr := types.LaunderAddr(uintptr(*(*uint64)(fp)))
-		inc := *(*uint32)(unsafe.Add(fp, 8))
-		p, err := target.DerefDirect(s, addr, inc)
+		before := *(*uint64)(fp)
+		tobj, err := target.DerefField(s, fp)
 		if err != nil {
 			t.Fatalf("direct deref for %d: %v", l.want, err)
 		}
-		got := *(*int64)(unsafe.Add(p, idF.Offset))
+		if *(*uint64)(fp) != before {
+			t.Fatalf("pointer to %d not fixed up by the scan (written back on dereference)", l.want)
+		}
+		got := *(*int64)(tobj.Field(idF))
 		if got != l.want {
 			t.Fatalf("direct pointer resolved to %d, want %d", got, l.want)
 		}
 	}
 	s.Exit()
-}
-
-// TestDerefDirectTombstoneChase verifies a stale direct pointer (not yet
-// fixed up) still reaches the moved object through the forwarding flag
-// and back-pointer (§6, Figure 5).
-func TestDerefDirectTombstoneChase(t *testing.T) {
-	h := newHarness(t, RowDirect, Config{
-		BlockSize:        1 << 13,
-		ReclaimThreshold: 0.9,
-		HeapBackend:      true,
-	})
-	survivors := churnToLowOccupancy(t, h, 4)
-
-	// Capture raw direct pointers before compaction.
-	type raw struct {
-		addr unsafe.Pointer
-		inc  uint32
-		want int64
-	}
-	var raws []raw
-	h.s.Enter()
-	for id, r := range survivors {
-		obj, err := h.ctx.Deref(h.s, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws = append(raws, raw{obj.Ptr, r.Inc, id})
-	}
-	h.s.Exit()
-
-	if _, err := h.m.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-
-	h.s.Enter()
-	chased := 0
-	for _, rw := range raws {
-		p, err := h.ctx.DerefDirect(h.s, rw.addr, rw.inc)
-		if err != nil {
-			t.Fatalf("tombstone chase for %d: %v", rw.want, err)
-		}
-		if p != rw.addr {
-			chased++
-		}
-		got := *(*int64)(unsafe.Add(p, h.idF.Offset))
-		if got != rw.want {
-			t.Fatalf("chased to %d, want %d", got, rw.want)
-		}
-	}
-	h.s.Exit()
-	if chased == 0 {
-		t.Fatal("no pointer was actually relocated; test vacuous")
-	}
 }
 
 func TestBackgroundCompactor(t *testing.T) {
@@ -667,5 +609,85 @@ func TestPlanGroupsSizeSortedPacking(t *testing.T) {
 	}
 	if got, want := h.m.stats.BytesReclaimed.Load(), int64(5*h.m.cfg.BlockSize); got != want {
 		t.Fatalf("reclaimed %d bytes, want %d (all five source blocks)", got, want)
+	}
+}
+
+// TestCompactionFreesRemovedStrings: the blocks a compaction pass empties
+// take their removed objects' strings with them when the graveyard drains,
+// while the moved survivors keep the strings they share with their old
+// slots. Fresh strings that reuse the freed nodes must leave every
+// survivor's name intact.
+func TestCompactionFreesRemovedStrings(t *testing.T) {
+	for _, layout := range allLayouts() {
+		t.Run(layout.String(), func(t *testing.T) {
+			h := newHarness(t, layout, Config{BlockSize: 1 << 13, HeapBackend: true})
+			n := 3 * h.ctx.BlockCapacity()
+			name := func(i int) string { return fmt.Sprintf("name-%06d", i) }
+			refs := make([]types.Ref, n)
+			for i := range refs {
+				refs[i] = h.add(t, h.s, int64(i), name(i))
+			}
+			h.s.allocBlocks[h.ctx.id] = nil
+			for _, b := range h.ctx.SnapshotBlocks() {
+				b.allocOwned.Store(false)
+			}
+			removedIn := make(map[*Block]int64) // removed name bytes per block
+			survivors := make(map[int64]types.Ref)
+			for i, r := range refs {
+				if i%5 == 0 {
+					survivors[int64(i)] = r
+					continue
+				}
+				h.s.Enter()
+				obj, err := h.ctx.Deref(h.s, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blk := obj.Blk
+				if blk == nil {
+					blk = h.m.blockFromAddr(obj.Ptr)
+				}
+				h.s.Exit()
+				removedIn[blk] += int64(len(name(i)))
+				if err := h.remove(h.s, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := h.ctx.strings.liveBytes.Load()
+			if _, err := h.m.CompactNow(); err != nil {
+				t.Fatal(err)
+			}
+			for e := 0; e < 3; e++ {
+				h.m.TryAdvanceEpoch()
+			}
+			h.m.drainGraveyard()
+
+			kept := make(map[*Block]bool)
+			for _, b := range h.ctx.SnapshotBlocks() {
+				kept[b] = true
+			}
+			var want int64
+			for b, bytes := range removedIn {
+				if !kept[b] {
+					want += bytes
+				}
+			}
+			if want == 0 {
+				t.Fatal("the pass released no block holding removed objects; test vacuous")
+			}
+			if freed := before - h.ctx.strings.liveBytes.Load(); freed != want {
+				t.Fatalf("drain freed %d string bytes, want the %d of the removed objects in released blocks", freed, want)
+			}
+
+			for i := 0; i < n; i++ {
+				h.add(t, h.s, int64(n+i), fmt.Sprintf("XXXX-%06d", i))
+			}
+			for id, r := range survivors {
+				got, nm, err := h.get(h.s, r)
+				if err != nil || got != id || nm != name(int(id)) {
+					t.Fatalf("survivor %d reads back (%d, %q, %v) after the freed strings were reused", id, got, nm, err)
+				}
+			}
+		})
 	}
 }

@@ -40,7 +40,8 @@ type Context struct {
 	clusterSlot atomic.Int32
 
 	// refEdges lists contexts that hold reference fields INTO this
-	// context, together with the source field indexes and their encoding.
+	// context, together with the source field indexes; the fields use
+	// this context's encoding (StoreRef).
 	// Registered by the collection layer; consumed by the compactor's
 	// direct-pointer fix-up scan (§6: "the references between smcs are
 	// statically known and the compiler can produce specialized functions
@@ -51,9 +52,8 @@ type Context struct {
 }
 
 type refEdge struct {
-	src    *Context
-	field  int
-	direct bool // field stores the §6 direct encoding (RowDirect target)
+	src   *Context
+	field int
 }
 
 // reclaimEntry queues a block whose limbo fraction crossed the reclaim
@@ -89,9 +89,6 @@ func (c *Context) Name() string { return c.name }
 // Schema returns the context's object schema.
 func (c *Context) Schema() *schema.Schema { return c.sch }
 
-// Layout returns the context's storage layout.
-func (c *Context) Layout() Layout { return c.layout }
-
 // Manager returns the owning manager.
 func (c *Context) Manager() *Manager { return c.mgr }
 
@@ -99,10 +96,10 @@ func (c *Context) Manager() *Manager { return c.mgr }
 func (c *Context) BlockCapacity() int { return c.geo.capacity }
 
 // RegisterRefEdge declares that src's field fieldIndex holds references
-// into this context; direct selects the §6 direct-pointer encoding
-// (RowDirect targets). The collection layer registers every bound
-// reference field.
-func (c *Context) RegisterRefEdge(src *Context, fieldIndex int, direct bool) {
+// into this context, in this context's encoding: the §6 direct pointer
+// when c is RowDirect, the indirect reference otherwise. The collection
+// layer registers every bound reference field.
+func (c *Context) RegisterRefEdge(src *Context, fieldIndex int) {
 	c.edgeMu.Lock()
 	defer c.edgeMu.Unlock()
 	for _, e := range c.refEdges {
@@ -110,7 +107,7 @@ func (c *Context) RegisterRefEdge(src *Context, fieldIndex int, direct bool) {
 			return
 		}
 	}
-	c.refEdges = append(c.refEdges, refEdge{src: src, field: fieldIndex, direct: direct})
+	c.refEdges = append(c.refEdges, refEdge{src: src, field: fieldIndex})
 }
 
 func (c *Context) edges() []refEdge {

@@ -94,31 +94,8 @@ func (c *Context) Deref(s *Session, ref types.Ref) (Obj, error) {
 			return Obj{Ptr: payloadAddr(payload)}, nil
 		}
 	}
-	m := c.mgr
 	for {
-		payload := loadPayload(e)
-		var blk *Block
-		var slot int
-		var cell *uint32
-		switch c.layout {
-		case Columnar:
-			id, sl := unpackColumnar(payload)
-			blk = m.blockByID(id)
-			slot = sl
-			cell = entryIncPtr(e)
-		default:
-			p := payloadAddr(payload)
-			blk = m.blockFromAddr(p)
-			if blk == nil {
-				return Obj{}, ErrNullReference
-			}
-			slot = blk.slotIndexFromData(p)
-			if c.layout == RowDirect {
-				cell = blk.slotHeaderPtr(slot)
-			} else {
-				cell = entryIncPtr(e)
-			}
-		}
+		blk, slot, cell := c.locate(e)
 		if blk == nil {
 			return Obj{}, ErrNullReference
 		}
@@ -144,28 +121,56 @@ func (c *Context) Deref(s *Session, ref types.Ref) (Obj, error) {
 	}
 }
 
-// DerefDirect resolves a direct in-object pointer field into this
-// (target) context: addr is the stored slot-data address and inc the
-// stored incarnation (§6). On success it returns the current slot-data
-// address; if the object was relocated, the result differs from addr and
-// the caller should write it back to the field ("the query also updates
-// the direct pointer to the object's new memory location").
-func (c *Context) DerefDirect(s *Session, addr unsafe.Pointer, inc uint32) (unsafe.Pointer, error) {
+// DerefField follows the reference stored at cell — a reference field of
+// an object in some source collection — into this (target) context. The
+// target's layout decides both the cell's encoding (LoadRef) and the
+// check, the way the paper's compiler emits the check that matches the
+// referenced collection's representation:
+//
+//   - RowDirect: a non-null pointer whose slot header matches the stored
+//     incarnation (§6); a relocated object is reached through its
+//     tombstone and the new address is written back to cell ("the query
+//     also updates the direct pointer to the object's new memory
+//     location"), and anything else takes the full protocol;
+//   - RowIndirect and Columnar: the cell holds a types.Ref, and Deref's
+//     clean-incarnation fast path is the hop.
+//
+// Must run inside a critical section; it panics outside one.
+func (c *Context) DerefField(s *Session, cell unsafe.Pointer) (Obj, error) {
+	if c.layout != RowDirect {
+		return c.Deref(s, *(*types.Ref)(cell))
+	}
 	if !s.InCritical() {
-		panic("mem: DerefDirect outside critical section")
+		panic("mem: DerefField outside critical section")
 	}
-	if addr == nil {
-		return nil, ErrNullReference
+	addr := atomic.LoadUint64((*uint64)(cell))
+	if addr == 0 {
+		return Obj{}, ErrNullReference
 	}
-	// Fast path: the slot header (8 bytes before the data) matches the
-	// stored incarnation with no flags. Reading it is safe even for a
-	// stale pointer: blocks holding targets of direct fields are only
-	// unmapped after the fix-up scan has rewritten or nulled those
-	// fields and a full grace period has passed, so any address read
-	// inside the current critical section is still mapped.
-	if atomic.LoadUint32((*uint32)(unsafe.Add(addr, -8))) == inc {
-		return addr, nil
+	p := payloadAddr(addr)
+	inc := *(*uint32)(unsafe.Add(cell, 8))
+	// The slot header sits 8 bytes before the data. Reading it is
+	// safe even for a stale pointer: blocks holding targets of direct
+	// fields are only unmapped after the fix-up scan has rewritten or
+	// nulled those fields and a full grace period has passed.
+	if atomic.LoadUint32((*uint32)(unsafe.Add(p, -8))) == inc {
+		return Obj{Ptr: p}, nil
 	}
+	cur, err := c.derefDirect(s, p, inc)
+	if err != nil {
+		return Obj{}, err
+	}
+	if cur != p {
+		atomic.StoreUint64((*uint64)(cell), uint64(uintptr(cur)))
+	}
+	return Obj{Ptr: cur}, nil
+}
+
+// derefDirect is DerefField's slow path for a direct pointer into this
+// RowDirect context: addr is the stored slot-data address and inc the
+// stored incarnation (§6). It returns the object's current slot-data
+// address, which differs from addr when the object was relocated.
+func (c *Context) derefDirect(s *Session, addr unsafe.Pointer, inc uint32) (unsafe.Pointer, error) {
 	m := c.mgr
 	cur := addr
 	for {
@@ -196,6 +201,83 @@ func (c *Context) DerefDirect(s *Session, addr unsafe.Pointer, inc uint32) (unsa
 			// Re-read the same location.
 		}
 	}
+}
+
+// StoreRef encodes r into cell, a reference field of an object in some
+// source collection, in this (target) context's encoding: the 16-byte
+// types.Ref, or for a RowDirect target the §6 direct word {addr, inc}.
+func (c *Context) StoreRef(cell unsafe.Pointer, r types.Ref) {
+	if c.layout != RowDirect {
+		*(*types.Ref)(cell) = r
+		return
+	}
+	addr, inc := directWord(r)
+	*(*uint64)(cell) = addr
+	*(*uint32)(unsafe.Add(cell, 8)) = inc
+	*(*uint32)(unsafe.Add(cell, 12)) = 0
+}
+
+// LoadRef decodes the reference StoreRef wrote at cell.
+func (c *Context) LoadRef(cell unsafe.Pointer) types.Ref {
+	if c.layout != RowDirect {
+		return *(*types.Ref)(cell)
+	}
+	return c.refFromDirect(atomic.LoadUint64((*uint64)(cell)), *(*uint32)(unsafe.Add(cell, 8)))
+}
+
+// directWord resolves a reference into the direct-pointer encoding (§6):
+// the current slot-data address and the incarnation the reference
+// carries. This write barrier validates the reference first and encodes a
+// stale one as null — §2's "references implicitly become null" applied at
+// store time. The overflow rescue (§3.1) depends on this: once the
+// background scan has nulled the stale direct pointers to a retired slot,
+// no new ones can be minted, so the slot's incarnation sequence can
+// restart.
+func directWord(r types.Ref) (addr uint64, inc uint32) {
+	if r.IsNil() {
+		return 0, 0
+	}
+	e := entryRef(r.Entry)
+	if loadGen(e) != r.Gen || loadInc(e)&IncMask != r.Inc {
+		return 0, 0
+	}
+	return loadPayload(e), r.Inc
+}
+
+// refFromDirect rebuilds an indirect reference from a direct word into c,
+// using the slot's back-pointer to find the indirection entry.
+func (c *Context) refFromDirect(addr uint64, inc uint32) types.Ref {
+	if addr == 0 {
+		return types.Ref{}
+	}
+	p := payloadAddr(addr)
+	blk := c.mgr.blockFromAddr(p)
+	if blk == nil {
+		return types.Ref{}
+	}
+	e := blk.backEntry(blk.slotIndexFromData(p))
+	return types.Ref{Entry: e, Inc: inc, Gen: loadGen(e)}
+}
+
+// locate resolves entry e's current payload to the object's block and
+// slot and to its authoritative incarnation cell: the entry word in
+// indirect layouts (§3.2), the slot header in direct mode (§6). blk is
+// nil when the payload names no registered block.
+func (c *Context) locate(e entryRef) (blk *Block, slot int, cell *uint32) {
+	payload := loadPayload(e)
+	if c.layout == Columnar {
+		id, sl := unpackColumnar(payload)
+		return c.mgr.blockByID(id), sl, entryIncPtr(e)
+	}
+	p := payloadAddr(payload)
+	if blk = c.mgr.blockFromAddr(p); blk == nil {
+		return nil, 0, nil
+	}
+	slot = blk.slotIndexFromData(p)
+	if c.layout == RowDirect {
+		return blk, slot, blk.slotHeaderPtr(slot)
+	}
+	return blk, slot, entryIncPtr(e)
 }
 
 // resolveForRead coordinates a *reader* with an in-flight compaction

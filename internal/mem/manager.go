@@ -248,9 +248,8 @@ type retiredEntry struct {
 type grave struct {
 	blk   *Block
 	ready uint64
-	// freeLimbo: the block's limbo slots own their strings (no object
-	// was moved out of it), so the drain frees them.
-	freeLimbo bool
+	// limbo lists the slots whose strings the drain frees (ownedLimbo).
+	limbo []int32
 }
 
 // Stats aggregates manager-wide counters.
@@ -436,9 +435,9 @@ func (m *Manager) TryAdvanceEpoch() bool {
 // burialEpoch computes when a block buried now may be freed.
 func (m *Manager) burialEpoch() uint64 { return m.ep.Global() + 2 }
 
-func (m *Manager) bury(b *Block, freeLimbo bool) {
+func (m *Manager) bury(b *Block, limbo []int32) {
 	m.graveMu.Lock()
-	m.graveyard = append(m.graveyard, grave{blk: b, ready: m.burialEpoch(), freeLimbo: freeLimbo})
+	m.graveyard = append(m.graveyard, grave{blk: b, ready: m.burialEpoch(), limbo: limbo})
 	m.graveMu.Unlock()
 }
 
@@ -457,10 +456,10 @@ func (m *Manager) drainGraveyard() {
 	m.graveyard = keep
 	m.graveMu.Unlock()
 	for _, gr := range free {
-		if gr.freeLimbo {
-			// Every removal in the block predates its burial, so the
-			// grace period that ripened the grave ripened each slot too.
-			gr.blk.ctx.freeLimboStrings(gr.blk)
+		// Every removal in the block predates its burial, so the grace
+		// period that ripened the grave ripened each slot too.
+		for _, slot := range gr.limbo {
+			gr.blk.ctx.freeSlotStrings(gr.blk, int(slot))
 		}
 		m.unregisterBlock(gr.blk)
 		m.releaseBlockMemory(gr.blk)

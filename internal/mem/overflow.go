@@ -33,7 +33,7 @@ import (
 // that stays unpublished across the entire scan and both grace periods
 // can smuggle a stale direct encoding past the scan. Exploiting it also
 // requires the slot to burn through all 2^29 incarnations again before
-// the next scan. The write-barrier validation in DirectWord keeps this
+// the next scan. The write-barrier validation in directWord keeps this
 // the only remaining path.
 
 // rescueStats reports one rescue pass.
@@ -108,19 +108,16 @@ func (m *Manager) rescueOverflowed() (rescueStats, error) {
 	nullPass := func() {
 		cs.Enter()
 		defer cs.Exit()
+		// Entry victims belong to indirect and columnar contexts, whose
+		// in-edges hold entry pointers; retired slots to RowDirect ones,
+		// whose in-edges hold direct pointers.
 		for ctx, victims := range victimsByCtx {
 			for _, edge := range ctx.edges() {
-				if edge.direct {
-					continue // indirect victims live behind entry pointers
-				}
 				st.RefsNulled += m.nullIndirectRefs(cs, edge, victims)
 			}
 		}
 		for ctx := range slotsByCtx {
 			for _, edge := range ctx.edges() {
-				if !edge.direct {
-					continue
-				}
 				st.RefsNulled += m.nullDirectRefs(cs, edge)
 			}
 		}

@@ -52,8 +52,7 @@ func newOvHarness(t *testing.T, targetLayout Layout) *ovHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := targetLayout == RowDirect
-	tc.RegisterRefEdge(hc, 0, direct)
+	tc.RegisterRefEdge(hc, 0)
 	s, err := m.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +65,7 @@ func newOvHarness(t *testing.T, targetLayout Layout) *ovHarness {
 		m: m, target: tc, holder: hc, s: s,
 		tID:    tc.Schema().MustField("ID"),
 		hRef:   hc.Schema().MustField("Ref"),
-		direct: direct,
+		direct: targetLayout == RowDirect,
 	}
 }
 
@@ -89,15 +88,7 @@ func (h *ovHarness) addHolder(t *testing.T, ref types.Ref) Obj {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := obj.Blk.FieldPtr(obj.Slot, h.hRef)
-	if h.direct {
-		addr, inc := DirectWord(ref)
-		*(*uint64)(fp) = addr
-		*(*uint32)(unsafe.Add(fp, 8)) = inc
-		*(*uint32)(unsafe.Add(fp, 12)) = 0
-	} else {
-		*(*types.Ref)(fp) = ref
-	}
+	h.target.StoreRef(obj.Blk.FieldPtr(obj.Slot, h.hRef), ref)
 	h.holder.Publish(h.s, obj)
 	return obj
 }
@@ -381,17 +372,24 @@ func TestMaintainerRescuesOverflow(t *testing.T) {
 	})
 }
 
+// TestDirectWordValidatesStaleRefs: StoreRef's direct-word write barrier
+// encodes a stale reference into a RowDirect target as null.
 func TestDirectWordValidatesStaleRefs(t *testing.T) {
 	h := newOvHarness(t, RowDirect)
 	ref := h.addTarget(t, 7)
-	if addr, _ := DirectWord(ref); addr == 0 {
+	var cell [2]uint64
+	h.target.StoreRef(unsafe.Pointer(&cell), ref)
+	if cell[0] == 0 {
 		t.Fatal("live ref encoded as null")
 	}
 	h.removeTarget(t, ref)
-	if addr, inc := DirectWord(ref); addr != 0 || inc != 0 {
-		t.Fatalf("stale ref encoded as {%#x,%d}, want null", addr, inc)
+	h.target.StoreRef(unsafe.Pointer(&cell), ref)
+	if cell != [2]uint64{} {
+		t.Fatalf("stale ref encoded as %#x, want null", cell)
 	}
-	if addr, inc := DirectWord(types.Ref{}); addr != 0 || inc != 0 {
-		t.Fatalf("nil ref encoded as {%#x,%d}", addr, inc)
+	cell = [2]uint64{1, 1}
+	h.target.StoreRef(unsafe.Pointer(&cell), types.Ref{})
+	if cell != [2]uint64{} {
+		t.Fatalf("nil ref encoded as %#x", cell)
 	}
 }

@@ -80,20 +80,19 @@ func joinDataset(t *testing.T) *Dataset {
 
 // TestParallelJoinQueriesMatchSerial: the Q3, Q5 and Q10 pipeline
 // drivers (QnParCtx) must produce exactly the serial rows
-// at every worker count and layout — the join kernels are shared, the
+// at every worker count and posture — the join kernels are shared, the
 // parallel drivers only change who scans which block, where the group
 // state lives and how it merges.
 func TestParallelJoinQueriesMatchSerial(t *testing.T) {
 	d := joinDataset(t)
 	p := DefaultParams()
-	for _, layout := range []core.Layout{core.RowIndirect, core.RowDirect, core.Columnar} {
-		layout := layout
-		t.Run(layout.String(), func(t *testing.T) {
+	for _, pos := range postures() {
+		t.Run(pos.name, func(t *testing.T) {
 			rt := core.MustRuntime(core.Options{HeapBackend: true})
 			defer rt.Close()
 			s := rt.MustSession()
 			defer s.Close()
-			sdb, err := LoadSMC(rt, s, d, layout)
+			sdb, err := loadSMC(rt, s, d, pos.layoutOf)
 			if err != nil {
 				t.Fatal(err)
 			}

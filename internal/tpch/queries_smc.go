@@ -16,14 +16,17 @@ import (
 // equivalent of the paper's compiled unsafe C# (§7). The generated-code
 // idioms are reproduced by hand, as the paper itself did: per-block slot
 // directory scans, direct pointers to 16-byte decimals passed to in-place
-// arithmetic, and reference joins through FieldRef (indirection or
-// direct pointers per layout). Every kernel resolves the columns it reads
-// from its own block once per block through the block's column view
-// (mem.Block.Col, wrapped by column below) and then walks rows with a
-// constant stride, so one loop serves all three layouts: a row layout's
-// view is a field offset plus the slot stride, a columnar one the
-// column's base plus its element size (§4, §4.1). Hops into other blocks
-// still address through mem.Obj. Every query runs inside critical
+// arithmetic, and reference joins through FieldRef. Every kernel resolves
+// the columns it reads from its own block once per block through the
+// block's column view (mem.Block.Col, wrapped by column below) and then
+// walks rows with a constant stride, so one loop serves all three
+// layouts: a row layout's view is a field offset plus the slot stride, a
+// columnar one the column's base plus its element size (§4, §4.1). A
+// first hop passes the reference cell from that view to FieldRef.DerefAt;
+// later hops go from the mem.Obj it returns through FieldRef.Deref. Both
+// end in the target collection's mem.Context.DerefField, so each hop
+// takes the check of its target's layout and the collections of one
+// database may use different layouts. Every query runs inside critical
 // sections managed by the block enumerator (§4).
 
 // SMCQueries caches the resolved field handles ("compiled" offsets) for
@@ -40,8 +43,6 @@ type SMCQueries struct {
 	// regions for intermediates; returned arenas are reset and recycled
 	// under the pool's bounded retained footprint.
 	arenas *region.ArenaPool
-	// rowFast enables the open-coded indirect fast path (row targets).
-	rowFast bool
 
 	// lineitem fields
 	lShip, lCommit, lRecv   *schema.Field
@@ -88,7 +89,6 @@ func NewSMCQueries(db *SMCDB) *SMCQueries {
 	q := &SMCQueries{
 		db:        db,
 		arenas:    region.NewArenaPool(nil, 0, 0),
-		rowFast:   db.Layout != core.Columnar,
 		lShip:     l.MustField("ShipDate"),
 		lCommit:   l.MustField("CommitDate"),
 		lRecv:     l.MustField("ReceiptDate"),
@@ -160,46 +160,6 @@ func (c column) str(i int) []byte          { return (*(*types.StrRef)(c.at(i))).
 // objStr reads a string field of a dereferenced object.
 func objStr(o mem.Obj, f *schema.Field) []byte {
 	return (*(*types.StrRef)(o.Field(f))).Bytes()
-}
-
-// Deref follows fr's reference field of o into fr's target collection
-// through the open-coded fast path below. It is the hop out of an object
-// reached by an earlier dereference — for the kernels here and for
-// external compiled query code (the figure harnesses).
-func (q *SMCQueries) Deref(s *core.Session, fr *core.FieldRef, o mem.Obj) (mem.Obj, error) {
-	return q.deref(s, fr, o.Field(fr.Field), o)
-}
-
-// deref follows the reference stored at cell — the address of fr's field
-// of object o, which a kernel takes from its block's column view — into
-// fr's target collection. It open-codes the dereference checks the
-// paper's JIT compiler inlines into generated query code — generation
-// match plus clean incarnation match, then the payload load — and falls
-// back to the full protocol (flags, relocation cases, null) otherwise;
-// only that slow path consults o.
-func (q *SMCQueries) deref(s *core.Session, fr *core.FieldRef, cell unsafe.Pointer, o mem.Obj) (mem.Obj, error) {
-	if fr.Direct {
-		addr := *(*uint64)(cell)
-		if addr == 0 {
-			return mem.Obj{}, mem.ErrNullReference
-		}
-		p := types.LaunderAddr(uintptr(addr))
-		if mem.SlotIncWord(p) == *(*uint32)(unsafe.Add(cell, 8)) {
-			return mem.Obj{Ptr: p}, nil
-		}
-		return fr.Deref(s, o)
-	}
-	if q.rowFast {
-		r := *(*types.Ref)(cell)
-		e := r.Entry
-		if e == nil {
-			return mem.Obj{}, mem.ErrNullReference
-		}
-		if mem.EntryGen(e) == r.Gen && mem.EntryIncWord(e) == r.Inc {
-			return mem.Obj{Ptr: mem.EntryPayloadRow(e)}, nil
-		}
-	}
-	return fr.Deref(s, o)
 }
 
 // Q1 — pricing summary report: the paper's showcase for direct decimal
@@ -319,14 +279,14 @@ func (q *SMCQueries) Q3MapIntermediates(s *core.Session, p Params) []Q3Row {
 			if !blk.SlotIsValid(i) || ship.date(i) <= p.Q3Date {
 				continue
 			}
-			oobj, err := q.deref(s, &q.frLOrder, ord.at(i), mem.Obj{Blk: blk, Slot: i})
+			oobj, err := q.frLOrder.DerefAt(s, ord.at(i))
 			if err != nil {
 				continue
 			}
 			if *(*types.Date)(oobj.Field(q.oDate)) >= p.Q3Date {
 				continue
 			}
-			cobj, err := q.Deref(s, &q.frOCust, oobj)
+			cobj, err := q.frOCust.Deref(s, oobj)
 			if err != nil {
 				continue
 			}
@@ -367,7 +327,7 @@ func (q *SMCQueries) q4LateBlock(s *core.Session, blk *mem.Block, lo, hi types.D
 		if !blk.SlotIsValid(i) || commit.date(i) >= recv.date(i) {
 			continue
 		}
-		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), mem.Obj{Blk: blk, Slot: i})
+		oobj, err := q.frLOrder.DerefAt(s, ord.at(i))
 		if err != nil {
 			continue
 		}

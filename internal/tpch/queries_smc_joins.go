@@ -72,8 +72,7 @@ func (q *SMCQueries) q2MinBlock(s *core.Session, blk *mem.Block, size int32, typ
 		if !blk.SlotIsValid(i) {
 			continue
 		}
-		ps := mem.Obj{Blk: blk, Slot: i}
-		pobj, err := q.deref(s, &q.frPSPart, part.at(i), ps)
+		pobj, err := q.frPSPart.DerefAt(s, part.at(i))
 		if err != nil {
 			continue
 		}
@@ -83,7 +82,7 @@ func (q *SMCQueries) q2MinBlock(s *core.Session, blk *mem.Block, size int32, typ
 		if !bytes.HasSuffix(objStr(pobj, q.pType), typeSuffix) {
 			continue
 		}
-		sobj, err := q.deref(s, &q.frPSSupp, supp.at(i), ps)
+		sobj, err := q.frPSSupp.DerefAt(s, supp.at(i))
 		if err != nil {
 			continue
 		}
@@ -102,11 +101,11 @@ func (q *SMCQueries) q2MinBlock(s *core.Session, blk *mem.Block, size int32, typ
 // supplier's region is named regionName, returning the nation on the
 // way for the callers that print it.
 func (q *SMCQueries) suppInRegion(s *core.Session, sobj mem.Obj, regionName []byte) (mem.Obj, bool) {
-	nobj, err := q.Deref(s, &q.frSNation, sobj)
+	nobj, err := q.frSNation.Deref(s, sobj)
 	if err != nil {
 		return mem.Obj{}, false
 	}
-	robj, err := q.Deref(s, &q.frNRegion, nobj)
+	robj, err := q.frNRegion.Deref(s, nobj)
 	if err != nil {
 		return mem.Obj{}, false
 	}
@@ -123,8 +122,7 @@ func (q *SMCQueries) q2EmitBlock(s *core.Session, blk *mem.Block, regionName []b
 		if !blk.SlotIsValid(i) {
 			continue
 		}
-		ps := mem.Obj{Blk: blk, Slot: i}
-		pobj, err := q.deref(s, &q.frPSPart, part.at(i), ps)
+		pobj, err := q.frPSPart.DerefAt(s, part.at(i))
 		if err != nil {
 			continue
 		}
@@ -133,7 +131,7 @@ func (q *SMCQueries) q2EmitBlock(s *core.Session, blk *mem.Block, regionName []b
 		if mc == nil || !mc.seen || *cost.dec(i) != mc.cost {
 			continue
 		}
-		sobj, err := q.deref(s, &q.frPSSupp, supp.at(i), ps)
+		sobj, err := q.frPSSupp.DerefAt(s, supp.at(i))
 		if err != nil {
 			continue
 		}
@@ -167,14 +165,14 @@ func (q *SMCQueries) q3Block(s *core.Session, blk *mem.Block, date types.Date, s
 		if !blk.SlotIsValid(i) || ship.date(i) <= date {
 			continue
 		}
-		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), mem.Obj{Blk: blk, Slot: i})
+		oobj, err := q.frLOrder.DerefAt(s, ord.at(i))
 		if err != nil {
 			continue
 		}
 		if *(*types.Date)(oobj.Field(q.oDate)) >= date {
 			continue
 		}
-		cobj, err := q.Deref(s, &q.frOCust, oobj)
+		cobj, err := q.frOCust.Deref(s, oobj)
 		if err != nil {
 			continue
 		}
@@ -226,8 +224,7 @@ func (q *SMCQueries) q5Block(s *core.Session, blk *mem.Block, lo, hi types.Date,
 		if !blk.SlotIsValid(i) {
 			continue
 		}
-		l := mem.Obj{Blk: blk, Slot: i}
-		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), l)
+		oobj, err := q.frLOrder.DerefAt(s, ord.at(i))
 		if err != nil {
 			continue
 		}
@@ -235,7 +232,7 @@ func (q *SMCQueries) q5Block(s *core.Session, blk *mem.Block, lo, hi types.Date,
 		if od < lo || od >= hi {
 			continue
 		}
-		sobj, err := q.deref(s, &q.frLSupp, supp.at(i), l)
+		sobj, err := q.frLSupp.DerefAt(s, supp.at(i))
 		if err != nil {
 			continue
 		}
@@ -243,11 +240,11 @@ func (q *SMCQueries) q5Block(s *core.Session, blk *mem.Block, lo, hi types.Date,
 		if !ok {
 			continue
 		}
-		cobj, err := q.Deref(s, &q.frOCust, oobj)
+		cobj, err := q.frOCust.Deref(s, oobj)
 		if err != nil {
 			continue
 		}
-		cnobj, err := q.Deref(s, &q.frCNation, cobj)
+		cnobj, err := q.frCNation.Deref(s, cobj)
 		if err != nil {
 			continue
 		}
@@ -316,7 +313,7 @@ func (q *SMCQueries) q10Block(s *core.Session, blk *mem.Block, lo, hi types.Date
 		if !blk.SlotIsValid(i) || ret.i32(i) != 'R' {
 			continue
 		}
-		oobj, err := q.deref(s, &q.frLOrder, ord.at(i), mem.Obj{Blk: blk, Slot: i})
+		oobj, err := q.frLOrder.DerefAt(s, ord.at(i))
 		if err != nil {
 			continue
 		}
@@ -324,7 +321,7 @@ func (q *SMCQueries) q10Block(s *core.Session, blk *mem.Block, lo, hi types.Date
 		if od < lo || od >= hi {
 			continue
 		}
-		cobj, err := q.Deref(s, &q.frOCust, oobj)
+		cobj, err := q.frOCust.Deref(s, oobj)
 		if err != nil {
 			continue
 		}
@@ -416,7 +413,7 @@ func (q *SMCQueries) q10FinishBlock(s *core.Session, blk *mem.Block, rev *region
 			Phone:   string(phone.str(i)),
 			Comment: string(cmnt.str(i)),
 		}
-		if cnobj, err := q.deref(s, &q.frCNation, nation.at(i), mem.Obj{Blk: blk, Slot: i}); err == nil {
+		if cnobj, err := q.frCNation.DerefAt(s, nation.at(i)); err == nil {
 			row.Nation = string(objStr(cnobj, q.nName))
 		}
 		*out = append(*out, row)

@@ -105,7 +105,7 @@ func SMCSafeQ2(db *SMCDB, s *core.Session, p Params) []Q2Row {
 
 	qualifies := func(blk *mem.Block, i int) (pobj, sobj, nobj mem.Obj, pk int64, ok bool) {
 		ps := mem.Obj{Blk: blk, Slot: i}
-		pobj, err := q.Deref(s, &q.frPSPart, ps)
+		pobj, err := q.frPSPart.Deref(s, ps)
 		if err != nil {
 			return
 		}
@@ -115,15 +115,15 @@ func SMCSafeQ2(db *SMCDB, s *core.Session, p Params) []Q2Row {
 		if !bytes.HasSuffix(objStr(pobj, q.pType), typeSuffix) {
 			return
 		}
-		sobj, err = q.Deref(s, &q.frPSSupp, ps)
+		sobj, err = q.frPSSupp.Deref(s, ps)
 		if err != nil {
 			return
 		}
-		nobj, err = q.Deref(s, &q.frSNation, sobj)
+		nobj, err = q.frSNation.Deref(s, sobj)
 		if err != nil {
 			return
 		}
-		robj, err := q.Deref(s, &q.frNRegion, nobj)
+		robj, err := q.frNRegion.Deref(s, nobj)
 		if err != nil {
 			return
 		}
@@ -220,7 +220,7 @@ func SMCSafeQ3(db *SMCDB, s *core.Session, p Params) []Q3Row {
 				continue
 			}
 			l := mem.Obj{Blk: blk, Slot: i}
-			oobj, err := q.Deref(s, &q.frLOrder, l)
+			oobj, err := q.frLOrder.Deref(s, l)
 			if err != nil {
 				continue
 			}
@@ -228,7 +228,7 @@ func SMCSafeQ3(db *SMCDB, s *core.Session, p Params) []Q3Row {
 			if odate >= p.Q3Date {
 				continue
 			}
-			cobj, err := q.Deref(s, &q.frOCust, oobj)
+			cobj, err := q.frOCust.Deref(s, oobj)
 			if err != nil {
 				continue
 			}
@@ -339,7 +339,7 @@ func SMCSafeQ5(db *SMCDB, s *core.Session, p Params) []Q5Row {
 				continue
 			}
 			l := mem.Obj{Blk: blk, Slot: i}
-			oobj, err := q.Deref(s, &q.frLOrder, l)
+			oobj, err := q.frLOrder.Deref(s, l)
 			if err != nil {
 				continue
 			}
@@ -347,26 +347,26 @@ func SMCSafeQ5(db *SMCDB, s *core.Session, p Params) []Q5Row {
 			if od < p.Q5Date || od >= hi {
 				continue
 			}
-			sobj, err := q.Deref(s, &q.frLSupp, l)
+			sobj, err := q.frLSupp.Deref(s, l)
 			if err != nil {
 				continue
 			}
-			snobj, err := q.Deref(s, &q.frSNation, sobj)
+			snobj, err := q.frSNation.Deref(s, sobj)
 			if err != nil {
 				continue
 			}
-			robj, err := q.Deref(s, &q.frNRegion, snobj)
+			robj, err := q.frNRegion.Deref(s, snobj)
 			if err != nil {
 				continue
 			}
 			if !bytes.Equal(objStr(robj, q.rName), region) {
 				continue
 			}
-			cobj, err := q.Deref(s, &q.frOCust, oobj)
+			cobj, err := q.frOCust.Deref(s, oobj)
 			if err != nil {
 				continue
 			}
-			cnobj, err := q.Deref(s, &q.frCNation, cobj)
+			cnobj, err := q.frCNation.Deref(s, cobj)
 			if err != nil {
 				continue
 			}

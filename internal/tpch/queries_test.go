@@ -79,8 +79,41 @@ func TestGenerateShape(t *testing.T) {
 	}
 }
 
+// posture assigns each of the eight collections a layout, by collection
+// name (loadSMC).
+type posture struct {
+	name     string
+	layoutOf func(collection string) core.Layout
+}
+
+// postures lists the three uniform layouts, named by their layout, and
+// three mixes of a lineitem layout with one layout for the other seven:
+// "mixed" (columnar lineitem), "inverse" (row lineitem, columnar
+// dimensions: a database-wide "rows" flag would read the dimensions'
+// packed columnar payloads as addresses) and "direct-mix" (a columnar
+// lineitem holding §6 direct pointers into RowDirect dimensions).
+func postures() []posture {
+	uniform := func(l core.Layout) posture {
+		return posture{l.String(), func(string) core.Layout { return l }}
+	}
+	split := func(name string, lineitem, rest core.Layout) posture {
+		return posture{name, func(c string) core.Layout {
+			if c == "lineitem" {
+				return lineitem
+			}
+			return rest
+		}}
+	}
+	return []posture{
+		uniform(core.RowIndirect), uniform(core.RowDirect), uniform(core.Columnar),
+		split("mixed", core.Columnar, core.RowIndirect),
+		split("inverse", core.RowIndirect, core.Columnar),
+		split("direct-mix", core.Columnar, core.RowDirect),
+	}
+}
+
 // TestAllEnginesAgree is the gold test: List (compiled), Dictionary,
-// LINQ, SMC safe, SMC unsafe (all three layouts) and the column store
+// LINQ, SMC safe, SMC unsafe (on every posture) and the column store
 // must produce byte-identical results for Q1–Q6, and the SMC unsafe
 // engine the same Q10 as List.
 func TestAllEnginesAgree(t *testing.T) {
@@ -107,14 +140,13 @@ func TestAllEnginesAgree(t *testing.T) {
 			t.Fatal(diff)
 		}
 	})
-	for _, layout := range []core.Layout{core.RowIndirect, core.RowDirect, core.Columnar} {
-		layout := layout
-		t.Run("smc-"+layout.String(), func(t *testing.T) {
+	for _, pos := range postures() {
+		t.Run("smc-"+pos.name, func(t *testing.T) {
 			rt := core.MustRuntime(core.Options{HeapBackend: true})
 			defer rt.Close()
 			s := rt.MustSession()
 			defer s.Close()
-			sdb, err := LoadSMC(rt, s, d, layout)
+			sdb, err := loadSMC(rt, s, d, pos.layoutOf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,53 +164,71 @@ func TestAllEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestSMCQueriesSurviveChurnAndCompaction removes three orders in four,
+// with their lineitems, from both the managed and the SMC representation,
+// compacts, and compares Q1–Q6 and Q10 again on every posture. Small
+// blocks make the pass move orders as well as lineitems, so the hops into
+// relocated orders are checked too — on RowDirect orders after the
+// direct-pointer fix-up scan over the lineitem source.
 func TestSMCQueriesSurviveChurnAndCompaction(t *testing.T) {
-	// Remove a deterministic slice of lineitems from both the managed
-	// and the SMC representation, compact, and compare results again.
-	d := testDataset(t)
+	d := joinDataset(t)
 	p := DefaultParams()
+	drop := func(orderKey int64) bool { return orderKey%4 != 0 }
 
 	mdb := LoadManaged(d)
-	rt := core.MustRuntime(core.Options{HeapBackend: true})
-	defer rt.Close()
-	s := rt.MustSession()
-	defer s.Close()
-	sdb, err := LoadSMC(rt, s, d, core.RowDirect)
-	if err != nil {
-		t.Fatal(err)
+	mdb.Lineitems.RemoveWhere(func(l *MLineitem) bool { return drop(l.OrderKey) })
+	mdb.Orders.RemoveWhere(func(o *MOrder) bool { return drop(o.Key) })
+	gold := ListAll(mdb, p)
+	gold10 := ListQ10(mdb, p)
+	if len(gold.Q3) == 0 || len(gold.Q4) == 0 || len(gold.Q5) == 0 || len(gold10) == 0 {
+		t.Fatalf("gold result empty after churn: Q3/Q4/Q5/Q10 = %d/%d/%d/%d rows", len(gold.Q3), len(gold.Q4), len(gold.Q5), len(gold10))
 	}
 
-	// Remove every 4th lineitem (predicate on orderkey%4… use row order).
-	drop := func(orderKey int64) bool { return orderKey%4 == 0 }
-	mdb.Lineitems.RemoveWhere(func(l *MLineitem) bool { return drop(l.OrderKey) })
+	for _, pos := range postures() {
+		t.Run(pos.name, func(t *testing.T) {
+			rt := core.MustRuntime(core.Options{HeapBackend: true, BlockSize: 1 << 14})
+			defer rt.Close()
+			s := rt.MustSession()
+			defer s.Close()
+			sdb, err := loadSMC(rt, s, d, pos.layoutOf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			removeWhere(t, s, sdb.Lineitems, func(l *SLineitem) bool { return drop(l.OrderKey) })
+			removeWhere(t, s, sdb.Orders, func(o *SOrder) bool { return drop(o.Key) })
+			orderBlocks := len(sdb.Orders.Context().SnapshotBlocks())
+			if _, err := rt.CompactNow(); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(sdb.Orders.Context().SnapshotBlocks()); n >= orderBlocks {
+				t.Fatalf("compaction left %d of %d orders blocks: no hop into a moved order is checked", n, orderBlocks)
+			}
 
-	var victims []core.Ref[SLineitem]
-	sdb.Lineitems.ForEach(s, func(r core.Ref[SLineitem], l *SLineitem) bool {
-		if drop(l.OrderKey) {
+			q := NewSMCQueries(sdb)
+			if diff := gold.Diff(q.All(s, p)); diff != "" {
+				t.Fatalf("after churn+compaction: %s", diff)
+			}
+			if got := q.Q10(s, p); !slices.Equal(got, gold10) {
+				t.Fatalf("after churn+compaction Q10:\n got %+v\nwant %+v", got, gold10)
+			}
+		})
+	}
+}
+
+// removeWhere removes every object of c that pred selects.
+func removeWhere[T any](t *testing.T, s *core.Session, c *core.Collection[T], pred func(*T) bool) {
+	t.Helper()
+	var victims []core.Ref[T]
+	c.ForEach(s, func(r core.Ref[T], v *T) bool {
+		if pred(v) {
 			victims = append(victims, r)
 		}
 		return true
 	})
 	for _, v := range victims {
-		if err := sdb.Lineitems.Remove(s, v); err != nil {
+		if err := c.Remove(s, v); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := rt.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-
-	gold := ListAll(mdb, p)
-	q := NewSMCQueries(sdb)
-	if diff := gold.Diff(q.All(s, p)); diff != "" {
-		t.Fatalf("after churn+compaction: %s", diff)
-	}
-	gold10 := ListQ10(mdb, p)
-	if len(gold10) == 0 {
-		t.Fatal("gold Q10 empty after churn")
-	}
-	if got := q.Q10(s, p); !slices.Equal(got, gold10) {
-		t.Fatalf("after churn+compaction Q10:\n got %+v\nwant %+v", got, gold10)
 	}
 }
 

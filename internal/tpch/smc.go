@@ -102,7 +102,6 @@ type (
 // SMCDB holds the dataset in self-managed collections.
 type SMCDB struct {
 	RT        *core.Runtime
-	Layout    core.Layout
 	Regions   *core.Collection[SRegion]
 	Nations   *core.Collection[SNation]
 	Suppliers *core.Collection[SSupplier]
@@ -116,30 +115,36 @@ type SMCDB struct {
 // NewSMCDB creates the eight collections (in dependency order) in the
 // given layout.
 func NewSMCDB(rt *core.Runtime, layout core.Layout) (*SMCDB, error) {
-	db := &SMCDB{RT: rt, Layout: layout}
+	return newSMCDB(rt, func(string) core.Layout { return layout })
+}
+
+// newSMCDB is NewSMCDB with a layout per collection, named by its
+// collection name.
+func newSMCDB(rt *core.Runtime, layoutOf func(name string) core.Layout) (*SMCDB, error) {
+	db := &SMCDB{RT: rt}
 	var err error
-	if db.Regions, err = core.NewCollection[SRegion](rt, "region", layout); err != nil {
+	if db.Regions, err = core.NewCollection[SRegion](rt, "region", layoutOf("region")); err != nil {
 		return nil, err
 	}
-	if db.Nations, err = core.NewCollection[SNation](rt, "nation", layout); err != nil {
+	if db.Nations, err = core.NewCollection[SNation](rt, "nation", layoutOf("nation")); err != nil {
 		return nil, err
 	}
-	if db.Suppliers, err = core.NewCollection[SSupplier](rt, "supplier", layout); err != nil {
+	if db.Suppliers, err = core.NewCollection[SSupplier](rt, "supplier", layoutOf("supplier")); err != nil {
 		return nil, err
 	}
-	if db.Customers, err = core.NewCollection[SCustomer](rt, "customer", layout); err != nil {
+	if db.Customers, err = core.NewCollection[SCustomer](rt, "customer", layoutOf("customer")); err != nil {
 		return nil, err
 	}
-	if db.Parts, err = core.NewCollection[SPart](rt, "part", layout); err != nil {
+	if db.Parts, err = core.NewCollection[SPart](rt, "part", layoutOf("part")); err != nil {
 		return nil, err
 	}
-	if db.PartSupps, err = core.NewCollection[SPartSupp](rt, "partsupp", layout); err != nil {
+	if db.PartSupps, err = core.NewCollection[SPartSupp](rt, "partsupp", layoutOf("partsupp")); err != nil {
 		return nil, err
 	}
-	if db.Orders, err = core.NewCollection[SOrder](rt, "orders", layout); err != nil {
+	if db.Orders, err = core.NewCollection[SOrder](rt, "orders", layoutOf("orders")); err != nil {
 		return nil, err
 	}
-	if db.Lineitems, err = core.NewCollection[SLineitem](rt, "lineitem", layout); err != nil {
+	if db.Lineitems, err = core.NewCollection[SLineitem](rt, "lineitem", layoutOf("lineitem")); err != nil {
 		return nil, err
 	}
 	// Block synopses (min/max zone maps) for the columns the compiled
@@ -173,7 +178,12 @@ func NewSMCDB(rt *core.Runtime, layout core.Layout) (*SMCDB, error) {
 
 // LoadSMC materializes the dataset into self-managed collections.
 func LoadSMC(rt *core.Runtime, s *core.Session, d *Dataset, layout core.Layout) (*SMCDB, error) {
-	db, err := NewSMCDB(rt, layout)
+	return loadSMC(rt, s, d, func(string) core.Layout { return layout })
+}
+
+// loadSMC is LoadSMC with a layout per collection (newSMCDB).
+func loadSMC(rt *core.Runtime, s *core.Session, d *Dataset, layoutOf func(name string) core.Layout) (*SMCDB, error) {
+	db, err := newSMCDB(rt, layoutOf)
 	if err != nil {
 		return nil, err
 	}
